@@ -47,9 +47,9 @@ inline void printRule(int Width = 100) {
   std::putchar('\n');
 }
 
-/// Parses `--jobs N` / `--jobs=N` from the command line. 0 (the
-/// default) means all hardware workers; 1 selects the legacy fully
-/// sequential evaluation path.
+/// Parses `--jobs N` / `--jobs=N` from the command line: the number of
+/// threads candidate evaluation and the simulator may use. 0 (the
+/// default) means all hardware workers.
 inline unsigned parseJobs(int Argc, char **Argv, unsigned Default = 0) {
   for (int I = 1; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc)

@@ -3,10 +3,10 @@
 // Part of the liftcpp project.
 //
 // Times the exhaustive Figure-7-style tuning sweep end-to-end at
-// jobs=1 (the legacy sequential tuner: tree-walking simulator, no
-// evaluation memo) against the parallel evaluation engine (compiled
-// simulator + structural-equality evaluation memo + candidate-level
-// threading), and verifies the winner is identical either way.
+// jobs=1 against jobs=N and verifies the winner is identical either
+// way. Both sweeps run the same compiled simulator with the same
+// structural-equality evaluation memo, so the speedup is pure
+// candidate-level thread scaling.
 //
 // Passing --json [path] emits a compact JSON summary (per-benchmark
 // jobs=1 and jobs=N wall milliseconds plus the speedup) instead of the
@@ -81,7 +81,7 @@ int main(int argc, char **argv) {
     Row R;
     R.Name = Name;
 
-    TuneOptions Seq; // Jobs = 1: legacy sequential tuner
+    TuneOptions Seq; // Jobs = 1: the calling thread only
     TuneOptions Par;
     Par.Jobs = Jobs;
 
@@ -129,8 +129,8 @@ int main(int argc, char **argv) {
       OS << Out;
     }
   } else {
-    std::printf("Exhaustive tuning sweep: legacy sequential (jobs=1) vs "
-                "parallel engine (jobs=%u)\n", Jobs);
+    std::printf("Exhaustive tuning sweep: jobs=1 vs jobs=%u (same engine "
+                "and memo; thread scaling only)\n", Jobs);
     printRule(90);
     std::printf("%-14s %10s %12s %12s %9s %10s %12s\n", "Benchmark",
                 "cands", "jobs=1 ms", "jobs=N ms", "speedup", "memoHits",

@@ -32,10 +32,9 @@ struct RunResult {
 /// Compiles \p P and executes it on the simulator. \p Inputs holds one
 /// flat row-major float vector per program parameter; \p Sizes binds
 /// the size variables. \p Cache configures the modeled last-level
-/// cache. \p Jobs selects the execution engine: 1 (the default) is the
-/// legacy sequential Executor; any other value uses the compiled
-/// ParallelExecutor with up to that many threads (0 = all hardware
-/// workers). Counters and outputs are identical either way.
+/// cache. \p Jobs is the number of threads the simulator
+/// (ocl::ParallelExecutor) may use (0 = all hardware workers); counters
+/// and outputs are identical for every value.
 RunResult runOnSim(const ir::Program &P,
                    const std::vector<std::vector<float>> &Inputs,
                    const ocl::SizeEnv &Sizes,

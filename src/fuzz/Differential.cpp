@@ -347,7 +347,7 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
     }
   }
 
-  // (c) Untiled lowering on the sequential simulator engine.
+  // (c) Untiled lowering on the simulator at jobs=1.
   std::string WhyNot;
   Program Low = lowerStencil(B->P, LoweringOptions(), &WhyNot);
   if (!Low)
@@ -356,22 +356,22 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
   RunResult Seq = runCompiled(C, B->Flat, B->Sizes, ocl::CacheConfig(), 1);
   if (firstDivergence(RefFlat, Seq.Output) != -1)
     return Finish(mismatch(
-        mismatchReport("sequential simulator vs interpreter", RefFlat,
+        mismatchReport("simulator at jobs=1 vs interpreter", RefFlat,
                        Seq.Output)));
 
-  // (d) The parallel engine must be bit-identical to the sequential
-  // one in outputs *and* counters, at any job count.
+  // (d) The simulator at jobs=N must be bit-identical to jobs=1 in
+  // outputs *and* counters: shard merge and trace replay are exact.
   RunResult Par =
       runCompiled(C, B->Flat, B->Sizes, ocl::CacheConfig(), O.ParJobs);
   if (firstDivergence(Seq.Output, Par.Output) != -1)
     return Finish(mismatch(mismatchReport(
-        "parallel simulator (jobs=" + std::to_string(O.ParJobs) +
-            ") vs sequential",
+        "simulator at jobs=" + std::to_string(O.ParJobs) +
+            " vs simulator at jobs=1",
         Seq.Output, Par.Output)));
   if (!countersEqual(Seq.Counters, Par.Counters))
     return Finish(mismatch(
-        "oracle mismatch: parallel simulator (jobs=" +
-        std::to_string(O.ParJobs) + ") counter determinism\n" +
+        "oracle mismatch: simulator at jobs=" +
+        std::to_string(O.ParJobs) + " vs jobs=1 counter determinism\n" +
         counterReport(Seq.Counters, Par.Counters)));
 
   // (f) Native executor: the dlopen()ed host-compiled C of the same
@@ -430,7 +430,8 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
         if (firstDivergence(TSeq.Output, TPar.Output) != -1 ||
             !countersEqual(TSeq.Counters, TPar.Counters))
           return Finish(mismatch(
-              "oracle mismatch: tiled parallel simulator determinism\n" +
+              "oracle mismatch: tiled simulator at jobs=" +
+              std::to_string(O.ParJobs) + " vs jobs=1 determinism\n" +
               counterReport(TSeq.Counters, TPar.Counters)));
         if (O.Native)
           if (std::optional<DiffResult> NR = checkNative(

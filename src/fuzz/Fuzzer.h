@@ -15,17 +15,18 @@
 ///
 ///   (a) the reference interpreter,
 ///   (b) random legal rewrite sequences re-interpreted,
-///   (c) lowering -> the sequential NDRange simulator,
-///   (d) the parallel simulator at several job counts,
-///   (e) tiled lowering through both simulator engines when it fits,
+///   (c) lowering -> the NDRange simulator at jobs=1,
+///   (d) the same simulator at jobs=N (shard merge + trace replay),
+///   (e) tiled lowering through the simulator at jobs=1 and jobs=N
+///       when a tile fits,
 ///   (f) optionally (DiffOptions::Native) the native executor: the
 ///       kernel emitted as C, compiled with the host compiler,
 ///       dlopen()ed and run for real,
 ///
 /// asserting bit-identical outputs everywhere and bit-identical
-/// execution counters between the two simulator engines. A mismatch is
-/// shrunk to a minimal reproducer by a greedy spec-level shrinker and
-/// written out as a replayable artifact. This is the correctness
+/// execution counters between the simulator at jobs=1 and jobs=N. A
+/// mismatch is shrunk to a minimal reproducer by a greedy spec-level
+/// shrinker and written out as a replayable artifact. This is the correctness
 /// backstop behind the paper's claim that every rewrite and lowering
 /// is semantics-preserving.
 ///
@@ -132,7 +133,7 @@ unsigned countPrims(const ir::Program &P);
 std::vector<rewrite::Rule> fuzzRuleSet(bool InjectBug = false);
 
 struct DiffOptions {
-  unsigned ParJobs = 8;   ///< job count for the parallel-engine oracle
+  unsigned ParJobs = 8;   ///< simulator job count N for oracle (d)
   bool TryTiled = true;   ///< add a tiled-lowering oracle when it fits
   bool InjectBug = false; ///< self-test mode: use the broken rule set
   /// Oracle (f): compile every lowered kernel to C with the host

@@ -252,7 +252,13 @@ NativeKernelPtr lift::native::compileCSource(const std::string &Source,
                                  "):\n" + Diag,
                              Diag, Source);
 
-  void *Handle = ::dlopen(Obj.c_str(), RTLD_NOW | RTLD_LOCAL);
+  // RTLD_NODELETE: an -fopenmp kernel may be the only object that
+  // loaded the OpenMP runtime. Unloading the runtime on dlclose while
+  // the worker threads of an earlier multi-threaded run are still
+  // parked inside it crashes the process, so the kernel (and with it
+  // the runtime) stays mapped until exit.
+  void *Handle =
+      ::dlopen(Obj.c_str(), RTLD_NOW | RTLD_LOCAL | RTLD_NODELETE);
   if (!Handle) {
     const char *E = ::dlerror();
     throw NativeError(std::string("native backend: dlopen failed: ") +
@@ -261,12 +267,12 @@ NativeKernelPtr lift::native::compileCSource(const std::string &Source,
   ::dlerror();
   void *Sym = ::dlsym(Handle, EntryName.c_str());
   if (!Sym) {
+    // Copy the message first: dlclose frees the string dlerror returned.
     const char *E = ::dlerror();
+    std::string Why = E ? std::string(" (") + E + ")" : std::string();
     ::dlclose(Handle);
-    throw SymbolNotFoundError(
-        "native backend: entry symbol '" + EntryName +
-        "' not found in compiled kernel" +
-        (E ? std::string(" (") + E + ")" : std::string()));
+    throw SymbolNotFoundError("native backend: entry symbol '" + EntryName +
+                              "' not found in compiled kernel" + Why);
   }
   obs::Registry::global().counter("native.compiles").inc();
   // The signature line tells the ABI apart: profile-mode sources take
@@ -420,8 +426,8 @@ struct BoundRun {
 
 /// Allocates global buffers (zero-initialized exactly like the
 /// simulator's fresh storage), binds inputs with the simulator
-/// runner's conventions (Executor::bindInput) and resolves size
-/// arguments.
+/// runner's conventions (ParallelExecutor::bindInput) and resolves
+/// size arguments.
 BoundRun bindRun(const codegen::Compiled &C,
                  const std::vector<std::vector<float>> &Inputs,
                  const SizeEnv &Sizes) {

@@ -120,7 +120,9 @@ void probeToolchain(const NativeOptions &O = {});
 
 /// A dlopen()ed native kernel. Owns the library handle; the mapping
 /// (and the entry pointer) stays valid for the object's lifetime even
-/// though the backing file is already unlinked.
+/// though the backing file is already unlinked. The library is loaded
+/// with RTLD_NODELETE, so dlclose never unmaps it (nor the OpenMP
+/// runtime it pulled in) while runtime threads may still run there.
 class NativeKernel {
 public:
   /// The positional ABI emitted by CEmitter.
@@ -218,11 +220,11 @@ struct NativeRunResult {
 
 /// Runs a loaded kernel with the simulator runner's conventions: one
 /// flat float vector per program input (ints converted like
-/// Executor::bindInput), sizes bound by ArithExpr variable id, output
-/// returned as floats. \p Threads is the OpenMP thread count (0 = all
-/// hardware threads). Executes \p Warmup + \p Repeats times on the
-/// same buffers and reports the fastest repeat; timed sections are
-/// serialized process-wide so concurrent measurements cannot
+/// ParallelExecutor::bindInput), sizes bound by ArithExpr variable id,
+/// output returned as floats. \p Threads is the OpenMP thread count
+/// (0 = all hardware threads). Executes \p Warmup + \p Repeats times
+/// on the same buffers and reports the fastest repeat; timed sections
+/// are serialized process-wide so concurrent measurements cannot
 /// contaminate each other.
 NativeRunResult runNative(const codegen::Compiled &C,
                           const NativeKernel &Kern,

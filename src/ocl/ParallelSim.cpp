@@ -19,8 +19,8 @@ using namespace lift;
 using namespace lift::ir;
 using namespace lift::ocl;
 
-/// Sentinel for a loop-variable slot that is not currently bound (the
-/// compiled analogue of a variable missing from the Executor's Env).
+/// Sentinel for a loop-variable slot that is not currently bound (a
+/// loop variable read outside its loop).
 static constexpr std::int64_t UnboundSlot =
     std::numeric_limits<std::int64_t>::min();
 
@@ -343,9 +343,9 @@ ParallelExecutor::ParallelExecutor(const Kernel &K, const SizeEnv &Sizes,
   for (const auto &KV : Sizes)
     SizeConsts.emplace(KV.first, KV.second);
 
-  // Buffer layout: identical to ocl::Executor (every buffer, whatever
-  // its space, advances the same virtual address cursor) so cache line
-  // numbers match the sequential simulator bit-for-bit.
+  // Buffer layout: every buffer, whatever its space, advances the same
+  // virtual address cursor, and gets a disjoint line-aligned range so
+  // the cache model never aliases two buffers.
   Buffers.resize(K.Buffers.size());
   Main.PrivBufs.resize(K.Buffers.size());
   std::int64_t NextBase = 0;

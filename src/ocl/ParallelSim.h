@@ -6,11 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A drop-in replacement for ocl::Executor that (a) compiles the kernel
-/// AST to an execution plan before running it and (b) shards the
-/// outermost parallel loop nest (Wrg/Glb) across a thread pool.
+/// The NDRange simulator: executes kernel ASTs functionally while
+/// counting events (Sim.h). It (a) compiles the kernel AST to an
+/// execution plan before running it and (b) shards the outermost
+/// parallel loop nest (Wrg/Glb) across a thread pool.
 ///
-/// Why a compiled plan: the tree-walking Executor spends most of its
+/// Why a compiled plan: walking the AST directly spends most of its
 /// time in std::unordered_map environment lookups and per-call argument
 /// vector allocation. The plan replaces the environment with a dense
 /// slot array (size variables constant-folded at compile time, loop
@@ -28,11 +29,11 @@
 ///  * counters merge by summation (order-independent),
 ///  * the per-chunk global-load line traces are replayed through the
 ///    single set-associative LRU cache model in ascending chunk order —
-///    concatenated chunk traces equal the sequential access stream
+///    concatenated chunk traces equal the program-order access stream
 ///    exactly, so GlobalLoadLineMisses (and every other counter) is
-///    bit-identical to ocl::Executor for any thread count,
+///    bit-identical for any thread count,
 ///  * the last chunk's registers and local/private buffers are adopted
-///    (sequential last-iteration-wins semantics).
+///    (program-order last-iteration-wins semantics).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,10 +53,10 @@ class ThreadPool;
 
 namespace ocl {
 
-/// Executes kernels functionally while counting events, like
-/// ocl::Executor, but from a compiled plan and with the outermost
-/// parallel loop nest sharded over \p Jobs pool workers (0 = all
-/// hardware workers, 1 = single-threaded but still compiled).
+/// Executes kernels functionally while counting events, from a
+/// compiled plan and with the outermost parallel loop nest sharded
+/// over \p Jobs pool workers (0 = all hardware workers, 1 = the
+/// calling thread only).
 class ParallelExecutor {
 public:
   ParallelExecutor(const Kernel &K, const SizeEnv &Sizes,
@@ -222,7 +223,8 @@ private:
   std::vector<BufferStorage> Buffers; ///< Global storage (+ layout info)
   ShardState Main;
 
-  // Set-associative cache state (same layout as ocl::Executor).
+  // Set-associative cache state: Sets x Ways line tags (-1 = empty),
+  // LRU order within a set (front = most recent).
   std::vector<std::int64_t> CacheTags;
   std::int64_t CacheSets = 0;
 };

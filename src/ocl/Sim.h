@@ -6,10 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The OpenCL-runtime substitute: executes kernel ASTs with NDRange
-/// semantics and instruments the memory system.
+/// The OpenCL-runtime substitute's shared vocabulary: size bindings,
+/// cache geometry, event counters and NDRange analysis. The engine that
+/// executes kernel ASTs with NDRange semantics and instruments the
+/// memory system is ocl::ParallelExecutor (ParallelSim.h).
 ///
-/// The paper ran on real GPUs; we have none, so this simulator executes
+/// The paper ran on real GPUs; we have none, so the simulator executes
 /// the *same kernels our code generator emits* and measures the effects
 /// the paper's results hinge on:
 ///
@@ -34,8 +36,8 @@
 #include "ocl/KernelAst.h"
 
 #include <cstdint>
+#include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace lift {
 namespace ocl {
@@ -90,53 +92,6 @@ NDRangeInfo analyzeNDRange(const Kernel &K, const SizeEnv &Sizes);
 /// its per-candidate deterministic roll-ups.
 void exportCountersToMetrics(const ExecCounters &C,
                              const std::string &Prefix);
-
-/// Executes kernels functionally while counting events.
-class Executor {
-public:
-  Executor(const Kernel &K, const SizeEnv &Sizes,
-           const CacheConfig &Cache = CacheConfig());
-
-  /// Binds the contents of an input buffer (floats are converted to the
-  /// buffer's element kind).
-  void bindInput(int BufferId, const std::vector<float> &Data);
-
-  /// Runs the kernel body once.
-  void run();
-
-  /// Returns a buffer's contents as floats (ints converted).
-  std::vector<float> bufferContents(int BufferId) const;
-
-  const ExecCounters &counters() const { return Counters; }
-
-private:
-  struct BufferStorage {
-    ir::ScalarKind Kind = ir::ScalarKind::Float;
-    std::vector<float> F;
-    std::vector<std::int32_t> I;
-    std::int64_t VirtualBase = 0; ///< global address for the cache model
-  };
-
-  const Kernel &K;
-  SizeEnv Env; ///< size vars + live loop vars
-  CacheConfig Cache;
-  std::vector<BufferStorage> Buffers;
-  std::vector<ir::Scalar> Registers;
-  ExecCounters Counters;
-
-  // Set-associative cache state: Sets x Ways line tags (-1 = empty)
-  // with LRU order (front = most recent).
-  std::vector<std::int64_t> CacheTags;
-  std::int64_t CacheSets = 0;
-
-  void execStmts(const std::vector<StmtPtr> &Stmts);
-  void execStmt(const Stmt &S);
-  ir::Scalar evalExpr(const KExpr &E);
-  std::int64_t evalIndex(const AExpr &A);
-  void touchCache(const BufferStorage &B, std::int64_t ElemIndex);
-  ir::Scalar loadFrom(int BufferId, std::int64_t Index);
-  void storeTo(int BufferId, std::int64_t Index, ir::Scalar V);
-};
 
 } // namespace ocl
 } // namespace lift

@@ -186,8 +186,13 @@ void ThreadPool::parallelFor(std::size_t N,
   if (Par <= 1 || N == 1 || InsidePoolTask) {
     bool WasInside = InsidePoolTask;
     InsidePoolTask = true;
-    for (std::size_t I = 0; I != N; ++I)
-      Body(I);
+    try {
+      for (std::size_t I = 0; I != N; ++I)
+        Body(I);
+    } catch (...) {
+      InsidePoolTask = WasInside;
+      throw;
+    }
     InsidePoolTask = WasInside;
     return;
   }

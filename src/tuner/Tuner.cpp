@@ -515,9 +515,6 @@ TuneResult lift::tuner::tuneStencil(const TuningProblem &P,
   std::vector<Evaluated> Evals(Candidates.size());
   std::vector<PruneReason> Reasons(Candidates.size(), PruneReason::None);
   EvalMemo Memo;
-  // Jobs == 1 is the legacy sequential tuner verbatim: tree-walking
-  // simulator, no memo, plain loop.
-  EvalMemo *MemoPtr = Opts.UseMemo && Opts.Jobs != 1 ? &Memo : nullptr;
 
   obs::FlightRecorder &Recorder = obs::FlightRecorder::global();
   const bool Record = Recorder.enabled();
@@ -525,26 +522,21 @@ TuneResult lift::tuner::tuneStencil(const TuningProblem &P,
     Recorder.beginTune(P.B->Name, Candidates.size());
   TuneSpan.arg("candidates", std::int64_t(Candidates.size()));
 
-  unsigned Par =
-      Opts.Jobs == 0 ? ThreadPool::shared().workers() : Opts.Jobs;
-  auto EvalOne = [&](std::size_t I) {
-    obs::CandidateRecord Rec;
-    Rec.Index = I;
-    Evals[I] = evalInstrumented(P, Dev, Candidates[I], Opts, MemoPtr,
-                                Reasons[I], Record ? &Rec : nullptr);
-    if (Record)
-      Recorder.record(I, std::move(Rec));
-  };
-  if (Par <= 1) {
-    for (std::size_t I = 0; I != Candidates.size(); ++I)
-      EvalOne(I);
-  } else {
-    ThreadPool::shared().parallelFor(Candidates.size(), EvalOne, Par);
-  }
+  // At Jobs == 1 parallelFor runs every candidate inline on this thread.
+  ThreadPool::shared().parallelFor(
+      Candidates.size(),
+      [&](std::size_t I) {
+        obs::CandidateRecord Rec;
+        Rec.Index = I;
+        Evals[I] = evalInstrumented(P, Dev, Candidates[I], Opts, &Memo,
+                                    Reasons[I], Record ? &Rec : nullptr);
+        if (Record)
+          Recorder.record(I, std::move(Rec));
+      },
+      Opts.Jobs);
 
   // Deterministic argmin: scan in enumeration order, first strictly
-  // smaller predicted time wins — the same tie-break the sequential
-  // loop always had, for any thread count.
+  // smaller predicted time wins, for any thread count.
   TuneResult Result;
   double BestTime = 0;
   for (std::size_t I = 0; I != Candidates.size(); ++I) {

@@ -143,18 +143,10 @@ struct PruneStats {
 /// Knobs of the search driver itself (not of the search space).
 struct TuneOptions {
   /// Candidate evaluations run on up to this many pool workers
-  /// (0 = all hardware workers). 1 keeps the legacy fully sequential
-  /// tree-walking simulator; any other value also switches the inner
-  /// simulation to the compiled engine. The winner is identical for
-  /// any value: results are deterministic and the argmin tie-break is
-  /// always "first candidate in enumeration order".
+  /// (0 = all hardware workers). The winner is identical for any value:
+  /// results are deterministic and the argmin tie-break is always
+  /// "first candidate in enumeration order".
   unsigned Jobs = 1;
-  /// Share one simulation between candidates whose lowered programs
-  /// are structurally equal under the same size bindings and cache
-  /// configuration (e.g. work-group-size variants of one untiled
-  /// lowering). Never changes results, only skips redundant work.
-  /// Ignored at Jobs == 1, which stays the legacy tuner verbatim.
-  bool UseMemo = true;
   /// What the argmin ranks by. Objective::Measured needs a working
   /// host C toolchain; candidates whose native compilation fails are
   /// pruned as "native-compile-failed". Measured runs are serialized
@@ -177,12 +169,17 @@ struct TuneResult {
 };
 
 /// Evaluates one candidate (used directly for the fixed, untuned
-/// hand-written reference configurations). \p Jobs as in TuneOptions.
+/// hand-written reference configurations). Never consults a memo.
+/// \p Jobs is the simulator's thread count, as in TuneOptions.
 Evaluated evaluateCandidate(const TuningProblem &P,
                             const ocl::DeviceSpec &Dev, const Candidate &C,
                             unsigned Jobs = 1);
 
 /// Exhaustively searches \p Space for the fastest predicted variant.
+/// Candidates whose lowered programs are structurally equal under the
+/// same size bindings and cache configuration (e.g. work-group-size
+/// variants of one untiled lowering) share one simulation; that never
+/// changes results, only skips redundant work.
 TuneResult tuneStencil(const TuningProblem &P, const ocl::DeviceSpec &Dev,
                        const TuningSpace &Space,
                        const TuneOptions &Opts = TuneOptions());

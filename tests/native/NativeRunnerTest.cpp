@@ -131,6 +131,26 @@ TEST(NativeRunner, TiledLocalMatchesSimulatorBitExactly) {
   EXPECT_TRUE(bitIdentical(NR.Output, Sim.Output));
 }
 
+TEST(NativeRunner, KernelTeardownAfterThreadedRunKeepsOpenMPAlive) {
+  // An -fopenmp kernel can be the only object holding the OpenMP
+  // runtime in the process. Destroying it after a multi-threaded run
+  // must not unload the runtime under its parked worker threads, and
+  // the next kernel must load and run normally.
+  REQUIRE_TOOLCHAIN();
+  Built Untiled = buildBench("Stencil2D", /*Tiled=*/false);
+  Built Tiled = buildBench("Stencil2D", /*Tiled=*/true);
+  std::vector<float> Want =
+      codegen::runCompiled(Untiled.C, Untiled.Inputs, Untiled.Sizes).Output;
+  for (int Round = 0; Round != 4; ++Round) {
+    for (const Built *B : {&Untiled, &Tiled}) {
+      NativeKernelPtr Kern = compileKernel(B->C.K);
+      NativeRunResult NR =
+          runNative(B->C, *Kern, B->Inputs, B->Sizes, /*Threads=*/3);
+      EXPECT_TRUE(bitIdentical(NR.Output, Want)) << "round " << Round;
+    }
+  }
+}
+
 TEST(NativeRunner, WarmupAndRepeatsKeepOutputStable) {
   REQUIRE_TOOLCHAIN();
   Built B = buildBench("Stencil2D", /*Tiled=*/false);

@@ -7,8 +7,8 @@
 // pipeline must agree bit for bit across
 //
 //   * the untiled lowering (the semantic reference),
-//   * the sequential NDRange simulator,
-//   * the compiled, sharded parallel simulator, and
+//   * the NDRange simulator at jobs=1,
+//   * the same simulator sharded over 4 jobs, and
 //   * the native C backend (emit, compile, dlopen, run),
 //
 // for every boundary kind (clamp / mirror / wrap / constant). A final
@@ -116,14 +116,14 @@ void checkRaggedAgreement(Boundary B, const std::vector<std::int64_t> &Ext,
 
   std::vector<float> Seq = codegen::runCompiled(C, F.Inputs, F.Sizes).Output;
   EXPECT_TRUE(bitIdentical(Seq, Ref))
-      << What << ": tiled sequential sim diverged from untiled reference";
+      << What << ": tiled sim at jobs=1 diverged from untiled reference";
 
   std::vector<float> Par =
       codegen::runCompiled(C, F.Inputs, F.Sizes, ocl::CacheConfig(),
                            /*Jobs=*/4)
           .Output;
   EXPECT_TRUE(bitIdentical(Par, Ref))
-      << What << ": parallel sim diverged from untiled reference";
+      << What << ": tiled sim at jobs=4 diverged from untiled reference";
 
   if (!haveToolchain())
     return; // sim cross-check still ran; native needs a host compiler

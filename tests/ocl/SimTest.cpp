@@ -4,20 +4,29 @@
 //
 // Tests the simulator directly on hand-built kernel ASTs: functional
 // semantics of loops/stores/registers/barriers, the cache model's
-// response to streaming vs strided access, and NDRange analysis.
+// response to streaming vs strided access, and NDRange analysis. The
+// expected counters are worked out by hand, and every execution test
+// runs at jobs 1 and jobs 4, so sharding and trace replay must
+// reproduce them exactly.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ocl/Emitter.h"
-#include "ocl/Sim.h"
+#include "ocl/ParallelSim.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 using namespace lift;
 using namespace lift::ir;
 using namespace lift::ocl;
 
 namespace {
+
+/// Thread counts every execution test runs at: the calling thread only,
+/// and the outermost parallel loop sharded over four pool workers.
+constexpr unsigned JobCounts[] = {1, 4};
 
 /// Builds a kernel copying in[i] -> out[i] over a Glb(0) loop with the
 /// given index transform applied on the load side.
@@ -49,14 +58,17 @@ TEST(Sim, CopiesThroughGlobalLoop) {
   AExpr I = var("i", Range(0, 1 << 30));
   Kernel K = makeCopyKernel(N, I, I);
   SizeEnv Sizes{{N->getVarId(), 8}};
-  Executor Ex(K, Sizes);
-  Ex.bindInput(0, {1, 2, 3, 4, 5, 6, 7, 8});
-  Ex.run();
-  EXPECT_EQ(Ex.bufferContents(1),
-            (std::vector<float>{1, 2, 3, 4, 5, 6, 7, 8}));
-  EXPECT_EQ(Ex.counters().GlobalLoads, 8u);
-  EXPECT_EQ(Ex.counters().GlobalStores, 8u);
-  EXPECT_EQ(Ex.counters().LoopIterations, 8u);
+  for (unsigned Jobs : JobCounts) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    ParallelExecutor Ex(K, Sizes, CacheConfig(), Jobs);
+    Ex.bindInput(0, {1, 2, 3, 4, 5, 6, 7, 8});
+    Ex.run();
+    EXPECT_EQ(Ex.bufferContents(1),
+              (std::vector<float>{1, 2, 3, 4, 5, 6, 7, 8}));
+    EXPECT_EQ(Ex.counters().GlobalLoads, 8u);
+    EXPECT_EQ(Ex.counters().GlobalStores, 8u);
+    EXPECT_EQ(Ex.counters().LoopIterations, 8u);
+  }
 }
 
 TEST(Sim, SequentialStreamHitsCacheLines) {
@@ -68,10 +80,13 @@ TEST(Sim, SequentialStreamHitsCacheLines) {
   CacheConfig Cache;
   Cache.LineBytes = 128;
   Cache.TotalBytes = 64 * 1024;
-  Executor Ex(K, Sizes, Cache);
-  Ex.bindInput(0, std::vector<float>(1024, 1.0f));
-  Ex.run();
-  EXPECT_EQ(Ex.counters().GlobalLoadLineMisses, 1024u / 32u);
+  for (unsigned Jobs : JobCounts) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    ParallelExecutor Ex(K, Sizes, Cache, Jobs);
+    Ex.bindInput(0, std::vector<float>(1024, 1.0f));
+    Ex.run();
+    EXPECT_EQ(Ex.counters().GlobalLoadLineMisses, 1024u / 32u);
+  }
 }
 
 TEST(Sim, StridedAccessMissesMoreLines) {
@@ -85,11 +100,14 @@ TEST(Sim, StridedAccessMissesMoreLines) {
   CacheConfig Cache;
   Cache.LineBytes = 128;
   Cache.TotalBytes = 2 * 1024; // too small to retain all lines
-  Executor Ex(K, Sizes, Cache);
-  Ex.bindInput(0, std::vector<float>(1024, 1.0f));
-  Ex.run();
-  // Far more misses than the sequential 32-per-line case.
-  EXPECT_GT(Ex.counters().GlobalLoadLineMisses, 512u);
+  for (unsigned Jobs : JobCounts) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    ParallelExecutor Ex(K, Sizes, Cache, Jobs);
+    Ex.bindInput(0, std::vector<float>(1024, 1.0f));
+    Ex.run();
+    // Far more misses than the sequential 32-per-line case.
+    EXPECT_GT(Ex.counters().GlobalLoadLineMisses, 512u);
+  }
 }
 
 TEST(Sim, ReuseHitsWithinCapacity) {
@@ -98,11 +116,14 @@ TEST(Sim, ReuseHitsWithinCapacity) {
   AExpr I = var("i", Range(0, 1 << 30));
   Kernel K = makeCopyKernel(N, I, cst(0));
   SizeEnv Sizes{{N->getVarId(), 256}};
-  Executor Ex(K, Sizes);
-  Ex.bindInput(0, std::vector<float>(256, 7.0f));
-  Ex.run();
-  EXPECT_EQ(Ex.counters().GlobalLoadLineMisses, 1u);
-  EXPECT_EQ(Ex.bufferContents(1)[255], 7.0f);
+  for (unsigned Jobs : JobCounts) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    ParallelExecutor Ex(K, Sizes, CacheConfig(), Jobs);
+    Ex.bindInput(0, std::vector<float>(256, 7.0f));
+    Ex.run();
+    EXPECT_EQ(Ex.counters().GlobalLoadLineMisses, 1u);
+    EXPECT_EQ(Ex.bufferContents(1)[255], 7.0f);
+  }
 }
 
 TEST(Sim, RegistersAndSequentialLoops) {
@@ -134,12 +155,15 @@ TEST(Sim, RegistersAndSequentialLoops) {
   K.Body.push_back(sStore(1, cst(0), kReadVar(0)));
 
   SizeEnv Sizes{{N->getVarId(), 5}};
-  Executor Ex(K, Sizes);
-  Ex.bindInput(0, {1, 2, 3, 4, 5});
-  Ex.run();
-  EXPECT_EQ(Ex.bufferContents(1)[0], 15.0f);
-  EXPECT_EQ(Ex.counters().UserFunCalls, 5u);
-  EXPECT_EQ(Ex.counters().Flops, 5u);
+  for (unsigned Jobs : JobCounts) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    ParallelExecutor Ex(K, Sizes, CacheConfig(), Jobs);
+    Ex.bindInput(0, {1, 2, 3, 4, 5});
+    Ex.run();
+    EXPECT_EQ(Ex.bufferContents(1)[0], 15.0f);
+    EXPECT_EQ(Ex.counters().UserFunCalls, 5u);
+    EXPECT_EQ(Ex.counters().Flops, 5u);
+  }
 }
 
 TEST(Sim, BarrierCountsPerWorkgroupExecution) {
@@ -155,9 +179,12 @@ TEST(Sim, BarrierCountsPerWorkgroupExecution) {
   K.Body.push_back(sLoop(LoopKind::Wrg, 0, W, N,
                          {sBarrier(), sStore(0, W, kConst(Scalar(1.0f)))}));
   SizeEnv Sizes{{N->getVarId(), 6}};
-  Executor Ex(K, Sizes);
-  Ex.run();
-  EXPECT_EQ(Ex.counters().Barriers, 6u);
+  for (unsigned Jobs : JobCounts) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    ParallelExecutor Ex(K, Sizes, CacheConfig(), Jobs);
+    Ex.run();
+    EXPECT_EQ(Ex.counters().Barriers, 6u);
+  }
 }
 
 TEST(Sim, SelectEvaluatesOnlyChosenSide) {
@@ -184,12 +211,15 @@ TEST(Sim, SelectEvaluatesOnlyChosenSide) {
                              kLoad(0, Shift), kConst(Scalar(42.0f)));
   K.Body.push_back(sLoop(LoopKind::Glb, 0, I, N, {sStore(1, I, Guarded)}));
   SizeEnv Sizes{{N->getVarId(), 4}};
-  Executor Ex(K, Sizes);
-  Ex.bindInput(0, {10, 20, 30, 40});
-  Ex.run();
-  EXPECT_EQ(Ex.bufferContents(1), (std::vector<float>{42, 10, 20, 30}));
-  EXPECT_EQ(Ex.counters().GlobalLoads, 3u); // i=0 skipped the load
-  EXPECT_EQ(Ex.counters().SelectEvals, 4u);
+  for (unsigned Jobs : JobCounts) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    ParallelExecutor Ex(K, Sizes, CacheConfig(), Jobs);
+    Ex.bindInput(0, {10, 20, 30, 40});
+    Ex.run();
+    EXPECT_EQ(Ex.bufferContents(1), (std::vector<float>{42, 10, 20, 30}));
+    EXPECT_EQ(Ex.counters().GlobalLoads, 3u); // i=0 skipped the load
+    EXPECT_EQ(Ex.counters().SelectEvals, 4u);
+  }
 }
 
 TEST(Sim, NDRangeAnalysis) {
@@ -231,10 +261,13 @@ TEST(Sim, UnrolledLoopChargesNoPerIterationOverhead) {
                          {sStore(0, J, kConst(Scalar(1.0f)))},
                          /*Unroll=*/true));
   SizeEnv Sizes{{N->getVarId(), 7}};
-  Executor Ex(K, Sizes);
-  Ex.run();
-  EXPECT_EQ(Ex.counters().LoopIterations, 1u); // setup only
-  EXPECT_EQ(Ex.counters().GlobalStores, 7u);   // body still ran 7 times
+  for (unsigned Jobs : JobCounts) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    ParallelExecutor Ex(K, Sizes, CacheConfig(), Jobs);
+    Ex.run();
+    EXPECT_EQ(Ex.counters().LoopIterations, 1u); // setup only
+    EXPECT_EQ(Ex.counters().GlobalStores, 7u);   // body still ran 7 times
+  }
 }
 
 TEST(Sim, EmitterRendersHandBuiltKernel) {

@@ -76,17 +76,23 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
 
 TEST(ThreadPool, PropagatesFirstException) {
   ThreadPool Pool(4);
-  EXPECT_THROW(
-      Pool.parallelFor(100,
-                       [&](std::size_t I) {
-                         if (I == 57)
-                           throw std::runtime_error("boom");
-                       }),
-      std::runtime_error);
-  // The pool stays usable after a failed loop.
-  std::atomic<std::size_t> Sum{0};
-  Pool.parallelFor(10, [&](std::size_t I) { Sum += I; });
-  EXPECT_EQ(Sum.load(), 45u);
+  // Parallel and inline (parallelism 1) loops alike.
+  for (unsigned MaxPar : {0u, 1u}) {
+    EXPECT_THROW(Pool.parallelFor(
+                     100,
+                     [&](std::size_t I) {
+                       if (I == 57)
+                         throw std::runtime_error("boom");
+                     },
+                     MaxPar),
+                 std::runtime_error);
+    // The caller is outside any task again, so its next loop runs in
+    // parallel, and the pool stays usable after a failed loop.
+    EXPECT_FALSE(ThreadPool::insideTask()) << "MaxParallelism=" << MaxPar;
+    std::atomic<std::size_t> Sum{0};
+    Pool.parallelFor(10, [&](std::size_t I) { Sum += I; });
+    EXPECT_EQ(Sum.load(), 45u);
+  }
 }
 
 TEST(ThreadPool, SharedSingletonIsUsable) {

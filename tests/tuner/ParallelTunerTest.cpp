@@ -36,7 +36,7 @@ TEST(ParallelTuner, SameWinnerAtJobs128) {
   TuningSpace S = trimmedSpace();
   DeviceSpec Dev = deviceNvidiaK20c();
 
-  TuneOptions O1; // Jobs = 1: legacy sequential path
+  TuneOptions O1; // Jobs = 1
   TuneResult R1 = tuneStencil(P, Dev, S, O1);
 
   for (unsigned Jobs : {2u, 8u}) {
@@ -58,27 +58,28 @@ TEST(ParallelTuner, SameWinnerAtJobs128) {
 TEST(ParallelTuner, MemoDeduplicatesEquivalentLowerings) {
   // Untiled candidates that differ only in work-group size lower to
   // structurally identical programs; the memo must collapse them onto
-  // one simulation without changing any result.
+  // one simulation at every job count without changing any result.
   const Benchmark &B = findBenchmark("Jacobi2D5pt");
   TuningProblem P = makeProblem(B, false);
   TuningSpace S = trimmedSpace();
   DeviceSpec Dev = deviceNvidiaK20c();
 
-  TuneOptions WithMemo;
-  WithMemo.Jobs = 2;
-  TuneOptions NoMemo = WithMemo;
-  NoMemo.UseMemo = false;
-
-  TuneResult RM = tuneStencil(P, Dev, S, WithMemo);
-  TuneResult RN = tuneStencil(P, Dev, S, NoMemo);
-
-  EXPECT_GT(RM.MemoHits, 0u);
-  EXPECT_EQ(RN.MemoHits, 0u);
-  ASSERT_EQ(RM.All.size(), RN.All.size());
-  for (std::size_t I = 0; I != RM.All.size(); ++I)
-    EXPECT_EQ(RM.All[I].T.Total, RN.All[I].T.Total)
-        << RM.All[I].C.describe();
-  EXPECT_EQ(RM.Best.C.describe(), RN.Best.C.describe());
+  for (unsigned Jobs : {1u, 2u}) {
+    TuneOptions O;
+    O.Jobs = Jobs;
+    TuneResult R = tuneStencil(P, Dev, S, O);
+    EXPECT_GT(R.MemoHits, 0u) << "jobs=" << Jobs;
+    // evaluateCandidate never consults a memo: every entry, memo-served
+    // or not, must equal a fresh simulation of the same candidate.
+    for (const Evaluated &E : R.All) {
+      Evaluated Fresh = evaluateCandidate(P, Dev, E.C, Jobs);
+      EXPECT_FALSE(Fresh.FromMemo);
+      ASSERT_TRUE(Fresh.Valid) << E.C.describe();
+      EXPECT_EQ(E.T.Total, Fresh.T.Total)
+          << E.C.describe() << " jobs=" << Jobs;
+      EXPECT_EQ(E.GElemsPerSec, Fresh.GElemsPerSec) << E.C.describe();
+    }
+  }
 }
 
 TEST(ParallelTuner, RemainderTilesAreNotPruned) {

@@ -44,11 +44,11 @@ void usage() {
       "                [--check-bounds] [--self-test] [--quiet]\n"
       "\n"
       "Runs N seed-derived random stencil programs through the reference\n"
-      "interpreter, random legal rewrite sequences, the sequential\n"
-      "simulator and the parallel simulator (J jobs), requiring\n"
-      "bit-identical outputs and counters everywhere. Mismatches are\n"
-      "shrunk to minimal reproducers; with --artifact-dir each one is\n"
-      "also written to a replayable artifact file.\n"
+      "interpreter, random legal rewrite sequences and the simulator\n"
+      "at jobs=1 and at jobs=J, requiring bit-identical outputs and\n"
+      "counters everywhere. Mismatches are shrunk to minimal\n"
+      "reproducers; with --artifact-dir each one is also written to a\n"
+      "replayable artifact file.\n"
       "\n"
       "  --native     also compile every lowered kernel to C with the\n"
       "               host compiler, dlopen and run it, and require its\n"
