@@ -178,8 +178,7 @@ int main(int argc, char **argv) {
         native::NativeRunResult GR = native::runNative(
             Generic, *GK, Inputs, Env, Threads, Warmup, Repeats);
         native::NativeKernelPtr SK =
-            native::KernelCache::global().getOrCompile(
-                Hash ^ 0xA5A5A5A5A5A5A5A5ULL, Spec.K);
+            native::KernelCache::global().getOrCompile(Hash, Spec.K);
         native::NativeRunResult SR = native::runNative(
             Spec, *SK, Inputs, Env, Threads, Warmup, Repeats);
         R.GenericMs = GR.Seconds * 1e3;

@@ -223,17 +223,13 @@ std::optional<DiffResult> checkNative(const Program &Low, const Compiled &C,
   const std::string L =
       O.Specialize ? Label + " [interior-specialized]" : Label;
   try {
+    // The interior/edge-specialized kernel shares the generic form's
+    // cache bucket; its different C source keeps the binaries apart.
     Compiled NC = C;
-    std::size_t Hash = ir::structuralHash(Low);
-    if (O.Specialize) {
-      // Interior/edge-specialized kernels share the cache with the
-      // generic form of the same lowering; perturb the hash so the two
-      // binaries stay distinct (source comparison resolves collisions).
+    if (O.Specialize)
       NC.K = analysis::specializeInterior(C.K);
-      Hash ^= 0xA5A5A5A5A5A5A5A5ULL;
-    }
-    native::NativeKernelPtr Kern =
-        native::KernelCache::global().getOrCompile(Hash, NC.K);
+    native::NativeKernelPtr Kern = native::KernelCache::global().getOrCompile(
+        ir::structuralHash(Low), NC.K);
     native::NativeRunResult NR =
         native::runNative(NC, *Kern, B.Flat, B.Sizes, O.NativeThreads);
     if (firstDivergence(RefFlat, NR.Output) != -1)

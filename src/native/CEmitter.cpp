@@ -276,7 +276,7 @@ private:
     // Profiling forces sequential emission: region timers nested in a
     // parallel loop would race and attribute one thread's clock to the
     // whole grid.
-    return PlanBuilder(K, O.OpenMP && !O.Profile).take();
+    return PlanBuilder(K, !O.Profile).take();
   }
 
   void claimLoopVars(const Stmt &S) {
@@ -549,9 +549,7 @@ std::string Printer::run() {
 
   Out += "void " + EntryName +
          "(void **lift_bufs, const long long *lift_sizes, "
-         "int lift_threads" +
-         (Profile ? std::string(", double *lift_prof") : std::string()) +
-         ") {\n";
+         "int lift_threads, double *lift_prof) {\n";
   Indent = 1;
   std::size_t Slot = 0;
   for (const BufferDecl &B : K.Buffers) {
@@ -565,6 +563,8 @@ std::string Printer::run() {
     line("const long long " + Names.var(K.SizeArgs[I].first) +
          " = lift_sizes[" + std::to_string(I) + "];");
   line("(void)lift_threads;");
+  if (!Profile)
+    line("(void)lift_prof;");
   for (int Id : Plan.TopBufs)
     printDecl(Id);
   for (int Id : Plan.TopRegs)

@@ -34,26 +34,22 @@
 /// of them) the emitter falls back to a fully sequential program,
 /// which is always correct.
 ///
-/// The entry point ABI is positional:
-///
-///   void <name>(void **lift_bufs, const long long *lift_sizes,
-///               int lift_threads);
-///
-/// `lift_bufs` holds one pointer per *global* buffer in declaration
-/// order (float* or int32_t* according to the element kind);
-/// `lift_sizes` holds one value per Kernel::SizeArgs entry, in order.
-/// Buffer/size order is a pure function of the kernel structure, so
-/// alpha-equivalent kernels (equal structural hash) share one ABI —
-/// the property the compiled-kernel cache relies on.
-///
-/// Profile mode (CEmitOptions::Profile) appends one parameter:
+/// The entry point ABI is positional, one signature for every kernel:
 ///
 ///   void <name>(void **lift_bufs, const long long *lift_sizes,
 ///               int lift_threads, double *lift_prof);
 ///
-/// and wraps each profile region (profileRegions()) in monotonic-clock
-/// timers that *accumulate* elapsed seconds into lift_prof[k], k being
-/// the region's index in profileRegions() order. The computation is
+/// `lift_bufs` holds one pointer per *global* buffer in declaration
+/// order (float* or int32_t* according to the element kind);
+/// `lift_sizes` holds one value per Kernel::SizeArgs entry, in order;
+/// `lift_prof` holds one double per profile region (profileRegions()).
+/// Buffer/size order is a pure function of the kernel structure, so
+/// alpha-equivalent kernels (equal structural hash) share one ABI.
+///
+/// Profile mode (CEmitOptions::Profile) wraps each profile region in
+/// monotonic-clock timers that *accumulate* elapsed seconds into
+/// lift_prof[k], k being the region's index in profileRegions() order;
+/// without it the kernel ignores lift_prof. The computation is
 /// untouched — outputs stay bit-identical to the unprofiled kernel —
 /// but pragmas are suppressed (sequential execution) so nested region
 /// timers measure exactly one thread's work and attribution is exact;
@@ -73,14 +69,8 @@ namespace lift {
 namespace native {
 
 struct CEmitOptions {
-  /// Emit `#pragma omp parallel for` on parallelizable outermost
-  /// Glb/Wrg loops. The pragmas are ignored when the source is
-  /// compiled without -fopenmp, so disabling this only pins the
-  /// golden-source tests of the sequential shape.
-  bool OpenMP = true;
-  /// Instrument profile regions with timers and extend the ABI with a
-  /// `double *lift_prof` accumulator array (see file comment). Forces
-  /// sequential emission.
+  /// Instrument profile regions with timers accumulating into
+  /// `lift_prof` (see file comment). Forces sequential emission.
   bool Profile = false;
 };
 

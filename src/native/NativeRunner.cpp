@@ -64,7 +64,7 @@ std::string resolveExecutable(const std::string &Name) {
 /// every exit path.
 class TempDir {
 public:
-  explicit TempDir(bool Keep) : Keep(Keep) {
+  TempDir() {
     const char *Base = std::getenv("TMPDIR");
     std::string Tmpl = (Base && *Base ? std::string(Base) : "/tmp");
     if (Tmpl.back() == '/')
@@ -78,8 +78,6 @@ public:
   }
 
   ~TempDir() {
-    if (Keep || Dir.empty())
-      return;
     for (const std::string &F : Files)
       ::unlink(F.c_str());
     ::rmdir(Dir.c_str());
@@ -99,7 +97,6 @@ public:
 private:
   std::string Dir;
   std::vector<std::string> Files;
-  bool Keep;
 };
 
 void writeFile(const std::string &Path, const std::string &Text) {
@@ -191,10 +188,8 @@ std::string lift::native::findCompiler(const NativeOptions &O) {
       "$CC, cc, gcc, clang); set LIFT_NATIVE_CC or install one");
 }
 
-NativeKernel::NativeKernel(void *Handle, void *Sym, bool Profiled,
-                           std::string Source)
-    : Handle(Handle), Sym(Sym), Profiled(Profiled),
-      Source(std::move(Source)) {}
+NativeKernel::NativeKernel(void *Handle, void *Sym, std::string Source)
+    : Handle(Handle), Sym(Sym), Source(std::move(Source)) {}
 
 NativeKernel::~NativeKernel() {
   if (Handle)
@@ -202,20 +197,7 @@ NativeKernel::~NativeKernel() {
 }
 
 NativeKernel::EntryFn NativeKernel::entry() const {
-  if (Profiled)
-    fatalError("native backend: profiled kernel called through the "
-               "unprofiled entry ABI");
   EntryFn F;
-  static_assert(sizeof(F) == sizeof(Sym), "function pointer size");
-  std::memcpy(&F, &Sym, sizeof(F));
-  return F;
-}
-
-NativeKernel::ProfiledEntryFn NativeKernel::profiledEntry() const {
-  if (!Profiled)
-    fatalError("native backend: unprofiled kernel called through the "
-               "profiled entry ABI");
-  ProfiledEntryFn F;
   static_assert(sizeof(F) == sizeof(Sym), "function pointer size");
   std::memcpy(&F, &Sym, sizeof(F));
   return F;
@@ -228,14 +210,14 @@ NativeKernelPtr lift::native::compileCSource(const std::string &Source,
   CompSpan.arg("entry", EntryName);
   std::string Compiler = findCompiler(O);
 
-  TempDir Tmp(O.KeepTemps);
+  TempDir Tmp;
   std::string Src = Tmp.file(EntryName + ".c");
   std::string Obj = Tmp.file(EntryName + ".so");
   writeFile(Src, Source);
 
   std::string Diag;
-  int RC = invokeCompiler(Compiler, Src, Obj, O, O.OpenMP, Diag);
-  if (RC != 0 && O.OpenMP) {
+  int RC = invokeCompiler(Compiler, Src, Obj, O, /*WithOpenMP=*/true, Diag);
+  if (RC != 0) {
     // Some toolchains (clang without libomp) cannot link -fopenmp;
     // retry sequentially — the pragmas are then inert, which is still
     // correct, just single-threaded.
@@ -275,19 +257,13 @@ NativeKernelPtr lift::native::compileCSource(const std::string &Source,
                               "' not found in compiled kernel" + Why);
   }
   obs::Registry::global().counter("native.compiles").inc();
-  // The signature line tells the ABI apart: profile-mode sources take
-  // the extra lift_prof accumulator parameter.
-  bool Profiled = Source.find(", double *lift_prof)") != std::string::npos;
   // TempDir now removes source and object; the mapping stays valid.
-  return std::make_shared<NativeKernel>(Handle, Sym, Profiled, Source);
+  return std::make_shared<NativeKernel>(Handle, Sym, Source);
 }
 
 NativeKernelPtr lift::native::compileKernel(const ocl::Kernel &K,
                                             const NativeOptions &O) {
-  CEmitOptions EO;
-  EO.OpenMP = O.EmitOpenMP;
-  EO.Profile = O.Profile;
-  std::string Source = emitC(K, EO);
+  std::string Source = emitC(K, CEmitOptions{O.Profile});
   return compileCSource(Source, entryNameFromSource(Source), O);
 }
 
@@ -299,7 +275,7 @@ struct KernelCache::Entry {
   std::mutex M;
   std::condition_variable CV;
   bool Ready = false;
-  std::string Source; ///< key part: resolves hash collisions
+  std::string Source; ///< the kernel's identity within its bucket
   NativeKernelPtr Kernel;
   std::string Error; ///< non-empty: cached compile failure
 
@@ -317,10 +293,7 @@ KernelCache &KernelCache::global() {
 NativeKernelPtr KernelCache::getOrCompile(std::uint64_t LoweredHash,
                                           const ocl::Kernel &K,
                                           const NativeOptions &O) {
-  CEmitOptions EO;
-  EO.OpenMP = O.EmitOpenMP;
-  EO.Profile = O.Profile;
-  std::string Source = emitC(K, EO);
+  std::string Source = emitC(K, CEmitOptions{O.Profile});
 
   std::shared_ptr<Entry> E;
   bool Owner = false;
@@ -394,18 +367,19 @@ void KernelCache::clear() {
 
 void lift::native::probeToolchain(const NativeOptions &O) {
   NativeKernelPtr Probe = compileCSource(
-      "void lift_probe(void **bufs, const long long *sizes, int threads) "
-      "{ (void)bufs; (void)sizes; (void)threads; }\n",
+      "void lift_probe(void **bufs, const long long *sizes, int threads, "
+      "double *prof) { (void)bufs; (void)sizes; (void)threads; (void)prof; "
+      "}\n",
       "lift_probe", O);
   void *Dummy[1] = {nullptr};
   long long Sz[1] = {0};
-  Probe->entry()(Dummy, Sz, 1);
+  double Prof[1] = {0};
+  Probe->entry()(Dummy, Sz, 1, Prof);
 }
 
 namespace {
 
-/// Storage and arguments of one native execution, shared by the plain
-/// and the profiled runner.
+/// Storage and arguments of one native execution.
 struct BoundRun {
   std::vector<std::vector<float>> FloatStore;
   std::vector<std::vector<std::int32_t>> IntStore;
@@ -508,20 +482,32 @@ NativeRunResult lift::native::runNative(
   RunSpan.arg("threads", std::int64_t(Threads));
 
   BoundRun Bound = bindRun(C, Inputs, Sizes);
+  NativeKernel::EntryFn Entry = Kern.entry();
 
   NativeRunResult R;
+  // One accumulator slot per profile region; profile-mode kernels add
+  // into them, the others never touch them.
+  std::size_t NumRegions = profileRegions(C.K).size();
+  std::vector<double> Prof(NumRegions ? NumRegions : 1, 0.0);
   {
     std::lock_guard<std::mutex> Lock(measureMutex());
     for (unsigned I = 0; I != Warmup; ++I)
-      Kern.entry()(Bound.Ptrs.data(), Bound.SizeVals.data(), int(Threads));
+      Entry(Bound.Ptrs.data(), Bound.SizeVals.data(), int(Threads),
+            Prof.data());
     double Best = 0;
     for (unsigned I = 0; I != Repeats; ++I) {
+      // The emitted timers accumulate; zero the slots per repeat so
+      // the kept vector belongs to exactly one (the fastest) run.
+      std::fill(Prof.begin(), Prof.end(), 0.0);
       // Timed through the obs clock seam so tests can fake the clock.
       std::uint64_t T0 = obs::monotonicNowNs();
-      Kern.entry()(Bound.Ptrs.data(), Bound.SizeVals.data(), int(Threads));
+      Entry(Bound.Ptrs.data(), Bound.SizeVals.data(), int(Threads),
+            Prof.data());
       double S = double(obs::monotonicNowNs() - T0) * 1e-9;
-      if (I == 0 || S < Best)
+      if (I == 0 || S < Best) {
         Best = S;
+        R.RegionSeconds.assign(Prof.begin(), Prof.begin() + NumRegions);
+      }
     }
     R.Seconds = Best;
   }
@@ -529,44 +515,4 @@ NativeRunResult lift::native::runNative(
 
   R.Output = Bound.takeOutput(C);
   return R;
-}
-
-NativeProfiledResult lift::native::runNativeProfiled(
-    const codegen::Compiled &C, const NativeKernel &Kern,
-    const std::vector<std::vector<float>> &Inputs, const SizeEnv &Sizes,
-    std::size_t NumRegions, unsigned Warmup, unsigned Repeats) {
-  if (Repeats == 0)
-    Repeats = 1;
-
-  obs::Span RunSpan("native.run.profiled", "native");
-  RunSpan.arg("kernel", C.K.Name);
-
-  BoundRun Bound = bindRun(C, Inputs, Sizes);
-  NativeKernel::ProfiledEntryFn Entry = Kern.profiledEntry();
-
-  NativeProfiledResult Out;
-  std::vector<double> Prof(NumRegions ? NumRegions : 1, 0.0);
-  {
-    std::lock_guard<std::mutex> Lock(measureMutex());
-    for (unsigned I = 0; I != Warmup; ++I)
-      Entry(Bound.Ptrs.data(), Bound.SizeVals.data(), 1, Prof.data());
-    double Best = 0;
-    for (unsigned I = 0; I != Repeats; ++I) {
-      // The emitted timers accumulate; zero the slots per repeat so
-      // the kept vector belongs to exactly one (the fastest) run.
-      std::fill(Prof.begin(), Prof.end(), 0.0);
-      std::uint64_t T0 = obs::monotonicNowNs();
-      Entry(Bound.Ptrs.data(), Bound.SizeVals.data(), 1, Prof.data());
-      double S = double(obs::monotonicNowNs() - T0) * 1e-9;
-      if (I == 0 || S < Best) {
-        Best = S;
-        Out.RegionSeconds.assign(Prof.begin(), Prof.begin() + NumRegions);
-      }
-    }
-    Out.R.Seconds = Best;
-  }
-  obs::Registry::global().counter("native.runs.profiled").inc();
-
-  Out.R.Output = Bound.takeOutput(C);
-  return Out;
 }

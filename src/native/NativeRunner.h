@@ -87,21 +87,10 @@ struct NativeOptions {
   /// Compiler executable. Empty selects the first usable of
   /// $LIFT_NATIVE_CC, $CC, cc, gcc, clang.
   std::string CompilerPath;
-  /// Compile with -fopenmp so the emitter's pragmas take effect. If
-  /// that compilation fails (e.g. clang without libomp) the runner
-  /// retries once without it — the pragmas are then ignored and the
-  /// kernel runs sequentially, which is always correct.
-  bool OpenMP = true;
+  /// Host compiler optimization level (-O<n>).
   int OptLevel = 2;
-  /// Leave the temp directory (source + object) behind for debugging.
-  bool KeepTemps = false;
-  /// Disable `#pragma omp` emission entirely (sequential source).
-  bool EmitOpenMP = true;
-  /// Emit with CEmitOptions::Profile: region timers, the extended
-  /// `double *lift_prof` ABI, sequential execution. Profiled and
-  /// unprofiled compilations of the same lowering coexist in the
-  /// kernel cache (the emitted source differs, which is part of the
-  /// cache key).
+  /// Emit with CEmitOptions::Profile: region timers, sequential
+  /// execution. The entry signature is the same as without it.
   bool Profile = false;
 };
 
@@ -125,31 +114,24 @@ void probeToolchain(const NativeOptions &O = {});
 /// runtime it pulled in) while runtime threads may still run there.
 class NativeKernel {
 public:
-  /// The positional ABI emitted by CEmitter.
+  /// The positional ABI emitted by CEmitter: \p Prof points at one
+  /// double per profile region, accumulated into by profile-mode
+  /// kernels and ignored by the others.
   using EntryFn = void (*)(void **Bufs, const long long *Sizes,
-                           int Threads);
-  /// The extended profile-mode ABI (CEmitOptions::Profile): \p Prof
-  /// points at one double per profile region, accumulated into.
-  using ProfiledEntryFn = void (*)(void **Bufs, const long long *Sizes,
-                                   int Threads, double *Prof);
+                           int Threads, double *Prof);
 
-  NativeKernel(void *Handle, void *Sym, bool Profiled, std::string Source);
+  NativeKernel(void *Handle, void *Sym, std::string Source);
   ~NativeKernel();
   NativeKernel(const NativeKernel &) = delete;
   NativeKernel &operator=(const NativeKernel &) = delete;
 
-  /// True when the kernel was emitted in profile mode and must be
-  /// called through profiledEntry().
-  bool profiled() const { return Profiled; }
   EntryFn entry() const;
-  ProfiledEntryFn profiledEntry() const;
   /// The emitted C source (kept for mismatch artifacts / debugging).
   const std::string &source() const { return Source; }
 
 private:
   void *Handle = nullptr;
   void *Sym = nullptr;
-  bool Profiled = false;
   std::string Source;
 };
 
@@ -157,7 +139,10 @@ using NativeKernelPtr = std::shared_ptr<const NativeKernel>;
 
 /// Compiles \p Source (a complete C translation unit) into a shared
 /// object and resolves \p EntryName. Building block of compileKernel
-/// and directly testable for the error paths.
+/// and directly testable for the error paths. Compiles with -fopenmp
+/// so the emitter's pragmas take effect; if that fails (e.g. clang
+/// without libomp) it retries once without — the pragmas are then
+/// ignored and the kernel runs sequentially, which is always correct.
 NativeKernelPtr compileCSource(const std::string &Source,
                                const std::string &EntryName,
                                const NativeOptions &O = {});
@@ -171,14 +156,15 @@ NativeKernelPtr compileKernel(const ocl::Kernel &K,
 // Compiled-kernel cache
 //===----------------------------------------------------------------------===//
 
-/// Process-wide cache of compiled kernels, keyed on the *lowered*
-/// program's structural hash (ir/StructuralHash.h). Alpha-equivalent
-/// lowerings have identical positional ABIs (buffer and size-arg
-/// order is structural), so a cached binary is safe to share across
-/// candidates — the property the tuner exploits to compile each
-/// distinct lowering once per sweep. Hash collisions are resolved by
-/// comparing the emitted source, so a collision costs a second
-/// compile, never a wrong binary.
+/// Process-wide cache of compiled kernels. A kernel's identity is its
+/// emitted C source: the lowered program's structural hash
+/// (ir/StructuralHash.h) only picks the bucket that is searched for
+/// an equal source. So a lowering, its interior-specialized form and
+/// its profile-mode build share a bucket but never a binary, and
+/// alpha-equivalent lowerings (same source, positional ABI) share one
+/// binary — the property the tuner exploits to compile each distinct
+/// lowering once per sweep. A hash collision costs a longer bucket,
+/// never a wrong binary.
 ///
 /// Thread-safe with in-flight deduplication (first caller compiles,
 /// concurrent callers wait). Compile failures are cached and rethrown
@@ -188,9 +174,10 @@ class KernelCache {
 public:
   static KernelCache &global();
 
-  /// Returns the cached kernel for (\p LoweredHash, emitted source of
-  /// \p K), compiling on first use. Throws NativeError on (possibly
-  /// cached) compile failure.
+  /// Returns the cached kernel whose source equals the emission of
+  /// \p K (under \p O), searching the \p LoweredHash bucket and
+  /// compiling on first use. Throws NativeError on (possibly cached)
+  /// compile failure.
   NativeKernelPtr getOrCompile(std::uint64_t LoweredHash,
                                const ocl::Kernel &K,
                                const NativeOptions &O = {});
@@ -211,41 +198,30 @@ private:
 // Execution
 //===----------------------------------------------------------------------===//
 
-/// One native execution's results: the output buffer and the best
-/// (minimum over repeats) wall-clock time of a single kernel call.
+/// One native execution's results: the output buffer, the best
+/// (minimum over repeats) wall-clock time of a single kernel call and
+/// that call's per-region seconds (profileRegions() order; zeros
+/// unless the kernel was emitted in profile mode).
 struct NativeRunResult {
   std::vector<float> Output;
   double Seconds = 0;
+  std::vector<double> RegionSeconds;
 };
 
 /// Runs a loaded kernel with the simulator runner's conventions: one
 /// flat float vector per program input (ints converted like
 /// ParallelExecutor::bindInput), sizes bound by ArithExpr variable id,
 /// output returned as floats. \p Threads is the OpenMP thread count
-/// (0 = all hardware threads). Executes \p Warmup + \p Repeats times
-/// on the same buffers and reports the fastest repeat; timed sections
-/// are serialized process-wide so concurrent measurements cannot
+/// (0 = all hardware threads; profile-mode kernels run sequentially
+/// whatever it is). Executes \p Warmup + \p Repeats times on the same
+/// buffers and reports the fastest repeat; timed sections are
+/// serialized process-wide so concurrent measurements cannot
 /// contaminate each other.
 NativeRunResult runNative(const codegen::Compiled &C,
                           const NativeKernel &Kern,
                           const std::vector<std::vector<float>> &Inputs,
                           const ocl::SizeEnv &Sizes, unsigned Threads = 1,
                           unsigned Warmup = 0, unsigned Repeats = 1);
-
-/// runNative for a profile-mode kernel: additionally returns the
-/// per-region accumulated seconds (profileRegions() order) of the
-/// fastest repeat. \p NumRegions must equal profileRegions().size()
-/// for the kernel — the emitted code writes exactly that many slots.
-/// Profiled kernels execute sequentially by construction.
-struct NativeProfiledResult {
-  NativeRunResult R;
-  std::vector<double> RegionSeconds;
-};
-NativeProfiledResult
-runNativeProfiled(const codegen::Compiled &C, const NativeKernel &Kern,
-                  const std::vector<std::vector<float>> &Inputs,
-                  const ocl::SizeEnv &Sizes, std::size_t NumRegions,
-                  unsigned Warmup = 0, unsigned Repeats = 1);
 
 } // namespace native
 } // namespace lift

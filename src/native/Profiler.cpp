@@ -18,30 +18,27 @@ ProfiledKernelRun lift::native::profileKernel(
     const MachinePeaks *Peaks) {
   NativeOptions PO = O;
   PO.Profile = true;
-  // Separate cache identity for the instrumented binary (the same
-  // XOR-a-constant convention the interior-specialized kernels use).
-  NativeKernelPtr Kern = KernelCache::global().getOrCompile(
-      LoweredHash ^ 0x9E3779B97F4A7C15ULL, C.K, PO);
-
-  std::vector<KernelRegion> Regions = profileRegions(C.K);
-  NativeProfiledResult Run = runNativeProfiled(
-      C, *Kern, Inputs, Sizes, Regions.size(), Warmup, Repeats);
+  NativeKernelPtr Kern =
+      KernelCache::global().getOrCompile(LoweredHash, C.K, PO);
+  NativeRunResult Run =
+      runNative(C, *Kern, Inputs, Sizes, /*Threads=*/1, Warmup, Repeats);
 
   ProfiledKernelRun Out;
-  Out.Output = std::move(Run.R.Output);
+  Out.Output = std::move(Run.Output);
   Out.P.KernelName = C.K.Name;
-  Out.P.TotalSeconds = Run.R.Seconds;
+  Out.P.TotalSeconds = Run.Seconds;
   if (Peaks) {
     Out.P.PeakGBPerSec = Peaks->GBPerSec;
     Out.P.PeakGFlopsPerSec = Peaks->GFlopsPerSec;
   }
+  std::vector<KernelRegion> Regions = profileRegions(C.K);
   for (std::size_t I = 0; I != Regions.size(); ++I) {
     codegen::RegionWork W =
         codegen::staticRegionWork(C.K, *Regions[I].Loop, Sizes);
     obs::ProfileRegion R;
     R.Name = Regions[I].Name;
     R.Kind = Regions[I].Kind;
-    R.Seconds = I < Run.RegionSeconds.size() ? Run.RegionSeconds[I] : 0.0;
+    R.Seconds = Run.RegionSeconds[I];
     R.Iterations = W.Iterations;
     R.BytesRead = W.BytesRead;
     R.BytesWritten = W.BytesWritten;

@@ -7,11 +7,11 @@
 ///
 /// \file
 /// Ties the profiling pieces together: compiles a kernel in profile
-/// mode (through the shared kernel cache, under a distinct identity so
-/// profiled and unprofiled binaries coexist), executes it with
-/// runNativeProfiled, joins the measured per-region seconds with the
-/// statically derived work counts (codegen/AccessAnalysis) and returns
-/// an obs::Profile ready for reporting. The kernel's computation is
+/// mode (through the shared kernel cache, where its emitted source
+/// keeps it apart from the unprofiled binary), executes it with
+/// runNative on one thread, joins the measured per-region seconds
+/// with the statically derived work counts (codegen/AccessAnalysis)
+/// and returns an obs::Profile ready for reporting. The kernel's computation is
 /// untouched by instrumentation, so the returned output is bit-
 /// identical to an unprofiled run — the differential test's contract.
 ///
@@ -34,10 +34,10 @@ struct ProfiledKernelRun {
 
 /// Profiles one execution of \p C on \p Inputs/\p Sizes: \p Warmup
 /// untimed passes, \p Repeats timed passes, region times of the
-/// fastest pass. \p LoweredHash keys the kernel cache (the profiled
-/// binary gets its own cache identity). \p Peaks, when non-null, is
-/// copied into the record for the roofline columns. Throws
-/// NativeError subclasses like the rest of the backend.
+/// fastest pass. \p LoweredHash picks the kernel-cache bucket.
+/// \p Peaks, when non-null, is copied into the record for the
+/// roofline columns. Throws NativeError subclasses like the rest of
+/// the backend.
 ProfiledKernelRun
 profileKernel(const codegen::Compiled &C, std::uint64_t LoweredHash,
               const std::vector<std::vector<float>> &Inputs,

@@ -22,36 +22,15 @@ FlightRecorder &FlightRecorder::global() {
   return *F;
 }
 
-void FlightRecorder::beginTune(const std::string &Label,
-                               std::size_t NumCandidates) {
+void FlightRecorder::recordSweep(std::string Label,
+                                 std::vector<CandidateRecord> Records) {
   std::lock_guard<std::mutex> Lock(M);
-  auto Log = std::make_unique<TuneLog>();
-  Log->Label = Label;
-  Log->Records.resize(NumCandidates);
-  Logs.push_back(std::move(Log));
-}
-
-void FlightRecorder::record(std::size_t Index, CandidateRecord R) {
-  TuneLog *Cur = nullptr;
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    if (Logs.empty())
-      return; // record() without beginTune(): drop silently
-    Cur = Logs.back().get();
-  }
-  if (Index >= Cur->Records.size())
-    return;
-  // Disjoint-slot write; the slots were preallocated by beginTune.
-  Cur->Records[Index] = std::move(R);
+  Logs.push_back({std::move(Label), std::move(Records)});
 }
 
 std::vector<FlightRecorder::TuneLog> FlightRecorder::logs() const {
   std::lock_guard<std::mutex> Lock(M);
-  std::vector<TuneLog> Out;
-  Out.reserve(Logs.size());
-  for (const auto &L : Logs)
-    Out.push_back(*L);
-  return Out;
+  return Logs;
 }
 
 void FlightRecorder::clear() {

@@ -17,11 +17,9 @@
 /// search after the fact ("which constraint ate the space?", "how much
 /// did the memo save?") without rerunning it.
 ///
-/// Concurrency: beginTune() preallocates one slot per candidate, and
-/// the parallel tuner's workers write disjoint slots, so record() is
-/// lock-free. beginTune() and the read-side (summary/export) must not
-/// run concurrently with record() — the tuner drains its pool before
-/// returning, which provides exactly that.
+/// A sweep is recorded whole, once its candidates are all evaluated,
+/// so every recorder call takes the one lock and logs are immutable
+/// once recorded.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +28,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -70,12 +67,8 @@ public:
     return EnabledFlag.load(std::memory_order_relaxed);
   }
 
-  /// Opens a new sweep log with \p NumCandidates preallocated slots.
-  void beginTune(const std::string &Label, std::size_t NumCandidates);
-
-  /// Stores \p R into slot \p Index of the current sweep. Safe from
-  /// concurrent tuner workers (disjoint indices).
-  void record(std::size_t Index, CandidateRecord R);
+  /// Appends one finished sweep: \p Records in enumeration order.
+  void recordSweep(std::string Label, std::vector<CandidateRecord> Records);
 
   struct TuneLog {
     std::string Label;
@@ -98,8 +91,8 @@ public:
 
 private:
   std::atomic<bool> EnabledFlag{false};
-  mutable std::mutex M; ///< guards Logs' vector-of-logs structure
-  std::vector<std::unique_ptr<TuneLog>> Logs;
+  mutable std::mutex M; ///< guards Logs
+  std::vector<TuneLog> Logs;
 };
 
 } // namespace obs

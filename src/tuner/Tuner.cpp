@@ -41,7 +41,6 @@ TuningSpace lift::tuner::ppcgSpace() {
   TuningSpace S;
   S.AllowUntiled = false;
   S.AllowTiling = true;
-  S.AllowLocalMem = true;
   S.LocalMemOnly = true; // PPCG always stages tiles in shared memory
   S.AllowUnroll = false;
   S.TileOutputs = {8, 16, 32, 64};
@@ -60,22 +59,50 @@ TuningProblem lift::tuner::makeProblem(const Benchmark &B, bool LargeTarget) {
   return P;
 }
 
+namespace {
+
+/// A prune reason: the PruneStats field that counts it. Null means the
+/// candidate was not pruned.
+using PruneReason = std::uint64_t PruneStats::*;
+
+/// Every prune reason with its stable name, shared by the
+/// "tuner.prune.<name>" metric keys, PruneStats::describe() and the
+/// flight-recorder records. Listing order is describe() order.
+const struct {
+  const char *Name;
+  PruneReason Field;
+} PruneReasons[] = {
+    {"tile-step-misaligned", &PruneStats::TileStepMisaligned},
+    {"tile-indivisible", &PruneStats::TileIndivisible},
+    {"tile-coarsen-misaligned", &PruneStats::TileCoarsenMisaligned},
+    {"local-mem-overflow", &PruneStats::LocalMemOverflow},
+    {"coarsen-indivisible", &PruneStats::CoarsenIndivisible},
+    {"lowering-failed", &PruneStats::LoweringFailed},
+    {"divisibility", &PruneStats::Divisibility},
+    {"native-compile-failed", &PruneStats::NativeFailed},
+};
+
+const char *pruneReasonName(PruneReason R) {
+  for (const auto &E : PruneReasons)
+    if (E.Field == R)
+      return E.Name;
+  return "";
+}
+
+} // namespace
+
 std::uint64_t PruneStats::total() const {
-  return TileStepMisaligned + TileIndivisible + TileCoarsenMisaligned +
-         LocalMemOverflow + CoarsenIndivisible + LoweringFailed +
-         Divisibility + NativeFailed;
+  std::uint64_t N = 0;
+  for (const auto &E : PruneReasons)
+    N += this->*E.Field;
+  return N;
 }
 
 std::string PruneStats::describe() const {
-  return obs::formatCounts(
-      {{"tile-step-misaligned", TileStepMisaligned},
-       {"tile-indivisible", TileIndivisible},
-       {"tile-coarsen-misaligned", TileCoarsenMisaligned},
-       {"local-mem-overflow", LocalMemOverflow},
-       {"coarsen-indivisible", CoarsenIndivisible},
-       {"lowering-failed", LoweringFailed},
-       {"divisibility", Divisibility},
-       {"native-compile-failed", NativeFailed}});
+  std::vector<std::pair<std::string, std::uint64_t>> KVs;
+  for (const auto &E : PruneReasons)
+    KVs.emplace_back(E.Name, this->*E.Field);
+  return obs::formatCounts(KVs);
 }
 
 namespace {
@@ -120,45 +147,6 @@ bool dividesAll(std::int64_t V, const Extents &E) {
     if (X % V != 0)
       return false;
   return true;
-}
-
-/// Which constraint (if any) rejected a candidate.
-enum class PruneReason {
-  None,
-  TileStepMisaligned,
-  TileIndivisible,
-  TileCoarsenMisaligned,
-  LocalMemOverflow,
-  CoarsenIndivisible,
-  LoweringFailed,
-  Divisibility,
-  NativeFailed,
-};
-
-/// The stable names shared by the "tuner.prune.<name>" metric keys,
-/// PruneStats::describe() and the flight-recorder records.
-const char *pruneReasonName(PruneReason R) {
-  switch (R) {
-  case PruneReason::None:
-    return "";
-  case PruneReason::TileStepMisaligned:
-    return "tile-step-misaligned";
-  case PruneReason::TileIndivisible:
-    return "tile-indivisible";
-  case PruneReason::TileCoarsenMisaligned:
-    return "tile-coarsen-misaligned";
-  case PruneReason::LocalMemOverflow:
-    return "local-mem-overflow";
-  case PruneReason::CoarsenIndivisible:
-    return "coarsen-indivisible";
-  case PruneReason::LoweringFailed:
-    return "lowering-failed";
-  case PruneReason::Divisibility:
-    return "divisibility";
-  case PruneReason::NativeFailed:
-    return "native-compile-failed";
-  }
-  unreachable("covered switch");
 }
 
 /// Memoizes (counters, NDRange analysis) of one simulated execution,
@@ -255,7 +243,7 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
                    const Candidate &C, const TuneOptions &Opts,
                    EvalMemo *Memo, PruneReason &Why,
                    obs::CandidateRecord *Rec) {
-  Why = PruneReason::None;
+  Why = nullptr;
   Evaluated R;
   R.C = C;
 
@@ -265,7 +253,7 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
   // Structural constraints.
   if (O.Tile) {
     if (O.TileOutputs % B.WindowStep != 0) {
-      Why = PruneReason::TileStepMisaligned;
+      Why = &PruneStats::TileStepMisaligned;
       return R;
     }
     // Remainder tiles are legal since the clamped-tail lowering: a
@@ -277,7 +265,7 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
     std::int64_t TileK = O.TileOutputs / B.WindowStep;
     if (B.WindowStep != 1 &&
         (!dividesAll(TileK, P.Measure) || !dividesAll(TileK, P.Target))) {
-      Why = PruneReason::TileIndivisible;
+      Why = &PruneStats::TileIndivisible;
       R.WhyNot = std::string(pruneReasonName(Why)) +
                  ": remainder tiles at window step != 1 are unsupported "
                  "(tile of " +
@@ -285,7 +273,7 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
       return R;
     }
     if (O.TileCoarsen > 1 && O.TileOutputs % O.TileCoarsen != 0) {
-      Why = PruneReason::TileCoarsenMisaligned;
+      Why = &PruneStats::TileCoarsenMisaligned;
       return R;
     }
     // Local tile must fit the device's local memory.
@@ -294,13 +282,13 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
           double(O.TileOutputs + B.WindowSize - B.WindowStep);
       double Bytes = 4.0 * std::pow(TileExtent, double(B.Dims));
       if (Bytes > double(Dev.LocalMemPerCU)) {
-        Why = PruneReason::LocalMemOverflow;
+        Why = &PruneStats::LocalMemOverflow;
         return R;
       }
     }
   } else if (O.Coarsen > 1) {
     if (P.Measure.back() % O.Coarsen != 0 || P.Target.back() % O.Coarsen != 0) {
-      Why = PruneReason::CoarsenIndivisible;
+      Why = &PruneStats::CoarsenIndivisible;
       return R;
     }
   }
@@ -316,7 +304,7 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
     LO.OutputExtents.assign(P.Measure.begin(), P.Measure.end());
   ir::Program Low = rewrite::lowerStencil(I.P, LO);
   if (!Low) {
-    Why = PruneReason::LoweringFailed;
+    Why = &PruneStats::LoweringFailed;
     return R;
   }
   std::size_t LowHash = ir::structuralHash(Low);
@@ -332,7 +320,7 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
   // simulator — discard it here and record why.
   if (analysis::refuteSplitDivisibility(Low, MeasureEnv) ||
       analysis::refuteSplitDivisibility(Low, TargetEnv)) {
-    Why = PruneReason::Divisibility;
+    Why = &PruneStats::Divisibility;
     return R;
   }
 
@@ -389,7 +377,7 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
       R.MeasuredGElemsPerSec =
           double(totalElems(P.Measure)) / NR.Seconds / 1e9;
     } catch (const native::NativeError &) {
-      Why = PruneReason::NativeFailed;
+      Why = &PruneStats::NativeFailed;
       R.Valid = false;
       return R;
     }
@@ -463,11 +451,8 @@ TuneResult lift::tuner::tuneStencil(const TuningProblem &P,
   // carry the full reason set, zeros included — prefix comparisons
   // between runs then compare identical key sets.
   obs::Registry &Reg = obs::Registry::global();
-  for (const char *Name :
-       {"tile-step-misaligned", "tile-indivisible", "tile-coarsen-misaligned",
-        "local-mem-overflow", "coarsen-indivisible", "lowering-failed",
-        "divisibility", "native-compile-failed"})
-    Reg.counter(std::string("tuner.prune.") + Name);
+  for (const auto &E : PruneReasons)
+    Reg.counter(std::string("tuner.prune.") + E.Name);
 
   std::vector<Candidate> Candidates;
 
@@ -492,8 +477,7 @@ TuneResult lift::tuner::tuneStencil(const TuningProblem &P,
     std::vector<bool> Locals;
     if (!Space.LocalMemOnly)
       Locals.push_back(false);
-    if (Space.AllowLocalMem)
-      Locals.push_back(true);
+    Locals.push_back(true);
     for (std::int64_t V : Space.TileOutputs)
       for (bool Local : Locals)
         for (std::int64_t TC : Space.TileCoarsenFactors)
@@ -513,61 +497,35 @@ TuneResult lift::tuner::tuneStencil(const TuningProblem &P,
   // Evaluate every candidate into a preallocated slot so the scan
   // below is independent of evaluation order (and thread schedule).
   std::vector<Evaluated> Evals(Candidates.size());
-  std::vector<PruneReason> Reasons(Candidates.size(), PruneReason::None);
+  std::vector<PruneReason> Reasons(Candidates.size(), nullptr);
   EvalMemo Memo;
 
   obs::FlightRecorder &Recorder = obs::FlightRecorder::global();
   const bool Record = Recorder.enabled();
-  if (Record)
-    Recorder.beginTune(P.B->Name, Candidates.size());
+  std::vector<obs::CandidateRecord> Records(Record ? Candidates.size() : 0);
   TuneSpan.arg("candidates", std::int64_t(Candidates.size()));
 
   // At Jobs == 1 parallelFor runs every candidate inline on this thread.
   ThreadPool::shared().parallelFor(
       Candidates.size(),
       [&](std::size_t I) {
-        obs::CandidateRecord Rec;
-        Rec.Index = I;
+        obs::CandidateRecord *Rec = Record ? &Records[I] : nullptr;
+        if (Rec)
+          Rec->Index = I;
         Evals[I] = evalInstrumented(P, Dev, Candidates[I], Opts, &Memo,
-                                    Reasons[I], Record ? &Rec : nullptr);
-        if (Record)
-          Recorder.record(I, std::move(Rec));
+                                    Reasons[I], Rec);
       },
       Opts.Jobs);
+  if (Record)
+    Recorder.recordSweep(P.B->Name, std::move(Records));
 
   // Deterministic argmin: scan in enumeration order, first strictly
   // smaller predicted time wins, for any thread count.
   TuneResult Result;
   double BestTime = 0;
   for (std::size_t I = 0; I != Candidates.size(); ++I) {
-    switch (Reasons[I]) {
-    case PruneReason::None:
-      break;
-    case PruneReason::TileStepMisaligned:
-      ++Result.Prunes.TileStepMisaligned;
-      break;
-    case PruneReason::TileIndivisible:
-      ++Result.Prunes.TileIndivisible;
-      break;
-    case PruneReason::TileCoarsenMisaligned:
-      ++Result.Prunes.TileCoarsenMisaligned;
-      break;
-    case PruneReason::LocalMemOverflow:
-      ++Result.Prunes.LocalMemOverflow;
-      break;
-    case PruneReason::CoarsenIndivisible:
-      ++Result.Prunes.CoarsenIndivisible;
-      break;
-    case PruneReason::LoweringFailed:
-      ++Result.Prunes.LoweringFailed;
-      break;
-    case PruneReason::Divisibility:
-      ++Result.Prunes.Divisibility;
-      break;
-    case PruneReason::NativeFailed:
-      ++Result.Prunes.NativeFailed;
-      break;
-    }
+    if (Reasons[I])
+      ++(Result.Prunes.*Reasons[I]);
     const Evaluated &E = Evals[I];
     if (!E.Valid)
       continue;

@@ -51,7 +51,6 @@ struct Candidate {
 struct TuningSpace {
   bool AllowUntiled = true;
   bool AllowTiling = true;
-  bool AllowLocalMem = true;
   /// Generate only local-memory-staged tiled variants (PPCG's default
   /// schedule always stages tiles in shared memory).
   bool LocalMemOnly = false;

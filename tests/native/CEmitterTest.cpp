@@ -45,10 +45,11 @@ std::string emitDefault(const Kernel &K) { return native::emitC(K); }
 TEST(CEmitter, LoopStructureAndAbi) {
   std::string Src = emitDefault(simpleGlbKernel());
   // Positional ABI: buffers unpacked in declaration order, sizes in
-  // SizeArgs order, threads last.
+  // SizeArgs order, then threads and the (here unused) profile slots.
   EXPECT_NE(Src.find("void simple(void **lift_bufs, const long long "
-                     "*lift_sizes, int lift_threads)"),
+                     "*lift_sizes, int lift_threads, double *lift_prof)"),
             std::string::npos);
+  EXPECT_NE(Src.find("(void)lift_prof;"), std::string::npos);
   EXPECT_NE(Src.find("float *restrict in0 = (float *)lift_bufs[0];"),
             std::string::npos);
   EXPECT_NE(Src.find("float *restrict out = (float *)lift_bufs[1];"),
@@ -72,13 +73,6 @@ TEST(CEmitter, OpenMpPragmaOnOutermostGlbLoopOnly) {
   // The pragma must immediately precede the root loop.
   std::size_t Loop = Src.find("for (long long i = 0;");
   EXPECT_LT(Pragma, Loop);
-}
-
-TEST(CEmitter, OpenMpCanBeDisabled) {
-  native::CEmitOptions O;
-  O.OpenMP = false;
-  std::string Src = native::emitC(simpleGlbKernel(), O);
-  EXPECT_EQ(Src.find("#pragma omp"), std::string::npos);
 }
 
 TEST(CEmitter, NestedGlbLoopGetsNoPragma) {

@@ -98,25 +98,6 @@ TEST(GoldenCEmitter, Jacobi3D7ptGlobal) {
   checkGolden("jacobi3d7pt_global.c", emitBenchmark("Jacobi3D7pt", O));
 }
 
-// The sequential shape (OpenMP pragmas suppressed) of the tiled
-// kernel: pins down that disabling CEmitOptions::OpenMP changes ONLY
-// pragma lines, never the loop or declaration structure.
-TEST(GoldenCEmitter, Stencil2DTiledLocalSequential) {
-  const Benchmark &B = findBenchmark("Stencil2D");
-  BenchmarkInstance I = B.Build();
-  LoweringOptions O;
-  O.Tile = true;
-  O.TileOutputs = 16;
-  O.UseLocalMem = true;
-  std::string WhyNot;
-  ir::Program Low = lowerStencil(I.P, O, &WhyNot);
-  ASSERT_TRUE(bool(Low)) << WhyNot;
-  codegen::Compiled C = codegen::compileProgram(Low, B.Name);
-  native::CEmitOptions Seq;
-  Seq.OpenMP = false;
-  checkGolden("stencil2d_tiled_local_seq.c", native::emitC(C.K, Seq));
-}
-
 // The interior/edge specialization (analysis/InteriorSpec.h) as plain
 // C: each grid loop split into a left-edge loop keeping the clamp
 // arithmetic, a clamp-free interior loop, and a right-edge loop. The
@@ -138,8 +119,8 @@ TEST(GoldenCEmitter, Jacobi2D5ptGlobalSpecialized) {
 }
 
 // Profile mode as plain C: every loop-nest region wrapped in
-// monotonic-clock accumulation into the lift_prof slot array appended
-// to the ABI, OpenMP suppressed (timers are not thread-safe), and —
+// monotonic-clock accumulation into the entry's lift_prof slot array,
+// OpenMP suppressed (timers are not thread-safe), and —
 // the part the bit-identity differential test depends on — loop
 // bodies untouched.
 TEST(GoldenCEmitter, Stencil2DGlobalProfiled) {

@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/InteriorSpec.h"
 #include "codegen/Runner.h"
 #include "ir/StructuralHash.h"
 #include "native/NativeRunner.h"
@@ -97,8 +98,9 @@ std::size_t countDirEntries(const std::string &Dir) {
 }
 
 const char *TrivialEntry =
-    "\nvoid tiny_entry(void **bufs, const long long *sizes, int threads)"
-    " { (void)bufs; (void)sizes; (void)threads; }\n";
+    "\nvoid tiny_entry(void **bufs, const long long *sizes, int threads,"
+    " double *prof) { (void)bufs; (void)sizes; (void)threads; (void)prof; }"
+    "\n";
 
 //===----------------------------------------------------------------------===//
 // End-to-end execution
@@ -192,6 +194,54 @@ TEST(NativeRunner, CacheReturnsIdenticalKernelOnHit) {
   C.clear();
 }
 
+TEST(NativeRunner, CacheKeepsSourceVariantsApartUnderOneHash) {
+  // Every kernel built from one lowering is cached under that
+  // lowering's hash; only the emitted source tells its plain,
+  // interior-specialized and profile-mode builds apart.
+  REQUIRE_TOOLCHAIN();
+  Built B = buildBench("Jacobi2D5pt", /*Tiled=*/false);
+  std::vector<float> Want =
+      codegen::runCompiled(B.C, B.Inputs, B.Sizes).Output;
+  codegen::Compiled Spec = B.C;
+  analysis::SpecStats SS;
+  Spec.K = analysis::specializeInterior(B.C.K, &SS);
+  ASSERT_GT(SS.LoopsSplit, 0u) << "the interior split must change the C";
+  NativeOptions ProfileMode;
+  ProfileMode.Profile = true;
+
+  KernelCache &C = KernelCache::global();
+  C.clear();
+  NativeKernelPtr Plain = C.getOrCompile(B.LowHash, B.C.K);
+  NativeKernelPtr Specialized = C.getOrCompile(B.LowHash, Spec.K);
+  NativeKernelPtr Profiled = C.getOrCompile(B.LowHash, B.C.K, ProfileMode);
+  EXPECT_NE(Plain.get(), Specialized.get());
+  EXPECT_NE(Plain.get(), Profiled.get());
+  EXPECT_NE(Specialized.get(), Profiled.get());
+  EXPECT_EQ(C.misses(), 3u);
+  EXPECT_EQ(C.getOrCompile(B.LowHash, Spec.K).get(), Specialized.get());
+  EXPECT_EQ(C.getOrCompile(B.LowHash, B.C.K, ProfileMode).get(),
+            Profiled.get());
+  EXPECT_EQ(C.hits(), 2u);
+
+  std::size_t NumRegions = profileRegions(B.C.K).size();
+  NativeRunResult PlainR =
+      runNative(B.C, *Plain, B.Inputs, B.Sizes, /*Threads=*/3);
+  NativeRunResult SpecR =
+      runNative(Spec, *Specialized, B.Inputs, B.Sizes, /*Threads=*/3);
+  NativeRunResult ProfR =
+      runNative(B.C, *Profiled, B.Inputs, B.Sizes, /*Threads=*/3);
+  EXPECT_TRUE(bitIdentical(PlainR.Output, Want));
+  EXPECT_TRUE(bitIdentical(SpecR.Output, Want));
+  EXPECT_TRUE(bitIdentical(ProfR.Output, Want));
+  // One region slot per profile region: left at zero by the plain
+  // kernel, filled by the profile-mode one.
+  EXPECT_EQ(PlainR.RegionSeconds, std::vector<double>(NumRegions, 0.0));
+  ASSERT_EQ(ProfR.RegionSeconds.size(), NumRegions);
+  for (double S : ProfR.RegionSeconds)
+    EXPECT_GE(S, 0.0);
+  C.clear();
+}
+
 //===----------------------------------------------------------------------===//
 // Error paths (all RecoverableError subclasses; never asserts)
 //===----------------------------------------------------------------------===//
@@ -262,7 +312,8 @@ TEST(NativeRunner, TempDirLeftEmptyOnSuccessAndFailure) {
   // is still callable after its .so was unlinked.
   void *Bufs[1] = {nullptr};
   long long Sz[1] = {0};
-  Kern->entry()(Bufs, Sz, 1);
+  double Prof[1] = {0};
+  Kern->entry()(Bufs, Sz, 1, Prof);
 
   if (OldTmp)
     ::setenv("TMPDIR", Saved.c_str(), 1);

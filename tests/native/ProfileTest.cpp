@@ -13,7 +13,7 @@
 //  * Bit-identity: the instrumented kernel's output is byte-for-byte
 //    the output of the uninstrumented kernel — timers wrap loops, they
 //    never touch per-iteration computation.
-//  * runNativeProfiled/profileKernel: region seconds come back
+//  * runNative/profileKernel: region seconds come back
 //    non-negative and sum to roughly the total; the joined
 //    obs::Profile carries the static counts.
 //
@@ -299,27 +299,16 @@ TEST(ProfiledRun, RegionSecondsAreSaneAndJoinedWithStaticCounts) {
   EXPECT_EQ(P.Output[std::size_t(Elems / 2)], 3.0f);
 }
 
-TEST(ProfiledRun, ProfiledAbiIsRejectedByPlainEntryAccessor) {
-  REQUIRE_TOOLCHAIN();
-  AExpr N;
-  codegen::Compiled C = wrap(stencil1d3pt(N));
-  NativeOptions O;
-  O.Profile = true;
-  NativeKernelPtr Kern =
-      KernelCache::global().getOrCompile(0xabcdULL, C.K, O);
-  ASSERT_TRUE(Kern->profiled());
-  EXPECT_DEATH((void)Kern->entry(), "profil");
-}
-
 TEST(ProfiledRun, EmittedSourceTimesEveryRegionOnce) {
   AExpr N;
   Kernel K = stencil1d3pt(N);
   CEmitOptions O;
   O.Profile = true;
   std::string Src = emitC(K, O);
-  // One region: one accumulation slot, the timer helper, the extended
-  // ABI, and no OpenMP pragma (timers are not thread-safe).
-  EXPECT_NE(Src.find("double *lift_prof"), std::string::npos);
+  // One region: one accumulation slot, the timer helper, a used
+  // lift_prof parameter, and no OpenMP pragma (timers are not
+  // thread-safe).
+  EXPECT_EQ(Src.find("(void)lift_prof;"), std::string::npos);
   EXPECT_NE(Src.find("lift_prof_now()"), std::string::npos);
   EXPECT_NE(Src.find("lift_prof[0] +="), std::string::npos);
   EXPECT_EQ(Src.find("lift_prof[1]"), std::string::npos);

@@ -28,12 +28,13 @@ static inline long long lift_max(long long a, long long b) {
 
 static float Jacobi2D5pt_f(float a0, float a1, float a2, float a3, float a4) { return 0.200000003f * a0 + 0.200000003f * a1 + 0.200000003f * a2 + 0.200000003f * a3 + 0.200000003f * a4; }
 
-void Jacobi2D5pt(void **lift_bufs, const long long *lift_sizes, int lift_threads) {
+void Jacobi2D5pt(void **lift_bufs, const long long *lift_sizes, int lift_threads, double *lift_prof) {
   float *restrict in0 = (float *)lift_bufs[0];
   float *restrict out = (float *)lift_bufs[1];
   const long long d0 = lift_sizes[0];
   const long long d1 = lift_sizes[1];
   (void)lift_threads;
+  (void)lift_prof;
   #pragma omp parallel for schedule(static) num_threads(lift_threads)
   for (long long i0 = 0; i0 < 1; ++i0) {
     for (long long i1_3 = 0; i1_3 < d1; ++i1_3) {

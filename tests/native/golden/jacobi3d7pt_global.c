@@ -28,13 +28,14 @@ static inline long long lift_max(long long a, long long b) {
 
 static float Jacobi3D7pt_f(float a0, float a1, float a2, float a3, float a4, float a5, float a6) { return 0.142857149f * a0 + 0.142857149f * a1 + 0.142857149f * a2 + 0.142857149f * a3 + 0.142857149f * a4 + 0.142857149f * a5 + 0.142857149f * a6; }
 
-void Jacobi3D7pt(void **lift_bufs, const long long *lift_sizes, int lift_threads) {
+void Jacobi3D7pt(void **lift_bufs, const long long *lift_sizes, int lift_threads, double *lift_prof) {
   float *restrict in0 = (float *)lift_bufs[0];
   float *restrict out = (float *)lift_bufs[1];
   const long long d0 = lift_sizes[0];
   const long long d1 = lift_sizes[1];
   const long long d2 = lift_sizes[2];
   (void)lift_threads;
+  (void)lift_prof;
   #pragma omp parallel for schedule(static) num_threads(lift_threads)
   for (long long i0 = 0; i0 < d0; ++i0) {
     for (long long i1 = 0; i1 < d1; ++i1) {

@@ -28,12 +28,13 @@ static inline long long lift_max(long long a, long long b) {
 
 static float Stencil2D_f(float a0, float a1, float a2, float a3, float a4, float a5, float a6, float a7, float a8) { return 0.0199999996f * a0 + 0.0799999982f * a1 + 0.0199999996f * a2 + 0.0799999982f * a3 + 0.600000024f * a4 + 0.0799999982f * a5 + 0.0199999996f * a6 + 0.0799999982f * a7 + 0.0199999996f * a8; }
 
-void Stencil2D(void **lift_bufs, const long long *lift_sizes, int lift_threads) {
+void Stencil2D(void **lift_bufs, const long long *lift_sizes, int lift_threads, double *lift_prof) {
   float *restrict in0 = (float *)lift_bufs[0];
   float *restrict out = (float *)lift_bufs[1];
   const long long d0 = lift_sizes[0];
   const long long d1 = lift_sizes[1];
   (void)lift_threads;
+  (void)lift_prof;
   #pragma omp parallel for schedule(static) num_threads(lift_threads)
   for (long long i0 = 0; i0 < d0; ++i0) {
     for (long long i1 = 0; i1 < d1; ++i1) {

@@ -22,6 +22,7 @@
 
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace lift;
@@ -242,6 +243,43 @@ TEST(ObsPipeline, TraceOfParallelTuneNestsCandidatesInSweep) {
     EXPECT_LE(CS.second, TuneEnd);
   }
   T.clear();
+}
+
+TEST(ObsPipeline, ConcurrentSweepsAreRecordedWhole) {
+  // Sweeps finishing on different threads each land as one whole log:
+  // no sweep's records interleave with another's.
+  FlightRecorder &FR = FlightRecorder::global();
+  FR.clear();
+  constexpr unsigned Threads = 4, Sweeps = 8, Records = 50;
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T != Threads; ++T)
+    Pool.emplace_back([&FR, T] {
+      for (unsigned S = 0; S != Sweeps; ++S) {
+        std::string Label = std::to_string(T) + "/" + std::to_string(S);
+        std::vector<CandidateRecord> Recs(Records);
+        for (unsigned I = 0; I != Records; ++I) {
+          Recs[I].Index = I;
+          Recs[I].Variant = Label;
+        }
+        FR.recordSweep(Label, std::move(Recs));
+      }
+    });
+  for (std::thread &T : Pool)
+    T.join();
+
+  std::vector<FlightRecorder::TuneLog> Logs = FR.logs();
+  ASSERT_EQ(Logs.size(), Threads * Sweeps);
+  std::map<std::string, unsigned> Seen;
+  for (const FlightRecorder::TuneLog &L : Logs) {
+    ++Seen[L.Label];
+    ASSERT_EQ(L.Records.size(), Records) << L.Label;
+    for (unsigned I = 0; I != Records; ++I) {
+      EXPECT_EQ(L.Records[I].Index, I) << L.Label;
+      EXPECT_EQ(L.Records[I].Variant, L.Label);
+    }
+  }
+  EXPECT_EQ(Seen.size(), std::size_t(Threads * Sweeps));
+  FR.clear();
 }
 
 } // namespace

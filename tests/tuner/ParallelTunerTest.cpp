@@ -82,6 +82,33 @@ TEST(ParallelTuner, MemoDeduplicatesEquivalentLowerings) {
   }
 }
 
+TEST(ParallelTuner, LocalMemOnlySpaceTunesOnlyLocalTiles) {
+  // LocalMemOnly alone restricts the tiled variants to local-memory
+  // staging; the full space offers both stagings of each tile.
+  const Benchmark &B = findBenchmark("Jacobi2D5pt");
+  TuningProblem P = makeProblem(B, false);
+  DeviceSpec Dev = deviceNvidiaK20c();
+
+  TuningSpace Local = trimmedSpace();
+  Local.AllowUntiled = false;
+  Local.LocalMemOnly = true;
+  TuneResult RL = tuneStencil(P, Dev, Local);
+  ASSERT_FALSE(RL.All.empty());
+  for (const auto &E : RL.All) {
+    EXPECT_TRUE(E.C.Options.Tile) << E.C.describe();
+    EXPECT_TRUE(E.C.Options.UseLocalMem) << E.C.describe();
+  }
+
+  TuningSpace Both = Local;
+  Both.LocalMemOnly = false;
+  TuneResult RB = tuneStencil(P, Dev, Both);
+  std::size_t LocalInBoth = 0, GlobalInBoth = 0;
+  for (const auto &E : RB.All)
+    (E.C.Options.UseLocalMem ? LocalInBoth : GlobalInBoth) += 1;
+  EXPECT_EQ(LocalInBoth, RL.All.size());
+  EXPECT_GT(GlobalInBoth, 0u);
+}
+
 TEST(ParallelTuner, RemainderTilesAreNotPruned) {
   // SRAD1's 504x458 grid is indivisible by 8/16/32/64 tiles (and its
   // 56x56 measurement grid cannot even hold a full 64-output tile).

@@ -126,4 +126,33 @@ TEST(Tuner, SmallInputUnderutilizesBigGpu) {
   EXPECT_LT(ESmall.GElemsPerSec, EBig.GElemsPerSec);
 }
 
+TEST(Tuner, PruneStatsDescribeListsEveryReasonInOrder) {
+  // describe() and total() walk one reason table; the text is what
+  // sweep summaries and the all-pruned error print, so it is pinned.
+  PruneStats None;
+  EXPECT_EQ(None.total(), 0u);
+  EXPECT_EQ(None.describe(), "none");
+
+  PruneStats S;
+  S.TileStepMisaligned = 1;
+  S.TileIndivisible = 2;
+  S.TileCoarsenMisaligned = 3;
+  S.LocalMemOverflow = 4;
+  S.CoarsenIndivisible = 5;
+  S.LoweringFailed = 6;
+  S.Divisibility = 7;
+  S.NativeFailed = 8;
+  EXPECT_EQ(S.total(), 36u);
+  EXPECT_EQ(S.describe(),
+            "tile-step-misaligned=1, tile-indivisible=2, "
+            "tile-coarsen-misaligned=3, local-mem-overflow=4, "
+            "coarsen-indivisible=5, lowering-failed=6, divisibility=7, "
+            "native-compile-failed=8");
+
+  PruneStats One;
+  One.LocalMemOverflow = 3;
+  EXPECT_EQ(One.total(), 3u);
+  EXPECT_EQ(One.describe(), "local-mem-overflow=3");
+}
+
 } // namespace

@@ -298,17 +298,15 @@ int profileCompiled(const Args &A, const Benchmark &B,
   native::ProfiledKernelRun Run;
   try {
     native::probeToolchain();
-    std::size_t Hash = ir::structuralHash(Low);
-    if (A.Specialize)
-      Hash ^= 0xA5A5A5A5A5A5A5A5ULL;
     native::MachinePeaks Peaks;
     const native::MachinePeaks *PeaksPtr = nullptr;
     if (!A.NoPeaks) {
       Peaks = native::probeMachinePeaks();
       PeaksPtr = &Peaks;
     }
-    Run = native::profileKernel(C, Hash, Inputs, makeSizeEnv(I, E),
-                                A.Warmup, A.Repeats, {}, PeaksPtr);
+    Run = native::profileKernel(C, ir::structuralHash(Low), Inputs,
+                                makeSizeEnv(I, E), A.Warmup, A.Repeats, {},
+                                PeaksPtr);
   } catch (const native::NativeError &Ex) {
     std::fprintf(stderr, "error: profiling failed: %s\n", Ex.what());
     return 1;
@@ -370,13 +368,8 @@ int cmdRunNative(const Args &A, const Benchmark &B,
                  const std::vector<std::vector<float>> &Inputs) {
   native::NativeRunResult R;
   try {
-    // Specialized kernels get a distinct cache identity: same lowered
-    // program, different C source.
-    std::size_t Hash = ir::structuralHash(Low);
-    if (A.Specialize)
-      Hash ^= 0xA5A5A5A5A5A5A5A5ULL;
-    native::NativeKernelPtr Kern =
-        native::KernelCache::global().getOrCompile(Hash, C.K);
+    native::NativeKernelPtr Kern = native::KernelCache::global().getOrCompile(
+        ir::structuralHash(Low), C.K);
     R = native::runNative(C, *Kern, Inputs, makeSizeEnv(I, E), A.Jobs,
                           A.Warmup, A.Repeats);
   } catch (const native::NativeError &Ex) {
