@@ -657,74 +657,6 @@ AExpr simplifyWithFacts(const AExpr &E, const Facts &F) {
 }
 
 //===----------------------------------------------------------------------===//
-// Non-fatal evaluation
-//===----------------------------------------------------------------------===//
-
-std::optional<std::int64_t>
-tryEvaluate(const AExpr &E,
-            const std::unordered_map<unsigned, std::int64_t> &Env) {
-  auto Floor = [](std::int64_t A, std::int64_t B,
-                  bool Mod) -> std::optional<std::int64_t> {
-    if (B == 0)
-      return std::nullopt;
-    std::int64_t Q = A / B;
-    std::int64_t R = A % B;
-    if (R != 0 && ((R < 0) != (B < 0))) {
-      --Q;
-      R += B;
-    }
-    return Mod ? R : Q;
-  };
-  switch (E->getKind()) {
-  case Kind::Cst:
-    return E->getCst();
-  case Kind::Var: {
-    auto It = Env.find(E->getVarId());
-    if (It == Env.end())
-      return std::nullopt;
-    return It->second;
-  }
-  case Kind::Add: {
-    std::int64_t S = 0;
-    for (const AExpr &Op : E->getOperands()) {
-      auto V = tryEvaluate(Op, Env);
-      if (!V)
-        return std::nullopt;
-      S += *V;
-    }
-    return S;
-  }
-  case Kind::Mul: {
-    std::int64_t P = 1;
-    for (const AExpr &Op : E->getOperands()) {
-      auto V = tryEvaluate(Op, Env);
-      if (!V)
-        return std::nullopt;
-      P *= *V;
-    }
-    return P;
-  }
-  case Kind::Div:
-  case Kind::Mod: {
-    auto A = tryEvaluate(E->getOperands()[0], Env);
-    auto B = tryEvaluate(E->getOperands()[1], Env);
-    if (!A || !B)
-      return std::nullopt;
-    return Floor(*A, *B, E->getKind() == Kind::Mod);
-  }
-  case Kind::Min:
-  case Kind::Max: {
-    auto A = tryEvaluate(E->getOperands()[0], Env);
-    auto B = tryEvaluate(E->getOperands()[1], Env);
-    if (!A || !B)
-      return std::nullopt;
-    return E->getKind() == Kind::Min ? std::min(*A, *B) : std::max(*A, *B);
-  }
-  }
-  return std::nullopt;
-}
-
-//===----------------------------------------------------------------------===//
 // Split-divisibility refutation
 //===----------------------------------------------------------------------===//
 
@@ -747,8 +679,8 @@ void refuteWalk(const ir::ExprPtr &E,
     // result type [[T]m]{n/m} only exists when m | n.
     const ir::TypePtr &InTy = C->getArgs().back()->getType();
     if (InTy && InTy->getKind() == ir::Type::Kind::Array && C->Factor) {
-      auto L = tryEvaluate(InTy->getSize(), Sizes);
-      auto M = tryEvaluate(C->Factor, Sizes);
+      auto L = InTy->getSize()->tryEvaluate(Sizes);
+      auto M = C->Factor->tryEvaluate(Sizes);
       if (L && M && (*M <= 0 || *L % *M != 0)) {
         char Buf[256];
         std::snprintf(Buf, sizeof(Buf),

@@ -28,8 +28,9 @@
 ///     specializer (InteriorSpec.h) drop clamp/mirror/wrap boundary
 ///     arithmetic where an access is provably interior;
 ///  2. refuteSplitDivisibility — statically refutes split(m)
-///     divisibility side conditions against a concrete SizeEnv, so the
-///     fuzzer/tuner skip candidates instead of discarding programs;
+///     divisibility side conditions against a concrete SizeEnv
+///     (evaluated with ArithExpr::tryEvaluate), so the fuzzer/tuner
+///     skip candidates instead of discarding programs;
 ///  3. checkKernelBounds — a static bounds-check pass over lowered
 ///     kernel ASTs (liftc emit --check-bounds, liftfuzz --check-bounds).
 ///
@@ -122,12 +123,6 @@ bool provablyInBounds(const AExpr &I, const AExpr &Lo, const AExpr &HiExcl,
 /// clamp (max/min), mirror (mod + min) and wrap (mod) boundary
 /// arithmetic on provably-interior accesses.
 AExpr simplifyWithFacts(const AExpr &E, const Facts &F);
-
-/// Non-fatal evaluation: nullopt when a variable is unbound (unlike
-/// ArithExpr::evaluate, which is fatal).
-std::optional<std::int64_t>
-tryEvaluate(const AExpr &E,
-            const std::unordered_map<unsigned, std::int64_t> &Env);
 
 //===----------------------------------------------------------------------===//
 // Consumer (b): split-divisibility refutation

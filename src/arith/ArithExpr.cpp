@@ -634,47 +634,56 @@ AExpr lift::clampIndex(AExpr I, AExpr N) {
 // Evaluation, substitution, printing
 //===----------------------------------------------------------------------===//
 
-std::int64_t ArithExpr::evaluate(
-    const std::unordered_map<unsigned, std::int64_t> &Env) const {
+std::optional<std::int64_t> ArithExpr::tryEvaluate(const Env &Bindings) const {
   switch (K) {
   case Kind::Cst:
     return CstVal;
   case Kind::Var: {
-    auto It = Env.find(VarId);
-    if (It == Env.end())
-      fatalError("unbound variable '" + VarName + "' in evaluate");
+    auto It = Bindings.find(VarId);
+    if (It == Bindings.end())
+      return std::nullopt;
     return It->second;
   }
-  case Kind::Add: {
-    std::int64_t Sum = 0;
-    for (const AExpr &Op : Operands)
-      Sum += Op->evaluate(Env);
-    return Sum;
-  }
+  case Kind::Add:
   case Kind::Mul: {
-    std::int64_t Product = 1;
-    for (const AExpr &Op : Operands)
-      Product *= Op->evaluate(Env);
-    return Product;
+    std::int64_t Acc = K == Kind::Add ? 0 : 1;
+    for (const AExpr &Op : Operands) {
+      std::optional<std::int64_t> V = Op->tryEvaluate(Bindings);
+      if (!V)
+        return std::nullopt;
+      Acc = K == Kind::Add ? Acc + *V : Acc * *V;
+    }
+    return Acc;
   }
-  case Kind::Div: {
-    std::int64_t B = Operands[1]->evaluate(Env);
-    if (B == 0)
-      fatalError("division by zero in evaluate");
-    return floorDivInt(Operands[0]->evaluate(Env), B);
-  }
-  case Kind::Mod: {
-    std::int64_t B = Operands[1]->evaluate(Env);
-    if (B == 0)
-      fatalError("modulo by zero in evaluate");
-    return floorModInt(Operands[0]->evaluate(Env), B);
-  }
+  case Kind::Div:
+  case Kind::Mod:
   case Kind::Min:
-    return std::min(Operands[0]->evaluate(Env), Operands[1]->evaluate(Env));
-  case Kind::Max:
-    return std::max(Operands[0]->evaluate(Env), Operands[1]->evaluate(Env));
+  case Kind::Max: {
+    std::optional<std::int64_t> A = Operands[0]->tryEvaluate(Bindings);
+    std::optional<std::int64_t> B = Operands[1]->tryEvaluate(Bindings);
+    if (!A || !B || ((K == Kind::Div || K == Kind::Mod) && *B == 0))
+      return std::nullopt;
+    switch (K) {
+    case Kind::Div:
+      return floorDivInt(*A, *B);
+    case Kind::Mod:
+      return floorModInt(*A, *B);
+    case Kind::Min:
+      return std::min(*A, *B);
+    default:
+      return std::max(*A, *B);
+    }
+  }
   }
   unreachable("covered switch");
+}
+
+std::int64_t ArithExpr::evaluate(const Env &Bindings) const {
+  std::optional<std::int64_t> V = tryEvaluate(Bindings);
+  if (!V)
+    fatalError("evaluate: unbound variable or zero divisor in " +
+               toString());
+  return *V;
 }
 
 namespace {

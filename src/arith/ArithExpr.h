@@ -112,10 +112,17 @@ public:
   /// interval is a pure function of identity).
   Range getRange() const;
 
-  /// Evaluates with concrete variable bindings keyed by variable id.
-  /// Unbound variables are a fatal error.
-  std::int64_t evaluate(
-      const std::unordered_map<unsigned, std::int64_t> &Env) const;
+  /// Concrete variable bindings keyed by variable id.
+  using Env = std::unordered_map<unsigned, std::int64_t>;
+
+  /// Evaluates with concrete variable bindings (floor semantics for
+  /// division and modulo); nullopt when a variable is unbound or a
+  /// divisor is zero.
+  std::optional<std::int64_t> tryEvaluate(const Env &Bindings) const;
+
+  /// tryEvaluate for callers that know every variable is bound: an
+  /// unbound variable or a zero divisor is a fatal error.
+  std::int64_t evaluate(const Env &Bindings) const;
 
   /// Renders a human-readable form, also valid as C/OpenCL source for
   /// expressions whose division operands are non-negative.

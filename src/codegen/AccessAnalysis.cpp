@@ -191,72 +191,12 @@ AccessReport lift::codegen::analyzeAccesses(const Kernel &K,
 
 namespace {
 
-/// Evaluates \p E under \p Env without touching loop variables that
-/// are not bound; false when any such variable appears. Loop trip
-/// counts in generated kernels only reference size variables, so this
-/// normally succeeds — the fallible form keeps malformed input from
-/// turning a report into a fatal error.
-bool tryEval(const AExpr &E, const SizeEnv &Env, std::int64_t &Out) {
-  switch (E->getKind()) {
-  case ArithExpr::Kind::Cst:
-    Out = E->getCst();
-    return true;
-  case ArithExpr::Kind::Var: {
-    auto It = Env.find(E->getVarId());
-    if (It == Env.end())
-      return false;
-    Out = It->second;
-    return true;
-  }
-  case ArithExpr::Kind::Add:
-  case ArithExpr::Kind::Mul: {
-    bool IsAdd = E->getKind() == ArithExpr::Kind::Add;
-    std::int64_t Acc = IsAdd ? 0 : 1;
-    for (const AExpr &Op : E->getOperands()) {
-      std::int64_t V;
-      if (!tryEval(Op, Env, V))
-        return false;
-      Acc = IsAdd ? Acc + V : Acc * V;
-    }
-    Out = Acc;
-    return true;
-  }
-  case ArithExpr::Kind::Div:
-  case ArithExpr::Kind::Mod:
-  case ArithExpr::Kind::Min:
-  case ArithExpr::Kind::Max: {
-    std::int64_t A, B;
-    if (!tryEval(E->getOperands()[0], Env, A) ||
-        !tryEval(E->getOperands()[1], Env, B))
-      return false;
-    switch (E->getKind()) {
-    case ArithExpr::Kind::Div:
-      if (B == 0)
-        return false;
-      Out = floorDivInt(A, B);
-      return true;
-    case ArithExpr::Kind::Mod:
-      if (B == 0)
-        return false;
-      Out = floorModInt(A, B);
-      return true;
-    case ArithExpr::Kind::Min:
-      Out = A < B ? A : B;
-      return true;
-    default:
-      Out = A > B ? A : B;
-      return true;
-    }
-  }
-  }
-  unreachable("covered switch");
-}
-
+/// Loop trip counts in generated kernels only reference size
+/// variables, so evaluation normally succeeds; the fallible form keeps
+/// malformed input from turning a report into a fatal error.
 std::uint64_t tripCount(const Stmt &Loop, const SizeEnv &Env) {
-  std::int64_t N = 0;
-  if (!tryEval(Loop.Count, Env, N) || N < 0)
-    return 0;
-  return std::uint64_t(N);
+  std::optional<std::int64_t> N = Loop.Count->tryEvaluate(Env);
+  return N && *N > 0 ? std::uint64_t(*N) : 0;
 }
 
 class WorkCounter {

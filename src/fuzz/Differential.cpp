@@ -28,6 +28,9 @@ using namespace lift::codegen;
 
 namespace {
 
+/// OpenMP threads the native oracle runs every kernel with.
+constexpr unsigned NativeOracleThreads = 2;
+
 /// Bitwise float equality: stricter than ==, so -0.0f vs 0.0f or NaN
 /// payload drift between oracles is still a reportable divergence.
 bool bitEqual(float A, float B) {
@@ -77,36 +80,14 @@ std::string mismatchReport(const std::string &Oracle,
   return OS.str();
 }
 
-bool countersEqual(const ocl::ExecCounters &A, const ocl::ExecCounters &B) {
-  return A.GlobalLoads == B.GlobalLoads && A.GlobalStores == B.GlobalStores &&
-         A.GlobalLoadLineMisses == B.GlobalLoadLineMisses &&
-         A.LocalLoads == B.LocalLoads && A.LocalStores == B.LocalStores &&
-         A.PrivateAccesses == B.PrivateAccesses && A.Flops == B.Flops &&
-         A.UserFunCalls == B.UserFunCalls &&
-         A.LoopIterations == B.LoopIterations && A.Barriers == B.Barriers &&
-         A.SelectEvals == B.SelectEvals;
-}
-
-std::string counterReport(const ocl::ExecCounters &A,
-                          const ocl::ExecCounters &B) {
+/// The rows where two counter sets differ, or "" when they agree.
+std::string counterDiff(const ocl::ExecCounters &A,
+                        const ocl::ExecCounters &B) {
   std::ostringstream OS;
-  auto Row = [&](const char *Name, std::uint64_t X, std::uint64_t Y) {
-    if (X != Y)
-      OS << "  " << Name << ": " << X << " vs " << Y << "\n";
-  };
-  OS << "counter divergence:\n";
-  Row("GlobalLoads", A.GlobalLoads, B.GlobalLoads);
-  Row("GlobalStores", A.GlobalStores, B.GlobalStores);
-  Row("GlobalLoadLineMisses", A.GlobalLoadLineMisses,
-      B.GlobalLoadLineMisses);
-  Row("LocalLoads", A.LocalLoads, B.LocalLoads);
-  Row("LocalStores", A.LocalStores, B.LocalStores);
-  Row("PrivateAccesses", A.PrivateAccesses, B.PrivateAccesses);
-  Row("Flops", A.Flops, B.Flops);
-  Row("UserFunCalls", A.UserFunCalls, B.UserFunCalls);
-  Row("LoopIterations", A.LoopIterations, B.LoopIterations);
-  Row("Barriers", A.Barriers, B.Barriers);
-  Row("SelectEvals", A.SelectEvals, B.SelectEvals);
+  for (const ocl::ExecCounterField &F : ocl::ExecCounterFields)
+    if (A.*F.Field != B.*F.Field)
+      OS << "  " << F.Name << ": " << A.*F.Field << " vs " << B.*F.Field
+         << "\n";
   return OS.str();
 }
 
@@ -231,7 +212,7 @@ std::optional<DiffResult> checkNative(const Program &Low, const Compiled &C,
     native::NativeKernelPtr Kern = native::KernelCache::global().getOrCompile(
         ir::structuralHash(Low), NC.K);
     native::NativeRunResult NR =
-        native::runNative(NC, *Kern, B.Flat, B.Sizes, O.NativeThreads);
+        native::runNative(NC, *Kern, B.Flat, B.Sizes, NativeOracleThreads);
     if (firstDivergence(RefFlat, NR.Output) != -1)
       return mismatch(mismatchReport(L, RefFlat, NR.Output) +
                       "emitted C source:\n" + Kern->source());
@@ -244,6 +225,40 @@ std::optional<DiffResult> checkNative(const Program &Low, const Compiled &C,
     return mismatch("oracle mismatch: " + L +
                     "\nnative backend failed: " + Ex.what());
   }
+  return std::nullopt;
+}
+
+/// The oracles every lowering gets, in order: the simulator at jobs=1
+/// against the interpreter, the simulator at jobs=N against jobs=1
+/// (outputs, then counters: shard merge and trace replay are exact),
+/// and the native executor when enabled. \p Name labels the lowering
+/// in reports. Returns nullopt when every oracle agrees.
+std::optional<DiffResult> checkLowering(const std::string &Name,
+                                        const Program &Low, const Compiled &C,
+                                        const std::vector<float> &RefFlat,
+                                        const BuiltProgram &B,
+                                        const DiffOptions &O) {
+  RunResult Seq = runCompiled(C, B.Flat, B.Sizes, ocl::CacheConfig(), 1);
+  if (firstDivergence(RefFlat, Seq.Output) != -1)
+    return mismatch(mismatchReport(
+        Name + ": simulator at jobs=1 vs interpreter", RefFlat, Seq.Output));
+
+  const std::string ParName =
+      Name + ": simulator at jobs=" + std::to_string(O.ParJobs);
+  RunResult Par =
+      runCompiled(C, B.Flat, B.Sizes, ocl::CacheConfig(), O.ParJobs);
+  if (firstDivergence(Seq.Output, Par.Output) != -1)
+    return mismatch(mismatchReport(ParName + " vs simulator at jobs=1",
+                                   Seq.Output, Par.Output));
+  std::string Diff = counterDiff(Seq.Counters, Par.Counters);
+  if (!Diff.empty())
+    return mismatch("oracle mismatch: " + ParName +
+                    " vs jobs=1 counter determinism\ncounter divergence:\n" +
+                    Diff);
+
+  if (O.Native)
+    return checkNative(Low, C, Name + ": native executor vs interpreter",
+                       RefFlat, B, O);
   return std::nullopt;
 }
 
@@ -343,48 +358,23 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
     }
   }
 
-  // (c) Untiled lowering on the simulator at jobs=1.
+  // (c)+(d)+(f) Untiled lowering through every lowering oracle.
   std::string WhyNot;
   Program Low = lowerStencil(B->P, LoweringOptions(), &WhyNot);
   if (!Low)
     return Finish(discarded("untiled lowering does not apply: " + WhyNot));
   Compiled C = compileProgram(Low, "fuzz");
-  RunResult Seq = runCompiled(C, B->Flat, B->Sizes, ocl::CacheConfig(), 1);
-  if (firstDivergence(RefFlat, Seq.Output) != -1)
-    return Finish(mismatch(
-        mismatchReport("simulator at jobs=1 vs interpreter", RefFlat,
-                       Seq.Output)));
-
-  // (d) The simulator at jobs=N must be bit-identical to jobs=1 in
-  // outputs *and* counters: shard merge and trace replay are exact.
-  RunResult Par =
-      runCompiled(C, B->Flat, B->Sizes, ocl::CacheConfig(), O.ParJobs);
-  if (firstDivergence(Seq.Output, Par.Output) != -1)
-    return Finish(mismatch(mismatchReport(
-        "simulator at jobs=" + std::to_string(O.ParJobs) +
-            " vs simulator at jobs=1",
-        Seq.Output, Par.Output)));
-  if (!countersEqual(Seq.Counters, Par.Counters))
-    return Finish(mismatch(
-        "oracle mismatch: simulator at jobs=" +
-        std::to_string(O.ParJobs) + " vs jobs=1 counter determinism\n" +
-        counterReport(Seq.Counters, Par.Counters)));
-
-  // (f) Native executor: the dlopen()ed host-compiled C of the same
-  // kernel must be bit-identical to the interpreter too.
   // Static bounds check of the lowered kernel at the concrete sizes.
   // Unproven accesses are prover-precision telemetry, not failures:
-  // the oracles above already verified the runtime behavior.
+  // the oracles verify the runtime behavior.
   if (O.CheckBounds) {
     auto V = analysis::checkKernelBounds(C.K, &B->Sizes);
     BoundsUnproven += unsigned(V.size());
     obs::Registry::global().counter("fuzz.bounds.unproven").inc(V.size());
   }
-
-  if (O.Native)
-    if (std::optional<DiffResult> NR = checkNative(
-            Low, C, "native executor vs interpreter", RefFlat, *B, O))
-      return Finish(*NR);
+  if (std::optional<DiffResult> R =
+          checkLowering("untiled lowering", Low, C, RefFlat, *B, O))
+    return Finish(*R);
 
   // (e) Tiled lowering, whenever a tile fits (exact fit NOT required:
   // the clamped lowering handles remainder tails).
@@ -413,29 +403,10 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
           obs::Registry::global().counter("fuzz.tiled.remainder").inc();
         }
         Compiled TC = compileProgram(TLow, "fuzz_tiled");
-        RunResult TSeq =
-            runCompiled(TC, B->Flat, B->Sizes, ocl::CacheConfig(), 1);
-        if (firstDivergence(RefFlat, TSeq.Output) != -1)
-          return Finish(mismatch(mismatchReport(
-              "tiled lowering (v=" + std::to_string(V) +
-                  ") vs interpreter",
-              RefFlat, TSeq.Output)));
-        RunResult TPar =
-            runCompiled(TC, B->Flat, B->Sizes, ocl::CacheConfig(),
-                        O.ParJobs);
-        if (firstDivergence(TSeq.Output, TPar.Output) != -1 ||
-            !countersEqual(TSeq.Counters, TPar.Counters))
-          return Finish(mismatch(
-              "oracle mismatch: tiled simulator at jobs=" +
-              std::to_string(O.ParJobs) + " vs jobs=1 determinism\n" +
-              counterReport(TSeq.Counters, TPar.Counters)));
-        if (O.Native)
-          if (std::optional<DiffResult> NR = checkNative(
-                  TLow, TC,
-                  "tiled native executor (v=" + std::to_string(V) +
-                      ") vs interpreter",
-                  RefFlat, *B, O))
-            return Finish(*NR);
+        if (std::optional<DiffResult> R = checkLowering(
+                "tiled lowering (v=" + std::to_string(V) + ")", TLow, TC,
+                RefFlat, *B, O))
+          return Finish(*R);
       }
     }
   }

@@ -141,7 +141,6 @@ struct DiffOptions {
   /// bit-identical to the interpreter. Mismatch reports embed the
   /// emitted C source. Callers should gate on probeToolchain().
   bool Native = false;
-  unsigned NativeThreads = 2; ///< OpenMP threads for the native oracle
   /// Native oracle variant: run every native kernel through the
   /// interior/edge specializer (analysis/InteriorSpec.h) first; the
   /// specialized kernel must still be bit-identical to the

@@ -116,6 +116,23 @@ std::int64_t lift::ir::resolveBoundaryIndex(Boundary::Kind K, std::int64_t I,
   unreachable("constant boundary does not reindex");
 }
 
+std::shared_ptr<CallExpr>
+CallExpr::withArgs(std::vector<ExprPtr> NewArgs) const {
+  auto NC = std::make_shared<CallExpr>(P, std::move(NewArgs));
+  NC->UF = UF;
+  NC->Dim = Dim;
+  NC->Factor = Factor;
+  NC->Size = Size;
+  NC->Step = Step;
+  NC->PadL = PadL;
+  NC->PadR = PadR;
+  NC->Bdy = Bdy;
+  NC->Index = Index;
+  NC->IterCount = IterCount;
+  NC->GenSizes = GenSizes;
+  return NC;
+}
+
 //===----------------------------------------------------------------------===//
 // Builders
 //===----------------------------------------------------------------------===//
@@ -394,19 +411,7 @@ static ExprPtr cloneRec(const ExprPtr &E, ParamMap &PM) {
     NewArgs.reserve(C->getArgs().size());
     for (const ExprPtr &A : C->getArgs())
       NewArgs.push_back(cloneRec(A, PM));
-    auto NC = std::make_shared<CallExpr>(C->getPrim(), std::move(NewArgs));
-    NC->UF = C->UF;
-    NC->Dim = C->Dim;
-    NC->Factor = C->Factor;
-    NC->Size = C->Size;
-    NC->Step = C->Step;
-    NC->PadL = C->PadL;
-    NC->PadR = C->PadR;
-    NC->Bdy = C->Bdy;
-    NC->Index = C->Index;
-    NC->IterCount = C->IterCount;
-    NC->GenSizes = C->GenSizes;
-    return NC;
+    return C->withArgs(std::move(NewArgs));
   }
   }
   unreachable("covered switch");

@@ -205,6 +205,11 @@ public:
   const std::vector<ExprPtr> &getArgs() const { return Args; }
   void setArg(std::size_t I, ExprPtr E) { Args[I] = std::move(E); }
 
+  /// A fresh call of the same primitive and payload over \p NewArgs.
+  /// The one place the payload is copied: every tree rebuild (cloning,
+  /// rule application, lowering) goes through it.
+  std::shared_ptr<CallExpr> withArgs(std::vector<ExprPtr> NewArgs) const;
+
   // Payload accessors; validity depends on the primitive.
   UserFunPtr UF;             ///< UserFunCall
   int Dim = 0;               ///< MapGlb/MapWrg/MapLcl dimension (0..2)

@@ -701,17 +701,8 @@ void ParallelExecutor::runRegion(const TopStmt &Region) {
     // and the last chunk's registers + local/private buffers adopted
     // (sequential last-iteration-wins).
     for (ShardState &S : Shards) {
-      Main.Counters.GlobalLoads += S.Counters.GlobalLoads;
-      Main.Counters.GlobalStores += S.Counters.GlobalStores;
-      Main.Counters.GlobalLoadLineMisses += S.Counters.GlobalLoadLineMisses;
-      Main.Counters.LocalLoads += S.Counters.LocalLoads;
-      Main.Counters.LocalStores += S.Counters.LocalStores;
-      Main.Counters.PrivateAccesses += S.Counters.PrivateAccesses;
-      Main.Counters.Flops += S.Counters.Flops;
-      Main.Counters.UserFunCalls += S.Counters.UserFunCalls;
-      Main.Counters.LoopIterations += S.Counters.LoopIterations;
-      Main.Counters.Barriers += S.Counters.Barriers;
-      Main.Counters.SelectEvals += S.Counters.SelectEvals;
+      for (const ExecCounterField &F : ExecCounterFields)
+        Main.Counters.*F.Field += S.Counters.*F.Field;
       for (std::int64_t Line : S.Trace)
         touchLine(Line, Main);
     }

@@ -69,16 +69,6 @@ NDRangeInfo lift::ocl::analyzeNDRange(const Kernel &K, const SizeEnv &Sizes) {
 void lift::ocl::exportCountersToMetrics(const ExecCounters &C,
                                         const std::string &Prefix) {
   obs::Registry &Reg = obs::Registry::global();
-  Reg.counter(Prefix + "global_loads").inc(C.GlobalLoads);
-  Reg.counter(Prefix + "global_stores").inc(C.GlobalStores);
-  Reg.counter(Prefix + "global_load_line_misses")
-      .inc(C.GlobalLoadLineMisses);
-  Reg.counter(Prefix + "local_loads").inc(C.LocalLoads);
-  Reg.counter(Prefix + "local_stores").inc(C.LocalStores);
-  Reg.counter(Prefix + "private_accesses").inc(C.PrivateAccesses);
-  Reg.counter(Prefix + "flops").inc(C.Flops);
-  Reg.counter(Prefix + "user_fun_calls").inc(C.UserFunCalls);
-  Reg.counter(Prefix + "loop_iterations").inc(C.LoopIterations);
-  Reg.counter(Prefix + "barriers").inc(C.Barriers);
-  Reg.counter(Prefix + "select_evals").inc(C.SelectEvals);
+  for (const ExecCounterField &F : ExecCounterFields)
+    Reg.counter(Prefix + F.Name).inc(C.*F.Field);
 }

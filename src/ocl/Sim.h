@@ -70,6 +70,31 @@ struct ExecCounters {
   std::uint64_t SelectEvals = 0;    ///< bounds checks evaluated
 };
 
+/// One ExecCounters field: its metric-key suffix (exported as
+/// "sim.<Name>" / "tuner.sim.<Name>") and the member it names.
+struct ExecCounterField {
+  const char *Name;
+  std::uint64_t ExecCounters::*Field;
+};
+
+/// Every ExecCounters field, in declaration order. Code that treats the
+/// counters as a whole (metric export, shard merge, scaling, the
+/// fuzzer's determinism check) iterates this table instead of naming
+/// fields, so a new counter is added here once.
+inline constexpr ExecCounterField ExecCounterFields[] = {
+    {"global_loads", &ExecCounters::GlobalLoads},
+    {"global_stores", &ExecCounters::GlobalStores},
+    {"global_load_line_misses", &ExecCounters::GlobalLoadLineMisses},
+    {"local_loads", &ExecCounters::LocalLoads},
+    {"local_stores", &ExecCounters::LocalStores},
+    {"private_accesses", &ExecCounters::PrivateAccesses},
+    {"flops", &ExecCounters::Flops},
+    {"user_fun_calls", &ExecCounters::UserFunCalls},
+    {"loop_iterations", &ExecCounters::LoopIterations},
+    {"barriers", &ExecCounters::Barriers},
+    {"select_evals", &ExecCounters::SelectEvals},
+};
+
 /// Static NDRange shape derived from the kernel's loop structure with
 /// sizes bound: how many work-items/groups an exact-fit launch needs.
 struct NDRangeInfo {

@@ -18,68 +18,6 @@ using namespace lift;
 using namespace lift::ir;
 using namespace lift::rewrite;
 
-namespace {
-
-/// Applies R at the Occurrence-th match; decrements Occurrence as
-/// matches are passed. Returns nullptr if not enough matches.
-ExprPtr applyAtRec(const Rule &R, const ExprPtr &E, int &Occurrence) {
-  if (ExprPtr New = R.Apply(E)) {
-    if (Occurrence == 0)
-      return New;
-    --Occurrence;
-    // Fall through: also search the children of this (unrewritten)
-    // node for later occurrences.
-  }
-  switch (E->getKind()) {
-  case Expr::Kind::Literal:
-  case Expr::Kind::Param:
-    return nullptr;
-  case Expr::Kind::Lambda: {
-    const auto *L = dynCast<LambdaExpr>(E);
-    ExprPtr NewBody = applyAtRec(R, L->getBody(), Occurrence);
-    if (!NewBody)
-      return nullptr;
-    return lambda(L->getParams(), std::move(NewBody), L->getAddrSpace());
-  }
-  case Expr::Kind::Call: {
-    const auto *C = dynCast<CallExpr>(E);
-    for (std::size_t I = 0, N = C->getArgs().size(); I != N; ++I) {
-      ExprPtr NewArg = applyAtRec(R, C->getArgs()[I], Occurrence);
-      if (!NewArg)
-        continue;
-      std::vector<ExprPtr> Args = C->getArgs();
-      Args[I] = std::move(NewArg);
-      auto NC = std::make_shared<CallExpr>(C->getPrim(), std::move(Args));
-      NC->UF = C->UF;
-      NC->Dim = C->Dim;
-      NC->Factor = C->Factor;
-      NC->Size = C->Size;
-      NC->Step = C->Step;
-      NC->PadL = C->PadL;
-      NC->PadR = C->PadR;
-      NC->Bdy = C->Bdy;
-      NC->Index = C->Index;
-      NC->IterCount = C->IterCount;
-      NC->GenSizes = C->GenSizes;
-      return NC;
-    }
-    return nullptr;
-  }
-  }
-  return nullptr;
-}
-
-} // namespace
-
-ExprPtr lift::rewrite::applyAtOccurrence(const Rule &R, const ExprPtr &E,
-                                         int Occurrence) {
-  int Remaining = Occurrence;
-  ExprPtr New = applyAtRec(R, E, Remaining);
-  if (New)
-    noteRuleApplications(R, 1);
-  return New;
-}
-
 std::vector<ApplicableRewrite>
 lift::rewrite::enumerateApplicableRewrites(const Program &P,
                                            const std::vector<Rule> &Rules) {
@@ -93,14 +31,11 @@ lift::rewrite::enumerateApplicableRewrites(const Program &P,
 
   std::vector<ApplicableRewrite> Out;
   for (std::size_t RI = 0, RN = Rules.size(); RI != RN; ++RI) {
-    int Matches = countMatches(Rules[RI], Reference->getBody());
-    for (int Occ = 0; Occ != Matches; ++Occ) {
-      ExprPtr NewBody =
-          applyAtOccurrence(Rules[RI], Reference->getBody(), Occ);
-      if (!NewBody)
-        continue;
+    std::vector<ExprPtr> Rewrites = applyEach(Rules[RI], Reference->getBody());
+    for (int Occ = 0, N = int(Rewrites.size()); Occ != N; ++Occ) {
+      noteRuleApplications(Rules[RI], 1);
       Program Candidate =
-          cloneProgram(makeProgram(Reference->getParams(), NewBody));
+          cloneProgram(makeProgram(Reference->getParams(), Rewrites[Occ]));
       TypePtr GotT = tryInferTypes(Candidate);
       if (!GotT || !typeEquals(GotT, WantedT))
         continue;
@@ -117,13 +52,13 @@ Program lift::rewrite::applyRewrite(const Program &P,
     fatalError("applyRewrite: rule index out of range");
   Program Copy = cloneProgram(P);
   inferTypes(Copy);
-  ExprPtr NewBody =
-      applyAtOccurrence(Rules[Step.RuleIndex], Copy->getBody(),
-                        Step.Occurrence);
-  if (!NewBody)
+  const Rule &R = Rules[Step.RuleIndex];
+  std::vector<ExprPtr> Rewrites = applyEach(R, Copy->getBody());
+  if (Step.Occurrence < 0 || std::size_t(Step.Occurrence) >= Rewrites.size())
     fatalError("applyRewrite: step does not apply to this program");
-  Program Result =
-      cloneProgram(makeProgram(Copy->getParams(), NewBody));
+  noteRuleApplications(R, 1);
+  Program Result = cloneProgram(
+      makeProgram(Copy->getParams(), std::move(Rewrites[Step.Occurrence])));
   inferTypes(Result);
   return Result;
 }
@@ -194,12 +129,10 @@ std::vector<Derivation> lift::rewrite::explore(const Program &Start,
       continue;
 
     for (const Rule &R : Rules) {
-      int Matches = countMatches(R, Item.P->getBody());
-      for (int Occ = 0; Occ != Matches; ++Occ) {
-        ExprPtr NewBody = applyAtOccurrence(R, Item.P->getBody(), Occ);
-        if (!NewBody)
-          continue;
-        Program Candidate = makeProgram(Item.P->getParams(), NewBody);
+      for (ExprPtr &NewBody : applyEach(R, Item.P->getBody())) {
+        noteRuleApplications(R, 1);
+        Program Candidate =
+            makeProgram(Item.P->getParams(), std::move(NewBody));
         // Probe the dedup set before paying for a deep clone and type
         // inference: structural equality is alpha-invariant, so the
         // raw candidate (still sharing subtrees with its parent) is an

@@ -51,11 +51,12 @@ struct Derivation {
 /// Determinism contract: derivations are discovered breadth-first and
 /// appended in a fixed total order — lexicographic by (depth, discovery
 /// order of the parent derivation, index of the rule in \p Rules,
-/// occurrence position of the match, pre-order). When MaxPrograms cuts
-/// the search off, exactly the first MaxPrograms derivations of that
-/// order are returned: explore() with a smaller budget yields a prefix
-/// of explore() with a larger one, independent of the dedup set's
-/// internal iteration order (which is never observed).
+/// occurrence position of the match, i.e. its index in applyEach's
+/// pre-order result). When MaxPrograms cuts the search off, exactly
+/// the first MaxPrograms derivations of that order are returned:
+/// explore() with a smaller budget yields a prefix of explore() with a
+/// larger one, independent of the dedup set's internal iteration order
+/// (which is never observed).
 std::vector<Derivation> explore(const ir::Program &Start,
                                 const std::vector<Rule> &Rules,
                                 const ExplorationOptions &O);
@@ -65,14 +66,9 @@ std::vector<Derivation> explore(const ir::Program &Start,
 /// chunk sizes, plus the simplification rules keeping the space small.
 std::vector<Rule> stencilExplorationRules();
 
-/// Applies \p R at the \p Occurrence-th matching position (0-based,
-/// pre-order); nullptr when there is no such position. The building
-/// block that lets exploration branch on positions, not just rules.
-ir::ExprPtr applyAtOccurrence(const Rule &R, const ir::ExprPtr &E,
-                              int Occurrence);
-
 /// One legal rewrite step on a specific program: rule \p RuleIndex of
-/// a rule set applied at pre-order match position \p Occurrence.
+/// a rule set applied at pre-order match position \p Occurrence (the
+/// index into applyEach's result).
 struct ApplicableRewrite {
   std::size_t RuleIndex;
   int Occurrence;

@@ -162,23 +162,6 @@ ExprPtr untileNd(unsigned N, ExprPtr E,
   return E;
 }
 
-/// Rebuilds a call with new arguments, copying payload fields.
-ExprPtr rebuildCallArgs(const CallExpr &C, std::vector<ExprPtr> Args) {
-  auto NC = std::make_shared<CallExpr>(C.getPrim(), std::move(Args));
-  NC->UF = C.UF;
-  NC->Dim = C.Dim;
-  NC->Factor = C.Factor;
-  NC->Size = C.Size;
-  NC->Step = C.Step;
-  NC->PadL = C.PadL;
-  NC->PadR = C.PadR;
-  NC->Bdy = C.Bdy;
-  NC->Index = C.Index;
-  NC->IterCount = C.IterCount;
-  NC->GenSizes = C.GenSizes;
-  return NC;
-}
-
 /// Replaces embedded high-level compute map nests (e.g. the inner
 /// applications produced by expanding `iterate`) with untiled lowered
 /// nests. The code generator then materializes each lowered phase into
@@ -217,7 +200,7 @@ ExprPtr lowerEmbeddedNests(const ExprPtr &E) {
   }
   if (!Changed)
     return E;
-  return rebuildCallArgs(*C, std::move(NewArgs));
+  return C->withArgs(std::move(NewArgs));
 }
 
 /// Records \p Reason for the caller (when requested) and returns the

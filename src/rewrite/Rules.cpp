@@ -20,31 +20,11 @@ using namespace lift::rewrite;
 // Engine
 //===----------------------------------------------------------------------===//
 
-/// Rebuilds a call with one argument replaced (payload copied).
-static ExprPtr rebuildCall(const CallExpr &C, std::size_t ArgIdx,
-                           ExprPtr NewArg) {
-  std::vector<ExprPtr> Args = C.getArgs();
-  Args[ArgIdx] = std::move(NewArg);
-  auto NC = std::make_shared<CallExpr>(C.getPrim(), std::move(Args));
-  NC->UF = C.UF;
-  NC->Dim = C.Dim;
-  NC->Factor = C.Factor;
-  NC->Size = C.Size;
-  NC->Step = C.Step;
-  NC->PadL = C.PadL;
-  NC->PadR = C.PadR;
-  NC->Bdy = C.Bdy;
-  NC->Index = C.Index;
-  NC->IterCount = C.IterCount;
-  NC->GenSizes = C.GenSizes;
-  return NC;
-}
-
 /// Bumps the per-rule match/apply metrics ("rewrite.rule.match.<name>"
 /// and "rewrite.rule.apply.<name>"). Counters are pure sums, so the
 /// totals are identical for any tuner/simulator thread count. Called
-/// once per engine entry point, never per node.
-void lift::rewrite::noteRuleMatches(const Rule &R, int N) {
+/// once per scan or used rewrite, never per visited node.
+static void noteRuleMatches(const Rule &R, int N) {
   if (N > 0)
     obs::Registry::global().counter("rewrite.rule.match." + R.Name).inc(
         std::uint64_t(N));
@@ -56,37 +36,49 @@ void lift::rewrite::noteRuleApplications(const Rule &R, int N) {
         std::uint64_t(N));
 }
 
-static ExprPtr applyFirstRec(const Rule &R, const ExprPtr &E) {
+/// Appends, for each pre-order match of \p R inside \p E, a copy of
+/// \p E with that match rewritten. A match's own subtree is searched
+/// too, so nested matches get later occurrence numbers; each result is
+/// rebuilt along its path and shares every other subtree with \p E.
+static void applyEachRec(const Rule &R, const ExprPtr &E,
+                         std::vector<ExprPtr> &Out) {
   if (ExprPtr New = R.Apply(E))
-    return New;
+    Out.push_back(std::move(New));
   switch (E->getKind()) {
   case Expr::Kind::Literal:
   case Expr::Kind::Param:
-    return nullptr;
+    return;
   case Expr::Kind::Lambda: {
     const auto *L = dynCast<LambdaExpr>(E);
-    ExprPtr NewBody = applyFirstRec(R, L->getBody());
-    if (!NewBody)
-      return nullptr;
-    return lambda(L->getParams(), std::move(NewBody), L->getAddrSpace());
+    std::size_t First = Out.size();
+    applyEachRec(R, L->getBody(), Out);
+    for (std::size_t K = First; K != Out.size(); ++K)
+      Out[K] = lambda(L->getParams(), std::move(Out[K]), L->getAddrSpace());
+    return;
   }
   case Expr::Kind::Call: {
     const auto *C = dynCast<CallExpr>(E);
     for (std::size_t I = 0, N = C->getArgs().size(); I != N; ++I) {
-      if (ExprPtr NewArg = applyFirstRec(R, C->getArgs()[I]))
-        return rebuildCall(*C, I, std::move(NewArg));
+      std::size_t First = Out.size();
+      applyEachRec(R, C->getArgs()[I], Out);
+      for (std::size_t K = First; K != Out.size(); ++K) {
+        std::vector<ExprPtr> Args = C->getArgs();
+        Args[I] = std::move(Out[K]);
+        Out[K] = C->withArgs(std::move(Args));
+      }
     }
-    return nullptr;
+    return;
   }
   }
   unreachable("covered switch");
 }
 
-ExprPtr lift::rewrite::applyFirst(const Rule &R, const ExprPtr &E) {
-  ExprPtr New = applyFirstRec(R, E);
-  if (New)
-    noteRuleApplications(R, 1);
-  return New;
+std::vector<ExprPtr> lift::rewrite::applyEach(const Rule &R,
+                                              const ExprPtr &E) {
+  std::vector<ExprPtr> Out;
+  applyEachRec(R, E, Out);
+  noteRuleMatches(R, int(Out.size()));
+  return Out;
 }
 
 static ExprPtr applyEverywhereRec(const Rule &R, const ExprPtr &E,
@@ -106,12 +98,15 @@ static ExprPtr applyEverywhereRec(const Rule &R, const ExprPtr &E,
   }
   case Expr::Kind::Call: {
     const auto *C = dynCast<CallExpr>(E);
-    for (std::size_t I = 0, N = C->getArgs().size(); I != N; ++I) {
-      ExprPtr NewArg = applyEverywhereRec(R, C->getArgs()[I], Applications);
-      if (NewArg.get() != C->getArgs()[I].get()) {
-        Cur = rebuildCall(*dynCast<CallExpr>(Cur), I, std::move(NewArg));
-      }
+    std::vector<ExprPtr> Args = C->getArgs();
+    bool Changed = false;
+    for (ExprPtr &A : Args) {
+      ExprPtr NewArg = applyEverywhereRec(R, A, Applications);
+      Changed |= NewArg.get() != A.get();
+      A = std::move(NewArg);
     }
+    if (Changed)
+      Cur = C->withArgs(std::move(Args));
     break;
   }
   }
@@ -130,39 +125,17 @@ ExprPtr lift::rewrite::applyEverywhere(const Rule &R, const ExprPtr &E,
   return New;
 }
 
-static int countMatchesRec(const Rule &R, const ExprPtr &E) {
-  int Count = R.Apply(E) ? 1 : 0;
-  switch (E->getKind()) {
-  case Expr::Kind::Literal:
-  case Expr::Kind::Param:
-    return Count;
-  case Expr::Kind::Lambda:
-    return Count + countMatchesRec(R, dynCast<LambdaExpr>(E)->getBody());
-  case Expr::Kind::Call: {
-    for (const ExprPtr &A : dynCast<CallExpr>(E)->getArgs())
-      Count += countMatchesRec(R, A);
-    return Count;
-  }
-  }
-  unreachable("covered switch");
-}
-
-int lift::rewrite::countMatches(const Rule &R, const ExprPtr &E) {
-  int Count = countMatchesRec(R, E);
-  noteRuleMatches(R, Count);
-  return Count;
-}
-
 Program lift::rewrite::rewriteProgram(const Rule &R, const Program &P) {
   // Clone first so rewritten results never share mutable type state
   // with the original program; infer types so rules may inspect them
   // (e.g. reduceUnroll's constant-length requirement).
   Program Copy = cloneProgram(P);
   inferTypes(Copy);
-  ExprPtr NewBody = applyFirst(R, Copy->getBody());
-  if (!NewBody)
+  std::vector<ExprPtr> Rewrites = applyEach(R, Copy->getBody());
+  if (Rewrites.empty())
     return nullptr;
-  Program Result = makeProgram(Copy->getParams(), std::move(NewBody));
+  noteRuleApplications(R, 1);
+  Program Result = makeProgram(Copy->getParams(), std::move(Rewrites[0]));
   inferTypes(Result);
   return Result;
 }

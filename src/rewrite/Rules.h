@@ -31,6 +31,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace lift {
 namespace rewrite {
@@ -46,10 +47,14 @@ struct Rule {
 // Engine
 //===----------------------------------------------------------------------===//
 
-/// Applies \p R at the first matching position (pre-order); returns the
-/// rewritten tree, or nullptr when the rule matched nowhere. The input
-/// is not mutated; matching subtrees are rebuilt.
-ir::ExprPtr applyFirst(const Rule &R, const ir::ExprPtr &E);
+/// Applies \p R at each matching position in turn: entry k is \p E with
+/// its k-th pre-order match rewritten (a node before its children,
+/// children left to right, and a match's own subtree searched too).
+/// Unchanged subtrees are shared with \p E, which is not mutated; an
+/// empty result means the rule matched nowhere. This one walk is the
+/// only source of occurrence numbering: exploration's deterministic
+/// order and the fuzzer's (rule, occurrence) replay both index it.
+std::vector<ir::ExprPtr> applyEach(const Rule &R, const ir::ExprPtr &E);
 
 /// Applies \p R at every matching position in one bottom-up pass.
 /// Returns the (possibly unchanged) rebuilt tree and reports the number
@@ -57,20 +62,15 @@ ir::ExprPtr applyFirst(const Rule &R, const ir::ExprPtr &E);
 ir::ExprPtr applyEverywhere(const Rule &R, const ir::ExprPtr &E,
                             int &Applications);
 
-/// Counts positions where \p R matches.
-int countMatches(const Rule &R, const ir::ExprPtr &E);
-
-/// Metric hooks shared by the engine entry points: every successful
-/// match scan / application bumps the per-rule
-/// "rewrite.rule.{match,apply}.<name>" counters in the metrics
-/// registry (obs/Metrics.h). Exposed so out-of-line appliers (e.g.
-/// exploration's applyAtOccurrence) report through the same counters.
-void noteRuleMatches(const Rule &R, int N);
+/// Bumps the per-rule "rewrite.rule.apply.<name>" counter in the
+/// metrics registry (obs/Metrics.h) by \p N. applyEach already counts
+/// its matches under "rewrite.rule.match.<name>"; its callers note an
+/// application for each entry they actually use.
 void noteRuleApplications(const Rule &R, int N);
 
-/// Rewrites a program body with applyFirst; returns a fresh program
-/// (inputs shared) or nullptr if the rule matched nowhere. The result
-/// has types re-inferred.
+/// Rewrites a program body at the first match (entry 0 of applyEach);
+/// returns a fresh program (inputs shared) or nullptr if the rule
+/// matched nowhere. The result has types re-inferred.
 ir::Program rewriteProgram(const Rule &R, const ir::Program &P);
 
 //===----------------------------------------------------------------------===//

@@ -40,7 +40,6 @@ TuningSpace lift::tuner::liftSpace() { return TuningSpace(); }
 TuningSpace lift::tuner::ppcgSpace() {
   TuningSpace S;
   S.AllowUntiled = false;
-  S.AllowTiling = true;
   S.LocalMemOnly = true; // PPCG always stages tiles in shared memory
   S.AllowUnroll = false;
   S.TileOutputs = {8, 16, 32, 64};
@@ -125,20 +124,8 @@ CacheConfig scaledCache(const CacheConfig &Base, const Extents &Measure,
 
 ExecCounters scaleCounters(const ExecCounters &C, double S) {
   ExecCounters R;
-  auto Scale = [S](std::uint64_t V) {
-    return std::uint64_t(std::llround(double(V) * S));
-  };
-  R.GlobalLoads = Scale(C.GlobalLoads);
-  R.GlobalStores = Scale(C.GlobalStores);
-  R.GlobalLoadLineMisses = Scale(C.GlobalLoadLineMisses);
-  R.LocalLoads = Scale(C.LocalLoads);
-  R.LocalStores = Scale(C.LocalStores);
-  R.PrivateAccesses = Scale(C.PrivateAccesses);
-  R.Flops = Scale(C.Flops);
-  R.UserFunCalls = Scale(C.UserFunCalls);
-  R.LoopIterations = Scale(C.LoopIterations);
-  R.Barriers = Scale(C.Barriers);
-  R.SelectEvals = Scale(C.SelectEvals);
+  for (const ExecCounterField &F : ExecCounterFields)
+    R.*F.Field = std::uint64_t(std::llround(double(C.*F.Field) * S));
   return R;
 }
 
@@ -473,26 +460,25 @@ TuneResult lift::tuner::tuneStencil(const TuningProblem &P,
         }
   }
 
-  if (Space.AllowTiling) {
-    std::vector<bool> Locals;
-    if (!Space.LocalMemOnly)
-      Locals.push_back(false);
-    Locals.push_back(true);
-    for (std::int64_t V : Space.TileOutputs)
-      for (bool Local : Locals)
-        for (std::int64_t TC : Space.TileCoarsenFactors)
-          for (bool Unroll : Unrolls) {
-            Candidate C;
-            C.Options.Tile = true;
-            C.Options.TileOutputs = V;
-            C.Options.UseLocalMem = Local;
-            C.Options.TileCoarsen = TC;
-            C.Options.UnrollReduce = Unroll;
-            // Work-group geometry of tiled kernels comes from the tile
-            // shape; the launch knob is unused.
-            Candidates.push_back(C);
-          }
-  }
+  // Tiled candidates: every space has them (PPCG's has only these).
+  std::vector<bool> Locals;
+  if (!Space.LocalMemOnly)
+    Locals.push_back(false);
+  Locals.push_back(true);
+  for (std::int64_t V : Space.TileOutputs)
+    for (bool Local : Locals)
+      for (std::int64_t TC : Space.TileCoarsenFactors)
+        for (bool Unroll : Unrolls) {
+          Candidate C;
+          C.Options.Tile = true;
+          C.Options.TileOutputs = V;
+          C.Options.UseLocalMem = Local;
+          C.Options.TileCoarsen = TC;
+          C.Options.UnrollReduce = Unroll;
+          // Work-group geometry of tiled kernels comes from the tile
+          // shape; the launch knob is unused.
+          Candidates.push_back(C);
+        }
 
   // Evaluate every candidate into a preallocated slot so the scan
   // below is independent of evaluation order (and thread schedule).

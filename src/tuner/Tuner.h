@@ -50,7 +50,6 @@ struct Candidate {
 /// ppcgSpace() restricts it to PPCG's always-tiled schedules.
 struct TuningSpace {
   bool AllowUntiled = true;
-  bool AllowTiling = true;
   /// Generate only local-memory-staged tiled variants (PPCG's default
   /// schedule always stages tiles in shared memory).
   bool LocalMemOnly = false;

@@ -99,8 +99,8 @@ sampleEnv(RandomSource &R, const RandomWorld &W) {
   for (const AExpr &N : W.SizeVars)
     Env[N->getVarId()] = R.nextInt(1, 8);
   for (std::size_t I = 0; I != W.IdxVars.size(); ++I) {
-    auto Lo = tryEvaluate(W.IdxBounds[I].first, Env);
-    auto Hi = tryEvaluate(W.IdxBounds[I].second, Env);
+    auto Lo = W.IdxBounds[I].first->tryEvaluate(Env);
+    auto Hi = W.IdxBounds[I].second->tryEvaluate(Env);
     if (!Lo || !Hi || *Lo > *Hi)
       return std::nullopt;
     Env[W.IdxVars[I]->getVarId()] = R.nextInt(*Lo, *Hi);
@@ -121,10 +121,10 @@ TEST(RangeAnalysis, BoundsAndSimplifyAreSoundOnRandomExprs) {
       auto Env = sampleEnv(R, W);
       if (!Env)
         continue;
-      auto VE = tryEvaluate(E, *Env);
-      auto VL = tryEvaluate(LB, *Env);
-      auto VU = tryEvaluate(UB, *Env);
-      auto VS = tryEvaluate(S, *Env);
+      auto VE = E->tryEvaluate(*Env);
+      auto VL = LB->tryEvaluate(*Env);
+      auto VU = UB->tryEvaluate(*Env);
+      auto VS = S->tryEvaluate(*Env);
       ASSERT_TRUE(VE && VL && VU && VS) << E->toString();
       EXPECT_LE(*VL, *VE) << "lower bound " << LB->toString()
                           << " exceeds " << E->toString();
@@ -226,10 +226,14 @@ TEST(RangeAnalysis, JoinKeepsOnlyCommonFacts) {
 TEST(RangeAnalysis, TryEvaluateFloorSemanticsAndUnbound) {
   AExpr V = var("x");
   std::unordered_map<unsigned, std::int64_t> Env{{V->getVarId(), -7}};
-  EXPECT_EQ(tryEvaluate(floorDiv(V, cst(2)), Env), -4);
-  EXPECT_EQ(tryEvaluate(floorMod(V, cst(2)), Env), 1);
+  EXPECT_EQ(floorDiv(V, cst(2))->tryEvaluate(Env), -4);
+  EXPECT_EQ(floorMod(V, cst(2))->tryEvaluate(Env), 1);
   AExpr Other = var("y");
-  EXPECT_FALSE(tryEvaluate(add(V, Other), Env).has_value());
+  EXPECT_FALSE(add(V, Other)->tryEvaluate(Env).has_value());
+  // A zero divisor is not an error either, just no value.
+  Env[Other->getVarId()] = 0;
+  EXPECT_FALSE(floorDiv(V, Other)->tryEvaluate(Env).has_value());
+  EXPECT_FALSE(floorMod(V, Other)->tryEvaluate(Env).has_value());
 }
 
 //===----------------------------------------------------------------------===//

@@ -167,9 +167,11 @@ TEST(ArithProperty, SimplifiedFormAgreesWithDirectEvaluation) {
     for (int Assign = 0; Assign != 5; ++Assign) {
       std::vector<std::int64_t> Vals = Pool.randomAssignment(Rng);
       std::int64_t Want = evalShadow(*B.Ref, Vals);
-      std::int64_t Got = B.E->evaluate(makeEnv(Pool, Vals));
+      std::unordered_map<unsigned, std::int64_t> Env = makeEnv(Pool, Vals);
+      std::int64_t Got = B.E->evaluate(Env);
       ASSERT_EQ(Got, Want) << "simplified " << B.E->toString()
                            << " disagrees with the unsimplified tree";
+      ASSERT_EQ(B.E->tryEvaluate(Env), Got) << B.E->toString();
     }
   }
 }

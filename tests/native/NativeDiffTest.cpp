@@ -37,7 +37,6 @@ TEST(NativeDiff, FixedSeedCampaignIsClean) {
 
   CampaignOptions O;
   O.Diff.Native = true;
-  O.Diff.NativeThreads = 2;
   O.Shrink = false; // a mismatch here is reported, not minimized
   CampaignStats S = runCampaign(/*Seed=*/7, /*Count=*/30, O);
 

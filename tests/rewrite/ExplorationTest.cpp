@@ -29,7 +29,7 @@ Program jacobi1D(ParamPtr A) {
                              pad(cst(1), cst(1), Boundary::clamp(), A))));
 }
 
-TEST(Exploration, ApplyAtOccurrenceSelectsPositions) {
+TEST(Exploration, ApplyEachSelectsPositions) {
   // A program with two fusable map pairs: map(f, map(g, map(h, A))).
   AExpr N = sizeVar("n");
   ParamPtr A = param("A", arrayT(floatT(), N));
@@ -40,15 +40,26 @@ TEST(Exploration, ApplyAtOccurrenceSelectsPositions) {
   };
   Program P = makeProgram(
       {A}, map(Mul(2), map(Mul(3), map(Mul(5), A))));
+  const std::string Before = toString(P->getBody());
   Rule Fusion = mapFusionRule();
-  EXPECT_EQ(countMatches(Fusion, P->getBody()), 2);
-  ExprPtr At0 = applyAtOccurrence(Fusion, P->getBody(), 0);
-  ExprPtr At1 = applyAtOccurrence(Fusion, P->getBody(), 1);
-  ExprPtr At2 = applyAtOccurrence(Fusion, P->getBody(), 2);
-  EXPECT_NE(At0, nullptr);
-  EXPECT_NE(At1, nullptr);
-  EXPECT_EQ(At2, nullptr); // only two occurrences
-  EXPECT_NE(toString(At0), toString(At1));
+  std::vector<ExprPtr> Each = applyEach(Fusion, P->getBody());
+  ASSERT_EQ(Each.size(), 2u); // one entry per occurrence, pre-order
+  EXPECT_NE(toString(Each[0]), toString(Each[1]));
+  EXPECT_TRUE(applyEach(Fusion, A).empty());
+
+  // Entry 0 fuses the outermost pair: map(f . g, map(h, A)), whose data
+  // argument is the original innermost map, shared rather than copied.
+  const auto *Outer = dynCast<CallExpr>(P->getBody());
+  const auto *Middle = dynCast<CallExpr>(Outer->getArgs()[1]);
+  const auto *At0 = dynCast<CallExpr>(Each[0]);
+  ASSERT_NE(At0, nullptr);
+  EXPECT_EQ(At0->getPrim(), Prim::Map);
+  EXPECT_EQ(At0->getArgs()[1], Middle->getArgs()[1]);
+  // Entry 1 fuses the inner pair under the untouched outer function.
+  const auto *At1 = dynCast<CallExpr>(Each[1]);
+  ASSERT_NE(At1, nullptr);
+  EXPECT_EQ(At1->getArgs()[0], Outer->getArgs()[0]);
+  EXPECT_EQ(toString(P->getBody()), Before); // the input is not mutated
 }
 
 TEST(Exploration, FindsDistinctVariantsOfJacobi) {

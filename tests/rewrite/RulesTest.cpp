@@ -90,7 +90,7 @@ TEST(Rules, MapFusionEliminatesInnerMap) {
                    const auto *C = dynCast<CallExpr>(E);
                    return (C && C->getPrim() == Prim::Map) ? E : nullptr;
                  }};
-  EXPECT_EQ(countMatches(CountMaps, Q->getBody()), 1);
+  EXPECT_EQ(applyEach(CountMaps, Q->getBody()).size(), 1u);
 }
 
 TEST(Rules, SplitJoinPreservesSemantics) {

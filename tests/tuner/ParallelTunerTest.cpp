@@ -141,7 +141,6 @@ TEST(ParallelTuner, StepTwoRemainderPrunesWithDetail) {
   TuningProblem P = makeProblem(B, false);
   TuningSpace S;
   S.AllowUntiled = true;
-  S.AllowTiling = true;
   S.TileOutputs = {64}; // k = 32 outputs; 458 % 32 != 0 -> unsupported
   S.TileCoarsenFactors = {1};
   DeviceSpec Dev = deviceNvidiaK20c();
@@ -160,7 +159,6 @@ TEST(ParallelTunerDeathTest, AllCandidatesPrunedExplainsWhy) {
   TuningProblem P = makeProblem(B, false);
   TuningSpace S;
   S.AllowUntiled = false;
-  S.AllowTiling = true;
   S.TileOutputs = {64}; // k = 32; 458 % 32 != 0 -> tile-indivisible
   S.TileCoarsenFactors = {1};
   DeviceSpec Dev = deviceNvidiaK20c();

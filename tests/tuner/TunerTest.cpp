@@ -83,7 +83,6 @@ TEST(Tuner, SearchFindsValidBest) {
 TEST(Tuner, PpcgSpaceIsAlwaysTiled) {
   TuningSpace S = ppcgSpace();
   EXPECT_FALSE(S.AllowUntiled);
-  EXPECT_TRUE(S.AllowTiling);
   const Benchmark &B = findBenchmark("Jacobi2D5pt");
   TuningProblem P = makeProblem(B, false);
   TuningSpace Trim = S;
@@ -92,6 +91,10 @@ TEST(Tuner, PpcgSpaceIsAlwaysTiled) {
   TuneResult R = tuneStencil(P, deviceNvidiaK20c(), Trim);
   ASSERT_TRUE(R.Best.Valid);
   EXPECT_TRUE(R.Best.C.Options.Tile);
+  // Not just the winner: the space yields no untiled candidate at all.
+  ASSERT_FALSE(R.All.empty());
+  for (const Evaluated &E : R.All)
+    EXPECT_TRUE(E.C.Options.Tile) << E.C.describe();
 }
 
 TEST(Tuner, MaliPrefersNoLocalMemory) {
