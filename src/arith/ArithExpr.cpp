@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <limits>
 #include <mutex>
 
 using namespace lift;
@@ -116,26 +117,48 @@ bool lift::exprEquals(const AExpr &A, const AExpr &B) {
 // Range analysis
 //===----------------------------------------------------------------------===//
 
+// Interval bounds that overflow int64 are dropped rather than wrapped:
+// an absent bound is the unbounded side, which is always conservative.
+
 static Range addRanges(const Range &A, const Range &B) {
   Range R;
-  if (A.Min && B.Min)
-    R.Min = *A.Min + *B.Min;
-  if (A.Max && B.Max)
-    R.Max = *A.Max + *B.Max;
+  std::int64_t V;
+  if (A.Min && B.Min && !__builtin_add_overflow(*A.Min, *B.Min, &V))
+    R.Min = V;
+  if (A.Max && B.Max && !__builtin_add_overflow(*A.Max, *B.Max, &V))
+    R.Max = V;
   return R;
 }
 
 static Range mulRanges(const Range &A, const Range &B) {
-  if (A.isBounded() && B.isBounded()) {
-    std::int64_t P[4] = {*A.Min * *B.Min, *A.Min * *B.Max, *A.Max * *B.Min,
-                         *A.Max * *B.Max};
-    return Range(*std::min_element(P, P + 4), *std::max_element(P, P + 4));
-  }
   Range R;
+  std::int64_t V;
+  if (A.isBounded() && B.isBounded()) {
+    // A corner product that overflows has the sign of its factors; it
+    // leaves that side of the interval unbounded.
+    bool MinOverflow = false, MaxOverflow = false;
+    std::int64_t Lo = std::numeric_limits<std::int64_t>::max();
+    std::int64_t Hi = std::numeric_limits<std::int64_t>::min();
+    for (std::int64_t X : {*A.Min, *A.Max})
+      for (std::int64_t Y : {*B.Min, *B.Max}) {
+        if (__builtin_mul_overflow(X, Y, &V)) {
+          ((X < 0) != (Y < 0) ? MinOverflow : MaxOverflow) = true;
+          continue;
+        }
+        Lo = std::min(Lo, V);
+        Hi = std::max(Hi, V);
+      }
+    if (!MinOverflow)
+      R.Min = Lo;
+    if (!MaxOverflow)
+      R.Max = Hi;
+    return R;
+  }
   // Both factors known non-negative: the product is non-negative and at
   // least the product of the known lower bounds.
-  if (A.atLeast(0) && B.atLeast(0))
-    R.Min = *A.Min * *B.Min;
+  if (A.atLeast(0) && B.atLeast(0) &&
+      !__builtin_mul_overflow(*A.Min, *B.Min, &V))
+    R.Min = V;
   return R;
 }
 

@@ -6,6 +6,7 @@
 
 #include "native/CEmitter.h"
 
+#include "ocl/Emitter.h"
 #include "support/Support.h"
 
 #include <cmath>
@@ -246,6 +247,46 @@ private:
   std::unordered_map<int, Uses> BufUses;
 };
 
+void collectLoads(const KExpr &E, std::set<int> &Loaded) {
+  switch (E.K) {
+  case KExpr::Kind::Load:
+    Loaded.insert(E.BufferId);
+    break;
+  case KExpr::Kind::CallUF:
+    for (const KExprPtr &A : E.Args)
+      collectLoads(*A, Loaded);
+    break;
+  case KExpr::Kind::Select:
+    collectLoads(*E.Then, Loaded);
+    collectLoads(*E.Else, Loaded);
+    break;
+  case KExpr::Kind::ConstScalar:
+  case KExpr::Kind::IndexVal:
+  case KExpr::Kind::ReadVar:
+    break;
+  }
+}
+
+/// The SIMD legality rule: a work-item loop (never Seq, so never a
+/// reduction or an unrolled loop) whose body is stores only, none of
+/// them to a buffer the body also loads. Its iterations are then
+/// independent and may run in vector lanes.
+bool isSimdLoop(const Stmt &S) {
+  if (S.LK == LoopKind::Seq)
+    return false;
+  std::set<int> Stored, Loaded;
+  for (const StmtPtr &C : S.Body) {
+    if (C->K != Stmt::Kind::Store)
+      return false;
+    Stored.insert(C->BufferId);
+    collectLoads(*C->Value, Loaded);
+  }
+  for (int Id : Stored)
+    if (Loaded.count(Id))
+      return false;
+  return true;
+}
+
 class Printer {
 public:
   Printer(const Kernel &K, const CEmitOptions &O)
@@ -294,7 +335,10 @@ private:
     Out += '\n';
   }
 
-  std::string renderIndex(const AExpr &E) const;
+  std::string renderIndex(const AExpr &E) const {
+    return ocl::renderIndex(
+        E, [this](const ArithExpr &V) { return Names.var(V.getVarId()); });
+  }
   std::string renderExpr(const KExpr &E) const;
   void printDecl(int BufId);
   void printRegDecl(int RegId);
@@ -312,50 +356,6 @@ private:
   std::unordered_map<const Stmt *, std::pair<std::size_t, std::string>>
       RegionIdx;
 };
-
-std::string Printer::renderIndex(const AExpr &E) const {
-  switch (E->getKind()) {
-  case ArithExpr::Kind::Cst:
-    return std::to_string(E->getCst());
-  case ArithExpr::Kind::Var:
-    return Names.var(E->getVarId());
-  case ArithExpr::Kind::Add:
-  case ArithExpr::Kind::Mul: {
-    const char *Op = E->getKind() == ArithExpr::Kind::Add ? " + " : " * ";
-    std::string S = "(";
-    const std::vector<AExpr> &Ops = E->getOperands();
-    for (std::size_t I = 0; I != Ops.size(); ++I) {
-      if (I)
-        S += Op;
-      S += renderIndex(Ops[I]);
-    }
-    return S + ")";
-  }
-  case ArithExpr::Kind::Div:
-  case ArithExpr::Kind::Mod:
-  case ArithExpr::Kind::Min:
-  case ArithExpr::Kind::Max: {
-    const char *Fn = nullptr;
-    switch (E->getKind()) {
-    case ArithExpr::Kind::Div:
-      Fn = "lift_fdiv";
-      break;
-    case ArithExpr::Kind::Mod:
-      Fn = "lift_fmod";
-      break;
-    case ArithExpr::Kind::Min:
-      Fn = "lift_min";
-      break;
-    default:
-      Fn = "lift_max";
-      break;
-    }
-    return std::string(Fn) + "(" + renderIndex(E->getOperands()[0]) + ", " +
-           renderIndex(E->getOperands()[1]) + ")";
-  }
-  }
-  unreachable("covered switch");
-}
 
 std::string Printer::renderExpr(const KExpr &E) const {
   switch (E.K) {
@@ -447,9 +447,12 @@ void Printer::printStmt(const Stmt &S) {
   }
 
   bool IsRoot = Plan.Parallel && Plan.Roots.count(&S);
+  bool Simd = isSimdLoop(S);
   if (IsRoot)
-    line("#pragma omp parallel for schedule(static) "
-         "num_threads(lift_threads)");
+    line(std::string("#pragma omp parallel for") + (Simd ? " simd" : "") +
+         " schedule(static) num_threads(lift_threads)");
+  else if (Simd)
+    line("#pragma omp simd");
   if (S.Unroll && S.Count->getKind() == ArithExpr::Kind::Cst &&
       S.Count->getCst() >= 1 && S.Count->getCst() <= 64)
     line("#pragma GCC unroll " + std::to_string(S.Count->getCst()));
@@ -503,21 +506,7 @@ std::string Printer::run() {
   // Floor-semantics integer helpers: the simulator evaluates index
   // arithmetic with floorDivInt/floorModInt (support/Support.h); these
   // are the same functions in C.
-  Out += "static inline long long lift_fdiv(long long a, long long b) {\n";
-  Out += "  long long q = a / b;\n";
-  Out += "  if ((a % b != 0) && ((a < 0) != (b < 0)))\n";
-  Out += "    --q;\n";
-  Out += "  return q;\n";
-  Out += "}\n";
-  Out += "static inline long long lift_fmod(long long a, long long b) {\n";
-  Out += "  return a - lift_fdiv(a, b) * b;\n";
-  Out += "}\n";
-  Out += "static inline long long lift_min(long long a, long long b) {\n";
-  Out += "  return a < b ? a : b;\n";
-  Out += "}\n";
-  Out += "static inline long long lift_max(long long a, long long b) {\n";
-  Out += "  return a > b ? a : b;\n";
-  Out += "}\n";
+  Out += ocl::indexHelpers("static inline ", "long long");
   if (Profile) {
     // The region timer: the same monotonic clock the runner times whole
     // kernels with, read as seconds so accumulation stays a single add.
@@ -531,7 +520,7 @@ std::string Printer::run() {
   Out += "\n";
 
   for (const ir::UserFunPtr &UF : K.UserFuns) {
-    std::string Sig = "static ";
+    std::string Sig = "static inline ";
     Sig += UF->getRetKind() == ir::ScalarKind::Float ? "float" : "int";
     Sig += " " + UF->getName() + "(";
     for (std::size_t I = 0; I != UF->getParamNames().size(); ++I) {

@@ -34,6 +34,15 @@
 /// of them) the emitter falls back to a fully sequential program,
 /// which is always correct.
 ///
+/// Vectorization: a work-item loop (Glb/Wrg/Lcl, never Seq) whose body
+/// is stores only, none to a buffer that body also loads, has
+/// independent iterations and gets `#pragma omp simd` (a parallel root
+/// gets `#pragma omp parallel for simd`). The pragma states the
+/// independence that OpenMP outlining hides from the compiler by
+/// dropping `restrict`. It holds in the sequential fallback and in
+/// profile mode too, since it starts no threads. User functions are
+/// `static inline` so they inline into the vector loop.
+///
 /// The entry point ABI is positional, one signature for every kernel:
 ///
 ///   void <name>(void **lift_bufs, const long long *lift_sizes,

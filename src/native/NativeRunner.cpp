@@ -140,8 +140,9 @@ int invokeCompiler(const std::string &Compiler, const std::string &Src,
   std::string Cmd = shellQuote(Compiler) + " -O" +
                     std::to_string(O.OptLevel) +
                     " -fPIC -shared -ffp-contract=off";
-  if (WithOpenMP)
-    Cmd += " -fopenmp";
+  // Without the OpenMP runtime, -fopenmp-simd still honours the
+  // emitter's `omp simd` pragmas.
+  Cmd += WithOpenMP ? " -fopenmp" : " -fopenmp-simd";
   Cmd += " -o " + shellQuote(Obj) + " " + shellQuote(Src) + " -lm";
   return runCommand(Cmd, Diag);
 }
@@ -219,8 +220,8 @@ NativeKernelPtr lift::native::compileCSource(const std::string &Source,
   int RC = invokeCompiler(Compiler, Src, Obj, O, /*WithOpenMP=*/true, Diag);
   if (RC != 0) {
     // Some toolchains (clang without libomp) cannot link -fopenmp;
-    // retry sequentially — the pragmas are then inert, which is still
-    // correct, just single-threaded.
+    // retry single-threaded — the thread pragmas are then inert, which
+    // is still correct, and the simd pragmas still vectorize.
     std::string Diag2;
     if (invokeCompiler(Compiler, Src, Obj, O, /*WithOpenMP=*/false,
                        Diag2) == 0) {

@@ -141,8 +141,11 @@ using NativeKernelPtr = std::shared_ptr<const NativeKernel>;
 /// object and resolves \p EntryName. Building block of compileKernel
 /// and directly testable for the error paths. Compiles with -fopenmp
 /// so the emitter's pragmas take effect; if that fails (e.g. clang
-/// without libomp) it retries once without — the pragmas are then
-/// ignored and the kernel runs sequentially, which is always correct.
+/// without libomp) it retries once with -fopenmp-simd instead — the
+/// thread pragmas are then ignored and the kernel runs single-threaded,
+/// which is always correct, while the simd pragmas still vectorize.
+/// The retry needs a compiler that knows -fopenmp-simd (gcc >= 4.9,
+/// clang >= 3.7).
 NativeKernelPtr compileCSource(const std::string &Source,
                                const std::string &EntryName,
                                const NativeOptions &O = {});

@@ -20,12 +20,17 @@ const char *scalarCType(ScalarKind K) {
   return K == ScalarKind::Float ? "float" : "int";
 }
 
+std::string varName(const ArithExpr &V) { return V.getVarName(); }
+
+std::string printIndex(const AExpr &E) { return renderIndex(E, varName); }
+
 class Printer {
 public:
   explicit Printer(const Kernel &K) : K(K) {}
 
   std::string print() {
     OS << "// Generated by liftcpp (CGO'18 Lift stencil reproduction)\n\n";
+    OS << indexHelpers("", "int") << "\n";
     for (const UserFunPtr &UF : K.UserFuns)
       OS << UF->toOpenCL() << "\n";
     if (!K.UserFuns.empty())
@@ -54,10 +59,10 @@ public:
     for (const BufferDecl &B : K.Buffers) {
       if (B.Space == MemSpace::Local)
         line("local " + std::string(scalarCType(B.ElemKind)) + " " + B.Name +
-             "[" + B.NumElems->toString() + "];");
+             "[" + printIndex(B.NumElems) + "];");
       else if (B.Space == MemSpace::Private)
         line(std::string(scalarCType(B.ElemKind)) + " " + B.Name + "[" +
-             B.NumElems->toString() + "];");
+             printIndex(B.NumElems) + "];");
     }
     for (const RegisterDecl &R : K.Registers)
       line(std::string(scalarCType(R.Kind)) + " " + R.Name + ";");
@@ -87,8 +92,8 @@ private:
   void printStmt(const Stmt &S) {
     switch (S.K) {
     case Stmt::Kind::Store:
-      line(K.buffer(S.BufferId).Name + "[" + S.Index->toString() +
-           "] = " + printExpr(*S.Value) + ";");
+      line(K.buffer(S.BufferId).Name + "[" + printIndex(S.Index) + "] = " +
+           printExpr(*S.Value) + ";");
       return;
     case Stmt::Kind::AssignVar:
       line(K.Registers[std::size_t(S.VarId)].Name + " = " +
@@ -99,7 +104,7 @@ private:
       return;
     case Stmt::Kind::Loop: {
       std::string V = S.LoopVar->getVarName();
-      std::string N = S.Count->toString();
+      std::string N = printIndex(S.Count);
       std::string Init, Stride;
       switch (S.LK) {
       case LoopKind::Seq:
@@ -147,11 +152,11 @@ private:
       }
       return std::to_string(E.Const.I);
     case KExpr::Kind::IndexVal:
-      return E.Index->toString();
+      return printIndex(E.Index);
     case KExpr::Kind::ReadVar:
       return K.Registers[std::size_t(E.VarId)].Name;
     case KExpr::Kind::Load:
-      return K.buffer(E.BufferId).Name + "[" + E.Index->toString() + "]";
+      return K.buffer(E.BufferId).Name + "[" + printIndex(E.Index) + "]";
     case KExpr::Kind::CallUF: {
       std::string S = E.UF->getName() + "(";
       for (std::size_t I = 0, N = E.Args.size(); I != N; ++I) {
@@ -167,8 +172,9 @@ private:
         const BoundsCheck &C = E.Checks[I];
         if (I != 0)
           Cond += " && ";
-        Cond += "(" + C.Idx->toString() + " >= " + C.Lo->toString() +
-                " && " + C.Idx->toString() + " < " + C.Hi->toString() + ")";
+        std::string Idx = printIndex(C.Idx);
+        Cond += "(" + Idx + " >= " + printIndex(C.Lo) + " && " + Idx + " < " +
+                printIndex(C.Hi) + ")";
       }
       return "((" + Cond + ") ? " + printExpr(*E.Then) + " : " +
              printExpr(*E.Else) + ")";
@@ -179,6 +185,58 @@ private:
 };
 
 } // namespace
+
+std::string lift::ocl::renderIndex(
+    const AExpr &E,
+    const std::function<std::string(const ArithExpr &Var)> &VarName) {
+  switch (E->getKind()) {
+  case ArithExpr::Kind::Cst:
+    return std::to_string(E->getCst());
+  case ArithExpr::Kind::Var:
+    return VarName(*E);
+  case ArithExpr::Kind::Add:
+  case ArithExpr::Kind::Mul: {
+    const char *Op = E->getKind() == ArithExpr::Kind::Add ? " + " : " * ";
+    std::string S = "(";
+    const std::vector<AExpr> &Ops = E->getOperands();
+    for (std::size_t I = 0; I != Ops.size(); ++I) {
+      if (I)
+        S += Op;
+      S += renderIndex(Ops[I], VarName);
+    }
+    return S + ")";
+  }
+  case ArithExpr::Kind::Div:
+  case ArithExpr::Kind::Mod:
+  case ArithExpr::Kind::Min:
+  case ArithExpr::Kind::Max: {
+    const char *Fn = E->getKind() == ArithExpr::Kind::Div   ? "lift_fdiv"
+                     : E->getKind() == ArithExpr::Kind::Mod ? "lift_fmod"
+                     : E->getKind() == ArithExpr::Kind::Min ? "lift_min"
+                                                            : "lift_max";
+    return std::string(Fn) + "(" + renderIndex(E->getOperands()[0], VarName) +
+           ", " + renderIndex(E->getOperands()[1], VarName) + ")";
+  }
+  }
+  unreachable("covered switch");
+}
+
+std::string lift::ocl::indexHelpers(const std::string &Qualifiers,
+                                    const std::string &IntType) {
+  std::string Out;
+  auto Helper = [&](const char *Name, const std::string &Body) {
+    Out += Qualifiers + IntType + " " + Name + "(" + IntType + " a, " +
+           IntType + " b) {\n" + Body + "}\n";
+  };
+  Helper("lift_fdiv", "  " + IntType + " q = a / b;\n"
+                      "  if ((a % b != 0) && ((a < 0) != (b < 0)))\n"
+                      "    --q;\n"
+                      "  return q;\n");
+  Helper("lift_fmod", "  return a - lift_fdiv(a, b) * b;\n");
+  Helper("lift_min", "  return a < b ? a : b;\n");
+  Helper("lift_max", "  return a > b ? a : b;\n");
+  return Out;
+}
 
 std::string lift::ocl::emitOpenCL(const Kernel &K) {
   Printer P(K);

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -92,27 +94,37 @@ struct BuiltExpr {
   AExpr E;
 };
 
-BuiltExpr randomLeaf(RandomSource &Rng, const VarPool &Pool, bool Positive) {
+/// Trees whose nodes may exceed this magnitude are regenerated, so no
+/// evaluation overflows int64 while a large constant times a few
+/// variables still folds and range-analyses near the 2^31 scale.
+constexpr std::int64_t MaxNodeMagnitude = std::int64_t(1) << 46;
+
+std::unique_ptr<Shadow> randomLeaf(RandomSource &Rng, const VarPool &Pool,
+                                   bool Positive) {
   auto S = std::make_unique<Shadow>();
   if ((!Positive && Rng.nextInt(0, 2) == 0) ||
       (Positive && Rng.nextInt(0, 1) == 0)) {
     S->K = Shadow::Cst;
-    S->C = Rng.nextInt(Positive ? 1 : -4, 4);
-    AExpr E = cst(S->C);
-    return {std::move(S), std::move(E)};
+    // One constant in eight is large, so constant folding and interval
+    // arithmetic see magnitudes far beyond the small-index range.
+    if (Rng.nextInt(0, 7) == 0)
+      S->C = Rng.nextInt(std::int64_t(1) << 20, std::int64_t(1) << 31) *
+             (Positive || Rng.nextInt(0, 1) ? 1 : -1);
+    else
+      S->C = Rng.nextInt(Positive ? 1 : -4, 4);
+    return S;
   }
   S->K = Shadow::Var;
   S->VarIdx = std::size_t(Rng.nextInt(0, std::int64_t(Pool.Vars.size()) - 1));
-  AExpr E = Pool.Vars[S->VarIdx];
-  return {std::move(S), std::move(E)};
+  return S;
 }
 
-/// Builds a random tree of the given depth. \p Positive requests a
-/// subtree whose value is guaranteed strictly positive (needed for
+/// Builds a random shadow tree of the given depth. \p Positive requests
+/// a subtree whose value is guaranteed strictly positive (needed for
 /// divisors), which restricts it to positive leaves and Add/Mul/Min/Max
 /// combinations of positive subtrees.
-BuiltExpr randomTree(RandomSource &Rng, const VarPool &Pool, int Depth,
-                     bool Positive) {
+std::unique_ptr<Shadow> randomShadow(RandomSource &Rng, const VarPool &Pool,
+                                     int Depth, bool Positive) {
   if (Depth == 0)
     return randomLeaf(Rng, Pool, Positive);
   auto S = std::make_unique<Shadow>();
@@ -127,23 +139,77 @@ BuiltExpr randomTree(RandomSource &Rng, const VarPool &Pool, int Depth,
     S->K = Ops[Rng.nextInt(0, 6)];
   }
   bool RightPositive = Positive || S->K == Shadow::Div || S->K == Shadow::Mod;
-  BuiltExpr L = randomTree(Rng, Pool, Depth - 1, Positive);
-  BuiltExpr R = randomTree(Rng, Pool, Depth - 1, RightPositive);
-  AExpr E;
-  switch (S->K) {
-  case Shadow::Add: E = add(L.E, R.E); break;
-  case Shadow::Sub: E = sub(L.E, R.E); break;
-  case Shadow::Mul: E = mul(L.E, R.E); break;
-  case Shadow::Div: E = floorDiv(L.E, R.E); break;
-  case Shadow::Mod: E = floorMod(L.E, R.E); break;
-  case Shadow::Min: E = amin(L.E, R.E); break;
-  case Shadow::Max: E = amax(L.E, R.E); break;
-  case Shadow::Cst:
-  case Shadow::Var: unreachable("leaf op in interior node");
+  S->L = randomShadow(Rng, Pool, Depth - 1, Positive);
+  S->R = randomShadow(Rng, Pool, Depth - 1, RightPositive);
+  return S;
+}
+
+/// A bound on |value| of \p S over every assignment from \p Pool,
+/// saturating at INT64_MAX; \p Worst collects the largest bound of any
+/// node, since a huge subtree can hide under a small parent (x * 0).
+std::int64_t magnitudeBound(const Shadow &S, const VarPool &Pool,
+                            std::int64_t &Worst) {
+  constexpr std::int64_t Sat = std::numeric_limits<std::int64_t>::max();
+  std::int64_t B = 0;
+  if (S.K == Shadow::Cst) {
+    B = S.C < 0 ? -S.C : S.C;
+  } else if (S.K == Shadow::Var) {
+    B = *Pool.Vars[S.VarIdx]->getVarRange().Max;
+  } else {
+    std::int64_t L = magnitudeBound(*S.L, Pool, Worst);
+    std::int64_t R = magnitudeBound(*S.R, Pool, Worst);
+    switch (S.K) {
+    case Shadow::Add:
+    case Shadow::Sub:
+      B = __builtin_add_overflow(L, R, &B) ? Sat : B;
+      break;
+    case Shadow::Mul:
+      B = __builtin_mul_overflow(L, R, &B) ? Sat : B;
+      break;
+    case Shadow::Div: // floor division by a divisor >= 1
+      B = L;
+      break;
+    case Shadow::Mod: // floor modulo by a positive divisor lies in [0, R)
+      B = R;
+      break;
+    default: // Min, Max
+      B = std::max(L, R);
+      break;
+    }
   }
-  S->L = std::move(L.Ref);
-  S->R = std::move(R.Ref);
-  return {std::move(S), std::move(E)};
+  Worst = std::max(Worst, B);
+  return B;
+}
+
+AExpr buildExpr(const Shadow &S, const VarPool &Pool) {
+  switch (S.K) {
+  case Shadow::Cst: return cst(S.C);
+  case Shadow::Var: return Pool.Vars[S.VarIdx];
+  case Shadow::Add: return add(buildExpr(*S.L, Pool), buildExpr(*S.R, Pool));
+  case Shadow::Sub: return sub(buildExpr(*S.L, Pool), buildExpr(*S.R, Pool));
+  case Shadow::Mul: return mul(buildExpr(*S.L, Pool), buildExpr(*S.R, Pool));
+  case Shadow::Div:
+    return floorDiv(buildExpr(*S.L, Pool), buildExpr(*S.R, Pool));
+  case Shadow::Mod:
+    return floorMod(buildExpr(*S.L, Pool), buildExpr(*S.R, Pool));
+  case Shadow::Min: return amin(buildExpr(*S.L, Pool), buildExpr(*S.R, Pool));
+  case Shadow::Max: return amax(buildExpr(*S.L, Pool), buildExpr(*S.R, Pool));
+  }
+  unreachable("covered switch");
+}
+
+/// A random tree of the given depth whose every node stays within
+/// MaxNodeMagnitude, built both as a shadow and through the factories.
+BuiltExpr randomTree(RandomSource &Rng, const VarPool &Pool, int Depth) {
+  for (;;) {
+    std::unique_ptr<Shadow> Ref = randomShadow(Rng, Pool, Depth, false);
+    std::int64_t Worst = 0;
+    magnitudeBound(*Ref, Pool, Worst);
+    if (Worst > MaxNodeMagnitude)
+      continue;
+    AExpr E = buildExpr(*Ref, Pool);
+    return {std::move(Ref), std::move(E)};
+  }
 }
 
 std::unordered_map<unsigned, std::int64_t>
@@ -162,8 +228,7 @@ TEST(ArithProperty, SimplifiedFormAgreesWithDirectEvaluation) {
   RandomSource Rng(0x5eed0001);
   VarPool Pool(3);
   for (int Trial = 0; Trial != 300; ++Trial) {
-    BuiltExpr B = randomTree(Rng, Pool, Rng.nextInt(1, 4) == 4 ? 4 : 3,
-                             /*Positive=*/false);
+    BuiltExpr B = randomTree(Rng, Pool, Rng.nextInt(1, 4) == 4 ? 4 : 3);
     for (int Assign = 0; Assign != 5; ++Assign) {
       std::vector<std::int64_t> Vals = Pool.randomAssignment(Rng);
       std::int64_t Want = evalShadow(*B.Ref, Vals);
@@ -183,7 +248,7 @@ TEST(ArithProperty, StructuralEqualityCoincidesWithPointerEquality) {
   VarPool Pool(2);
   std::vector<AExpr> Exprs;
   for (int Trial = 0; Trial != 120; ++Trial)
-    Exprs.push_back(randomTree(Rng, Pool, 3, false).E);
+    Exprs.push_back(randomTree(Rng, Pool, 3).E);
   for (const AExpr &A : Exprs)
     for (const AExpr &B : Exprs) {
       ASSERT_EQ(exprEquals(A, B), A.get() == B.get())
@@ -201,7 +266,7 @@ TEST(ArithProperty, CompareExprsConsistentWithInterning) {
   VarPool Pool(2);
   std::vector<AExpr> Exprs;
   for (int Trial = 0; Trial != 60; ++Trial)
-    Exprs.push_back(randomTree(Rng, Pool, 2, false).E);
+    Exprs.push_back(randomTree(Rng, Pool, 2).E);
   for (const AExpr &A : Exprs)
     for (const AExpr &B : Exprs)
       ASSERT_EQ(compareExprs(A, B) == 0, A.get() == B.get());
@@ -213,7 +278,7 @@ TEST(ArithProperty, SubstitutionAgreesWithEvaluation) {
   RandomSource Rng(0x5eed0004);
   VarPool Pool(3);
   for (int Trial = 0; Trial != 150; ++Trial) {
-    BuiltExpr B = randomTree(Rng, Pool, 3, false);
+    BuiltExpr B = randomTree(Rng, Pool, 3);
     std::vector<std::int64_t> Vals = Pool.randomAssignment(Rng);
     std::unordered_map<unsigned, AExpr> Subst;
     for (std::size_t I = 0; I != Pool.Vars.size(); ++I)
@@ -230,7 +295,7 @@ TEST(ArithProperty, RangeAnalysisBoundsActualValues) {
   RandomSource Rng(0x5eed0005);
   VarPool Pool(3);
   for (int Trial = 0; Trial != 150; ++Trial) {
-    BuiltExpr B = randomTree(Rng, Pool, 3, false);
+    BuiltExpr B = randomTree(Rng, Pool, 3);
     Range R = B.E->getRange();
     for (int Assign = 0; Assign != 4; ++Assign) {
       std::vector<std::int64_t> Vals = Pool.randomAssignment(Rng);

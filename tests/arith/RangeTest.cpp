@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace lift;
 
 namespace {
@@ -90,6 +92,39 @@ TEST(Range, ClampIndexRange) {
   Range R = clampIndex(I, N)->getRange();
   ASSERT_TRUE(R.Min.has_value());
   EXPECT_EQ(*R.Min, 0);
+}
+
+TEST(Range, OverflowingProductLeavesThatSideUnbounded) {
+  // 2^30 * 2^60 does not fit in int64: the interval loses its upper
+  // bound instead of wrapping, and keeps the exact lower one.
+  AExpr N = var("n", Range(1, 1 << 30));
+  Range Pos = mul(cst(std::int64_t(1) << 60), N)->getRange();
+  ASSERT_TRUE(Pos.Min.has_value());
+  EXPECT_EQ(*Pos.Min, std::int64_t(1) << 60);
+  EXPECT_FALSE(Pos.Max.has_value());
+  // A negative factor overflows toward the minimum instead.
+  Range Neg = mul(cst(-(std::int64_t(1) << 60)), N)->getRange();
+  EXPECT_FALSE(Neg.Min.has_value());
+  ASSERT_TRUE(Neg.Max.has_value());
+  EXPECT_EQ(*Neg.Max, -(std::int64_t(1) << 60));
+}
+
+TEST(Range, OverflowingOneSidedProductIsUnbounded) {
+  Range Big;
+  Big.Min = std::int64_t(1) << 40;
+  AExpr A = var("a", Big), B = var("b", Big);
+  Range R = mul(A, B)->getRange();
+  EXPECT_FALSE(R.Min.has_value());
+  EXPECT_FALSE(R.Max.has_value());
+}
+
+TEST(Range, OverflowingSumLeavesThatSideUnbounded) {
+  AExpr A = var("a", Range(1, std::numeric_limits<std::int64_t>::max()));
+  AExpr B = var("b", Range(1, 2));
+  Range R = add(A, B)->getRange();
+  ASSERT_TRUE(R.Min.has_value());
+  EXPECT_EQ(*R.Min, 2);
+  EXPECT_FALSE(R.Max.has_value());
 }
 
 } // namespace

@@ -38,6 +38,24 @@ Program listing2() {
                              pad(cst(1), cst(1), Boundary::clamp(), A))));
 }
 
+/// The floor-semantics index helpers every OpenCL kernel starts with.
+const char *const IndexHelpers =
+    "int lift_fdiv(int a, int b) {\n"
+    "  int q = a / b;\n"
+    "  if ((a % b != 0) && ((a < 0) != (b < 0)))\n"
+    "    --q;\n"
+    "  return q;\n"
+    "}\n"
+    "int lift_fmod(int a, int b) {\n"
+    "  return a - lift_fdiv(a, b) * b;\n"
+    "}\n"
+    "int lift_min(int a, int b) {\n"
+    "  return a < b ? a : b;\n"
+    "}\n"
+    "int lift_max(int a, int b) {\n"
+    "  return a > b ? a : b;\n"
+    "}\n";
+
 /// Lowers and fails the test (instead of passing nullptr into
 /// compileProgram) when the options do not apply.
 Program lowerOrFail(const Program &P, const LoweringOptions &O) {
@@ -52,8 +70,10 @@ TEST(GoldenKernel, Listing2Global) {
   LoweringOptions O;
   Compiled C = compileProgram(lowerOrFail(listing2(), O), "jacobi3pt");
   std::string Src = ocl::emitOpenCL(C.K);
-  const char *Expected =
-      "// Generated by liftcpp (CGO'18 Lift stencil reproduction)\n"
+  std::string Expected =
+      std::string("// Generated by liftcpp (CGO'18 Lift stencil "
+                  "reproduction)\n\n") +
+      IndexHelpers +
       "\n"
       "float addF(float a, float b) { return a + b; }\n"
       "\n"
@@ -64,7 +84,7 @@ TEST(GoldenKernel, Listing2Global) {
       "i0 += get_global_size(0)) {\n"
       "    acc0 = 0.0f;\n"
       "    for (int i1 = 0; i1 < 3; i1 += 1) {\n"
-      "      acc0 = addF(acc0, in0[max(0, min((-1 + n), "
+      "      acc0 = addF(acc0, in0[lift_max(0, lift_min((-1 + n), "
       "(-1 + i0 + i1)))]);\n"
       "    }\n"
       "    out[i0] = acc0;\n"
@@ -81,8 +101,10 @@ TEST(GoldenKernel, Listing2TiledLocalUnrolled) {
   O.UnrollReduce = true;
   Compiled C = compileProgram(lowerOrFail(listing2(), O), "jacobi3pt");
   std::string Src = ocl::emitOpenCL(C.K);
-  const char *Expected =
-      "// Generated by liftcpp (CGO'18 Lift stencil reproduction)\n"
+  std::string Expected =
+      std::string("// Generated by liftcpp (CGO'18 Lift stencil "
+                  "reproduction)\n\n") +
+      IndexHelpers +
       "\n"
       "float idF(float x) { return x; }\n"
       "float addF(float a, float b) { return a + b; }\n"
@@ -94,12 +116,12 @@ TEST(GoldenKernel, Listing2TiledLocalUnrolled) {
       // Clamped (remainder-legal) tiling: ceil(n/4) work-groups, the
       // last one shifted left to min(n-4, 4*i0) so it stays in bounds
       // at any n >= 4 (exact fits fold back at concrete sizes).
-      "  for (int i0 = get_group_id(0); i0 < (1 + ((-1 + n) / 4)); "
+      "  for (int i0 = get_group_id(0); i0 < (1 + lift_fdiv((-1 + n), 4)); "
       "i0 += get_num_groups(0)) {\n"
       "    for (int i1 = get_local_id(0); i1 < 6; "
       "i1 += get_local_size(0)) {\n"
-      "      lcl0[i1] = idF(in0[max(0, min((-1 + n), "
-      "(-1 + i1 + min((-4 + n), (4 * i0)))))]);\n"
+      "      lcl0[i1] = idF(in0[lift_max(0, lift_min((-1 + n), "
+      "(-1 + i1 + lift_min((-4 + n), (4 * i0)))))]);\n"
       "    }\n"
       "    barrier(CLK_LOCAL_MEM_FENCE);\n"
       "    for (int i2 = get_local_id(0); i2 < 4; "
@@ -109,7 +131,7 @@ TEST(GoldenKernel, Listing2TiledLocalUnrolled) {
       "      for (int i3 = 0; i3 < 3; i3 += 1) {\n"
       "        acc0 = addF(acc0, lcl0[(i2 + i3)]);\n"
       "      }\n"
-      "      out[(i2 + min((-4 + n), (4 * i0)))] = acc0;\n"
+      "      out[(i2 + lift_min((-4 + n), (4 * i0)))] = acc0;\n"
       "    }\n"
       "  }\n"
       "}\n";

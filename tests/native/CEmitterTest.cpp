@@ -4,10 +4,11 @@
 //
 // Exercises the emitter on hand-built kernels where each property is
 // isolated: loop structure and iteration counts, OpenMP pragma
-// placement and the sequential fallback, boundary-clamp index
-// rendering through the floor-division helpers, local-memory tile
-// declarations and their per-thread privatization, and the exact
-// float-literal formatting the bit-identity contract depends on.
+// placement (thread roots, the SIMD legality rule) and the sequential
+// fallback, boundary-clamp index rendering through the floor-division
+// helpers, local-memory tile declarations and their per-thread
+// privatization, and the exact float-literal formatting the
+// bit-identity contract depends on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,8 @@
 #include "stencil/Benchmarks.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 using namespace lift;
 using namespace lift::ocl;
@@ -41,6 +44,39 @@ Kernel simpleGlbKernel() {
 }
 
 std::string emitDefault(const Kernel &K) { return native::emitC(K); }
+
+/// The line just above the first line containing \p Needle, without
+/// its indentation; empty when there is none.
+std::string lineAbove(const std::string &Src, const std::string &Needle) {
+  std::size_t At = Src.find(Needle);
+  if (At == std::string::npos)
+    return "";
+  std::size_t End = Src.rfind('\n', At);
+  if (End == std::string::npos || End == 0)
+    return "";
+  std::size_t Begin = Src.rfind('\n', End - 1);
+  Begin = Begin == std::string::npos ? 0 : Begin + 1;
+  Begin = Src.find_first_not_of(' ', Begin);
+  return Src.substr(Begin, End - Begin);
+}
+
+/// A kernel with one global input and one global output of length n
+/// and the body \p Build returns, given n, in0 (buffer 0) and out
+/// (buffer 1).
+Kernel storeKernel(
+    const std::function<std::vector<StmtPtr>(const AExpr &N)> &Build) {
+  Kernel K;
+  AExpr N = var("n", Range(1, 1 << 30));
+  K.Name = "k";
+  K.Buffers.push_back({0, "in0", ir::ScalarKind::Float, MemSpace::Global, N,
+                       true, false});
+  K.Buffers.push_back({1, "out", ir::ScalarKind::Float, MemSpace::Global, N,
+                       false, true});
+  K.Registers.push_back({0, "acc", ir::ScalarKind::Float});
+  K.SizeArgs.push_back({N->getVarId(), "n"});
+  K.Body = Build(N);
+  return K;
+}
 
 TEST(CEmitter, LoopStructureAndAbi) {
   std::string Src = emitDefault(simpleGlbKernel());
@@ -70,9 +106,12 @@ TEST(CEmitter, OpenMpPragmaOnOutermostGlbLoopOnly) {
   ASSERT_NE(Pragma, std::string::npos);
   EXPECT_EQ(Src.find("#pragma omp", Pragma + 1), std::string::npos)
       << "only the root loop may carry the pragma";
-  // The pragma must immediately precede the root loop.
-  std::size_t Loop = Src.find("for (long long i = 0;");
-  EXPECT_LT(Pragma, Loop);
+  // The pragma must immediately precede the root loop. A 1-D root
+  // whose body only stores is also a SIMD loop: one combined pragma.
+  EXPECT_EQ(lineAbove(Src, "for (long long i = 0;"),
+            "#pragma omp parallel for simd schedule(static) "
+            "num_threads(lift_threads)")
+      << Src;
 }
 
 TEST(CEmitter, NestedGlbLoopGetsNoPragma) {
@@ -93,7 +132,75 @@ TEST(CEmitter, NestedGlbLoopGetsNoPragma) {
   std::string Src = emitDefault(K);
   std::size_t First = Src.find("#pragma omp parallel for");
   ASSERT_NE(First, std::string::npos);
-  EXPECT_EQ(Src.find("#pragma omp", First + 1), std::string::npos);
+  EXPECT_EQ(Src.find("#pragma omp parallel", First + 1), std::string::npos);
+}
+
+TEST(CEmitter, NestedGlbStoreLoopGetsOmpSimd) {
+  // The inner Glb loop stores only and loads another buffer: its
+  // iterations are independent, so it is vectorized. The outer loop
+  // holds a loop, so it is a plain thread root.
+  Kernel K = storeKernel([](const AExpr &N) {
+    AExpr I = var("i"), J = var("j");
+    return std::vector<StmtPtr>{sLoop(
+        LoopKind::Glb, 0, I, N,
+        {sLoop(LoopKind::Glb, 1, J, N,
+               {sStore(1, add(I, J), kLoad(0, add(I, J)))})})};
+  });
+  std::string Src = emitDefault(K);
+  EXPECT_EQ(lineAbove(Src, "for (long long i = 0;"),
+            "#pragma omp parallel for schedule(static) "
+            "num_threads(lift_threads)")
+      << Src;
+  EXPECT_EQ(lineAbove(Src, "for (long long j = 0;"), "#pragma omp simd")
+      << Src;
+}
+
+TEST(CEmitter, SimdOnlyOnIndependentWorkItemLoops) {
+  using Body = std::function<std::vector<StmtPtr>(const AExpr &)>;
+  const std::pair<const char *, Body> Refused[] = {
+      {"a Seq loop",
+       [](const AExpr &N) {
+         AExpr I = var("i");
+         return std::vector<StmtPtr>{
+             sLoop(LoopKind::Seq, 0, I, N, {sStore(1, I, kLoad(0, I))})};
+       }},
+      {"an unrolled loop",
+       [](const AExpr &) {
+         AExpr I = var("i");
+         return std::vector<StmtPtr>{
+             sLoop(LoopKind::Seq, 0, I, cst(3), {sStore(1, I, kLoad(0, I))},
+                   /*Unroll=*/true)};
+       }},
+      {"a body with AssignVar",
+       [](const AExpr &N) {
+         AExpr I = var("i");
+         return std::vector<StmtPtr>{
+             sLoop(LoopKind::Glb, 0, I, N,
+                   {sAssign(0, kLoad(0, I)), sStore(1, I, kReadVar(0))})};
+       }},
+      {"a body with a nested loop",
+       [](const AExpr &N) {
+         AExpr I = var("i"), J = var("j");
+         return std::vector<StmtPtr>{sLoop(
+             LoopKind::Glb, 0, I, N,
+             {sLoop(LoopKind::Seq, 0, J, cst(2),
+                    {sStore(1, I, kLoad(0, add(I, J)))})})};
+       }},
+      {"a body that loads the buffer it stores",
+       [](const AExpr &N) {
+         AExpr I = var("i");
+         KExprPtr Sum = kCallUF(ir::ufAddFloat(),
+                                {kLoad(0, I), kLoad(1, floorDiv(I, cst(2)))});
+         return std::vector<StmtPtr>{
+             sLoop(LoopKind::Glb, 0, I, N, {sStore(1, I, Sum)})};
+       }},
+  };
+  for (const auto &[What, Build] : Refused) {
+    std::string Src = emitDefault(storeKernel(Build));
+    EXPECT_EQ(Src.find("simd"), std::string::npos)
+        << What << " must not be vectorized:\n"
+        << Src;
+  }
 }
 
 TEST(CEmitter, RegisterSharedAcrossRootsForcesSequentialFallback) {
@@ -112,7 +219,7 @@ TEST(CEmitter, RegisterSharedAcrossRootsForcesSequentialFallback) {
       sLoop(LoopKind::Glb, 0, I, N, {sAssign(0, kConst(ir::Scalar(0.0f)))}));
   K.Body.push_back(sLoop(LoopKind::Glb, 0, J, N, {sStore(0, J, kReadVar(0))}));
   std::string Src = emitDefault(K);
-  EXPECT_EQ(Src.find("#pragma omp"), std::string::npos)
+  EXPECT_EQ(Src.find("#pragma omp parallel"), std::string::npos)
       << "register live across two roots must disable parallelism";
   EXPECT_NE(Src.find("float acc = 0;"), std::string::npos);
 }

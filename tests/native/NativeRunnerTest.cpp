@@ -5,7 +5,8 @@
 // Exercises the native execution backend end to end (bit-identity
 // against the simulator, thread-count determinism, the compiled-kernel
 // cache) and each recoverable error path: compiler not found, compile
-// failure with diagnostics, missing entry symbol. Also pins the temp
+// failure with diagnostics, missing entry symbol, and the retry with
+// -fopenmp-simd when -fopenmp does not link. Also pins the temp
 // hygiene contract — a private $TMPDIR is left empty after both
 // successful and failing compilations.
 //
@@ -20,10 +21,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <dirent.h>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <sys/stat.h>
+#include <unistd.h>
 #include <vector>
 
 using namespace lift;
@@ -320,6 +326,69 @@ TEST(NativeRunner, TempDirLeftEmptyOnSuccessAndFailure) {
   else
     ::unsetenv("TMPDIR");
   ::rmdir(Priv);
+}
+
+TEST(NativeRunner, RetryWithoutOpenMPRuntimeKeepsSimd) {
+  REQUIRE_TOOLCHAIN();
+  std::string RealCC = findCompiler(NativeOptions{});
+
+  // A compiler that cannot link -fopenmp (clang without libomp) and
+  // otherwise is the host compiler; it logs each command line.
+  char Dir[] = "/tmp/lift-native-test-XXXXXX";
+  ASSERT_NE(::mkdtemp(Dir), nullptr);
+  std::string Log = std::string(Dir) + "/args.log";
+  std::string Script = std::string(Dir) + "/no-libomp-cc";
+  {
+    std::ofstream S(Script);
+    S << "#!/bin/sh\n"
+      << "echo \"$*\" >> '" << Log << "'\n"
+      << "for a in \"$@\"; do\n"
+      << "  if [ \"$a\" = -fopenmp ]; then echo 'no libomp' >&2; exit 1; fi\n"
+      << "done\n"
+      << "exec '" << RealCC << "' \"$@\"\n";
+  }
+  ASSERT_EQ(::chmod(Script.c_str(), 0755), 0);
+
+  NativeOptions O;
+  O.CompilerPath = Script;
+  const std::string Src =
+      "\nvoid simd_entry(void **bufs, const long long *sizes, int threads,"
+      " double *prof) {\n"
+      "  float *restrict out = (float *)bufs[0];\n"
+      "  (void)threads; (void)prof;\n"
+      "  #pragma omp parallel for simd\n"
+      "  for (long long i = 0; i < sizes[0]; ++i)\n"
+      "    out[i] = 2.0f * (float)i;\n"
+      "}\n";
+  NativeKernelPtr Kern = compileCSource(Src, "simd_entry", O);
+  std::vector<float> Out(37, -1.0f);
+  void *Bufs[1] = {Out.data()};
+  long long Sz[1] = {37};
+  double Prof[1] = {0};
+  Kern->entry()(Bufs, Sz, 4, Prof);
+  for (std::size_t I = 0; I != Out.size(); ++I)
+    EXPECT_EQ(Out[I], 2.0f * float(I)) << "at " << I;
+
+  // Two attempts: -fopenmp (refused), then -fopenmp-simd.
+  std::ifstream L(Log);
+  std::vector<std::vector<std::string>> Calls;
+  for (std::string Line; std::getline(L, Line);) {
+    std::istringstream W(Line);
+    Calls.emplace_back();
+    for (std::string A; W >> A;)
+      Calls.back().push_back(A);
+  }
+  auto Has = [](const std::vector<std::string> &Args, const char *Flag) {
+    return std::find(Args.begin(), Args.end(), Flag) != Args.end();
+  };
+  ASSERT_EQ(Calls.size(), 2u);
+  EXPECT_TRUE(Has(Calls[0], "-fopenmp"));
+  EXPECT_FALSE(Has(Calls[1], "-fopenmp"));
+  EXPECT_TRUE(Has(Calls[1], "-fopenmp-simd"));
+
+  ::unlink(Log.c_str());
+  ::unlink(Script.c_str());
+  ::rmdir(Dir);
 }
 
 } // namespace

@@ -26,7 +26,7 @@ static inline long long lift_max(long long a, long long b) {
   return a > b ? a : b;
 }
 
-static float Jacobi2D5pt_f(float a0, float a1, float a2, float a3, float a4) { return 0.200000003f * a0 + 0.200000003f * a1 + 0.200000003f * a2 + 0.200000003f * a3 + 0.200000003f * a4; }
+static inline float Jacobi2D5pt_f(float a0, float a1, float a2, float a3, float a4) { return 0.200000003f * a0 + 0.200000003f * a1 + 0.200000003f * a2 + 0.200000003f * a3 + 0.200000003f * a4; }
 
 void Jacobi2D5pt(void **lift_bufs, const long long *lift_sizes, int lift_threads, double *lift_prof) {
   float *restrict in0 = (float *)lift_bufs[0];
@@ -37,24 +37,29 @@ void Jacobi2D5pt(void **lift_bufs, const long long *lift_sizes, int lift_threads
   (void)lift_prof;
   #pragma omp parallel for schedule(static) num_threads(lift_threads)
   for (long long i0 = 0; i0 < 1; ++i0) {
+    #pragma omp simd
     for (long long i1_3 = 0; i1_3 < d1; ++i1_3) {
       out[(i1_3 + (d1 * i0))] = Jacobi2D5pt_f(in0[(lift_min(i1_3, (-1 + d1)) + (d1 * lift_max(0, lift_min((-1 + d0), (-1 + i0)))))], in0[(lift_max(0, lift_min((-1 + d1), (-1 + i1_3))) + (d1 * lift_min(i0, (-1 + d0))))], in0[(lift_min(i1_3, (-1 + d1)) + (d1 * lift_min(i0, (-1 + d0))))], in0[(lift_min((-1 + d1), (1 + i1_3)) + (d1 * lift_min(i0, (-1 + d0))))], in0[(lift_min(i1_3, (-1 + d1)) + (d1 * lift_min((-1 + d0), (1 + i0))))]);
     }
   }
   #pragma omp parallel for schedule(static) num_threads(lift_threads)
   for (long long i0_i = 0; i0_i < lift_max(0, (-2 + d0)); ++i0_i) {
+    #pragma omp simd
     for (long long i1_3 = 0; i1_3 < 1; ++i1_3) {
       out[(d1 + i1_3 + (d1 * i0_i))] = Jacobi2D5pt_f(in0[(i1_3 + (d1 * i0_i))], in0[(d1 + lift_max(0, (-1 + i1_3)) + (d1 * i0_i))], in0[(d1 + i1_3 + (d1 * i0_i))], in0[(d1 + lift_min((-1 + d1), (1 + i1_3)) + (d1 * i0_i))], in0[((2 * d1) + i1_3 + (d1 * i0_i))]);
     }
+    #pragma omp simd
     for (long long i1_i = 0; i1_i < lift_max(0, (-2 + d1)); ++i1_i) {
       out[(1 + d1 + i1_i + (d1 * i0_i))] = Jacobi2D5pt_f(in0[(1 + i1_i + (d1 * i0_i))], in0[(d1 + i1_i + (d1 * i0_i))], in0[(1 + d1 + i1_i + (d1 * i0_i))], in0[(2 + d1 + i1_i + (d1 * i0_i))], in0[(1 + (2 * d1) + i1_i + (d1 * i0_i))]);
     }
+    #pragma omp simd
     for (long long i1_r = 0; i1_r < lift_max(0, (d1 + (-1 * lift_max(1, (-1 + d1))))); ++i1_r) {
       out[(d1 + i1_r + lift_max(1, (-1 + d1)) + (d1 * i0_i))] = Jacobi2D5pt_f(in0[(i1_r + lift_max(1, (-1 + d1)) + (d1 * i0_i))], in0[(-1 + d1 + i1_r + lift_max(1, (-1 + d1)) + (d1 * i0_i))], in0[(d1 + i1_r + lift_max(1, (-1 + d1)) + (d1 * i0_i))], in0[(d1 + lift_min((-1 + d1), (1 + i1_r + lift_max(1, (-1 + d1)))) + (d1 * i0_i))], in0[((2 * d1) + i1_r + lift_max(1, (-1 + d1)) + (d1 * i0_i))]);
     }
   }
   #pragma omp parallel for schedule(static) num_threads(lift_threads)
   for (long long i0_r = 0; i0_r < lift_max(0, (d0 + (-1 * lift_max(1, (-1 + d0))))); ++i0_r) {
+    #pragma omp simd
     for (long long i1_3 = 0; i1_3 < d1; ++i1_3) {
       out[(i1_3 + (d1 * i0_r) + (d1 * lift_max(1, (-1 + d0))))] = Jacobi2D5pt_f(in0[(lift_min(i1_3, (-1 + d1)) + (d1 * lift_min((-1 + d0), (-1 + i0_r + lift_max(1, (-1 + d0))))))], in0[(lift_max(0, lift_min((-1 + d1), (-1 + i1_3))) + (d1 * lift_min((-1 + d0), (i0_r + lift_max(1, (-1 + d0))))))], in0[(lift_min(i1_3, (-1 + d1)) + (d1 * lift_min((-1 + d0), (i0_r + lift_max(1, (-1 + d0))))))], in0[(lift_min((-1 + d1), (1 + i1_3)) + (d1 * lift_min((-1 + d0), (i0_r + lift_max(1, (-1 + d0))))))], in0[(lift_min(i1_3, (-1 + d1)) + (d1 * lift_min((-1 + d0), (1 + i0_r + lift_max(1, (-1 + d0))))))]);
     }

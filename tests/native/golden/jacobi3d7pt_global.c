@@ -26,7 +26,7 @@ static inline long long lift_max(long long a, long long b) {
   return a > b ? a : b;
 }
 
-static float Jacobi3D7pt_f(float a0, float a1, float a2, float a3, float a4, float a5, float a6) { return 0.142857149f * a0 + 0.142857149f * a1 + 0.142857149f * a2 + 0.142857149f * a3 + 0.142857149f * a4 + 0.142857149f * a5 + 0.142857149f * a6; }
+static inline float Jacobi3D7pt_f(float a0, float a1, float a2, float a3, float a4, float a5, float a6) { return 0.142857149f * a0 + 0.142857149f * a1 + 0.142857149f * a2 + 0.142857149f * a3 + 0.142857149f * a4 + 0.142857149f * a5 + 0.142857149f * a6; }
 
 void Jacobi3D7pt(void **lift_bufs, const long long *lift_sizes, int lift_threads, double *lift_prof) {
   float *restrict in0 = (float *)lift_bufs[0];
@@ -39,6 +39,7 @@ void Jacobi3D7pt(void **lift_bufs, const long long *lift_sizes, int lift_threads
   #pragma omp parallel for schedule(static) num_threads(lift_threads)
   for (long long i0 = 0; i0 < d0; ++i0) {
     for (long long i1 = 0; i1 < d1; ++i1) {
+      #pragma omp simd
       for (long long i2 = 0; i2 < d2; ++i2) {
         out[(i2 + (d2 * i1) + (d1 * d2 * i0))] = Jacobi3D7pt_f(in0[(lift_min(i2, (-1 + d2)) + (d2 * lift_min(i1, (-1 + d1))) + (d1 * d2 * lift_max(0, lift_min((-1 + d0), (-1 + i0)))))], in0[(lift_min(i2, (-1 + d2)) + (d2 * lift_max(0, lift_min((-1 + d1), (-1 + i1)))) + (d1 * d2 * lift_min(i0, (-1 + d0))))], in0[(lift_max(0, lift_min((-1 + d2), (-1 + i2))) + (d2 * lift_min(i1, (-1 + d1))) + (d1 * d2 * lift_min(i0, (-1 + d0))))], in0[(lift_min(i2, (-1 + d2)) + (d2 * lift_min(i1, (-1 + d1))) + (d1 * d2 * lift_min(i0, (-1 + d0))))], in0[(lift_min((-1 + d2), (1 + i2)) + (d2 * lift_min(i1, (-1 + d1))) + (d1 * d2 * lift_min(i0, (-1 + d0))))], in0[(lift_min(i2, (-1 + d2)) + (d2 * lift_min((-1 + d1), (1 + i1))) + (d1 * d2 * lift_min(i0, (-1 + d0))))], in0[(lift_min(i2, (-1 + d2)) + (d2 * lift_min(i1, (-1 + d1))) + (d1 * d2 * lift_min((-1 + d0), (1 + i0))))]);
       }

@@ -32,7 +32,7 @@ static inline double lift_prof_now(void) {
   return (double)lift_ts.tv_sec + 1e-9 * (double)lift_ts.tv_nsec;
 }
 
-static float Stencil2D_f(float a0, float a1, float a2, float a3, float a4, float a5, float a6, float a7, float a8) { return 0.0199999996f * a0 + 0.0799999982f * a1 + 0.0199999996f * a2 + 0.0799999982f * a3 + 0.600000024f * a4 + 0.0799999982f * a5 + 0.0199999996f * a6 + 0.0799999982f * a7 + 0.0199999996f * a8; }
+static inline float Stencil2D_f(float a0, float a1, float a2, float a3, float a4, float a5, float a6, float a7, float a8) { return 0.0199999996f * a0 + 0.0799999982f * a1 + 0.0199999996f * a2 + 0.0799999982f * a3 + 0.600000024f * a4 + 0.0799999982f * a5 + 0.0199999996f * a6 + 0.0799999982f * a7 + 0.0199999996f * a8; }
 
 void Stencil2D(void **lift_bufs, const long long *lift_sizes, int lift_threads, double *lift_prof) {
   float *restrict in0 = (float *)lift_bufs[0];
@@ -43,6 +43,7 @@ void Stencil2D(void **lift_bufs, const long long *lift_sizes, int lift_threads, 
   { /* region 0: glb.i0 */
     const double lift_t0 = lift_prof_now();
     for (long long i0 = 0; i0 < d0; ++i0) {
+      #pragma omp simd
       for (long long i1 = 0; i1 < d1; ++i1) {
         out[(i1 + (d1 * i0))] = Stencil2D_f(in0[(lift_max(0, lift_min((-1 + d1), (-1 + i1))) + (d1 * lift_max(0, lift_min((-1 + d0), (-1 + i0)))))], in0[(lift_min(i1, (-1 + d1)) + (d1 * lift_max(0, lift_min((-1 + d0), (-1 + i0)))))], in0[(lift_min((-1 + d1), (1 + i1)) + (d1 * lift_max(0, lift_min((-1 + d0), (-1 + i0)))))], in0[(lift_max(0, lift_min((-1 + d1), (-1 + i1))) + (d1 * lift_min(i0, (-1 + d0))))], in0[(lift_min(i1, (-1 + d1)) + (d1 * lift_min(i0, (-1 + d0))))], in0[(lift_min((-1 + d1), (1 + i1)) + (d1 * lift_min(i0, (-1 + d0))))], in0[(lift_max(0, lift_min((-1 + d1), (-1 + i1))) + (d1 * lift_min((-1 + d0), (1 + i0))))], in0[(lift_min(i1, (-1 + d1)) + (d1 * lift_min((-1 + d0), (1 + i0))))], in0[(lift_min((-1 + d1), (1 + i1)) + (d1 * lift_min((-1 + d0), (1 + i0))))]);
       }
