@@ -35,8 +35,9 @@
 /// by the differential fuzzer (liftfuzz --native --specialize compares
 /// specialized native output bit-for-bit against the interpreter).
 ///
-/// Only the native C backend consumes specialized kernels; the NDRange
-/// simulator and the OpenCL emitter keep the unsplit form.
+/// Only the native C backend runs specialized kernels; the NDRange
+/// simulator keeps the unsplit form. `liftc emit --specialize` prints
+/// the split kernel in either dialect of the kernel printer.
 ///
 //===----------------------------------------------------------------------===//
 

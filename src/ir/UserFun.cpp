@@ -37,21 +37,6 @@ Scalar UserFun::evaluate(const std::vector<Scalar> &Args) const {
   return Result;
 }
 
-static const char *scalarKindName(ScalarKind K) {
-  return K == ScalarKind::Float ? "float" : "int";
-}
-
-std::string UserFun::toOpenCL() const {
-  std::string S = std::string(scalarKindName(RetKind)) + " " + Name + "(";
-  for (std::size_t I = 0, E = ParamNames.size(); I != E; ++I) {
-    if (I != 0)
-      S += ", ";
-    S += std::string(scalarKindName(ParamKinds[I])) + " " + ParamNames[I];
-  }
-  S += ") { " + OpenCLBody + " }";
-  return S;
-}
-
 UserFunPtr lift::ir::makeUserFun(std::string Name,
                                  std::vector<std::string> ParamNames,
                                  std::vector<ScalarKind> ParamKinds,

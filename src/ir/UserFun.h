@@ -80,9 +80,6 @@ public:
   /// Applies the C++ implementation. Argument count/kinds are asserted.
   Scalar evaluate(const std::vector<Scalar> &Args) const;
 
-  /// Renders the full OpenCL function definition.
-  std::string toOpenCL() const;
-
 private:
   std::string Name;
   std::vector<std::string> ParamNames;

@@ -7,564 +7,12 @@
 #include "native/CEmitter.h"
 
 #include "ocl/Emitter.h"
-#include "support/Support.h"
 
-#include <cmath>
-#include <cstdio>
-#include <set>
-#include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 
 using namespace lift;
 using namespace lift::native;
 using namespace lift::ocl;
-
-namespace {
-
-const char *cKindName(ir::ScalarKind K) {
-  return K == ir::ScalarKind::Float ? "float" : "int32_t";
-}
-
-/// Prints a float so it round-trips bit-exactly through the C
-/// compiler: 9 significant decimal digits suffice for binary32, and a
-/// trailing 'f' keeps the literal (and all arithmetic folded on it) in
-/// float. Infinities and NaNs map onto the math.h macros.
-std::string formatFloat(float V) {
-  if (std::isnan(V))
-    return "NAN";
-  if (std::isinf(V))
-    return V > 0 ? "INFINITY" : "(-INFINITY)";
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.9g", double(V));
-  std::string S(Buf);
-  if (S.find_first_of(".e") == std::string::npos)
-    S += ".0";
-  return S + "f";
-}
-
-/// C identifier map for everything the kernel names: buffers,
-/// registers, loop variables and size arguments. Names are sanitized
-/// and deduplicated against each other, the ABI parameter names, the
-/// runtime helpers and the C keywords, in a deterministic order, so
-/// equal kernels always render identically.
-class NameMap {
-public:
-  NameMap() {
-    for (const char *R :
-         {"auto",     "break",   "case",     "char",   "const",    "continue",
-          "default",  "do",      "double",   "else",   "enum",     "extern",
-          "float",    "for",     "goto",     "if",     "inline",   "int",
-          "long",     "register", "restrict", "return", "short",   "signed",
-          "sizeof",   "static",  "struct",   "switch", "typedef",  "union",
-          "unsigned", "void",    "volatile", "while",  "lift_bufs",
-          "lift_sizes", "lift_threads", "lift_fdiv", "lift_fmod", "lift_min",
-          "lift_max", "lift_i",  "int32_t",  "sqrt",   "fmax",     "fmin",
-          "lift_prof", "lift_prof_now", "lift_t0"})
-      Used.insert(R);
-  }
-
-  std::string claim(const std::string &Requested) {
-    std::string Base = sanitize(Requested);
-    std::string Name = Base;
-    for (unsigned N = 2; !Used.insert(Name).second; ++N)
-      Name = Base + "_" + std::to_string(N);
-    return Name;
-  }
-
-  void setBuffer(int Id, std::string Name) { BufNames[Id] = std::move(Name); }
-  void setRegister(int Id, std::string Name) {
-    RegNames[Id] = std::move(Name);
-  }
-  void setVar(unsigned Id, std::string Name) { VarNames[Id] = std::move(Name); }
-
-  const std::string &buffer(int Id) const { return BufNames.at(Id); }
-  const std::string &reg(int Id) const { return RegNames.at(Id); }
-  const std::string &var(unsigned Id) const {
-    auto It = VarNames.find(Id);
-    if (It == VarNames.end())
-      fatalError("native emitter: unbound arith variable in kernel index");
-    return It->second;
-  }
-
-private:
-  static std::string sanitize(const std::string &S) {
-    std::string Out;
-    for (char C : S)
-      Out += (std::isalnum(static_cast<unsigned char>(C)) || C == '_') ? C
-                                                                       : '_';
-    if (Out.empty() || std::isdigit(static_cast<unsigned char>(Out[0])))
-      Out = "v_" + Out;
-    return Out;
-  }
-
-  std::unordered_set<std::string> Used;
-  std::unordered_map<int, std::string> BufNames;
-  std::unordered_map<int, std::string> RegNames;
-  std::unordered_map<unsigned, std::string> VarNames;
-};
-
-/// Where registers and local/private buffers get declared: inside the
-/// parallel root that (exclusively) uses them, or at function scope
-/// with parallelism disabled when any use escapes that discipline.
-struct ParPlan {
-  bool Parallel = false; ///< pragmas on the roots, decls privatized
-  std::set<const Stmt *> Roots; ///< outermost Glb/Wrg loops
-  /// Registers / non-global buffers to declare in each root's body.
-  std::unordered_map<const Stmt *, std::vector<int>> RootRegs;
-  std::unordered_map<const Stmt *, std::vector<int>> RootBufs;
-  /// Declared at function scope (sequential fallback, or unused).
-  std::vector<int> TopRegs;
-  std::vector<int> TopBufs;
-};
-
-class PlanBuilder {
-public:
-  PlanBuilder(const Kernel &K, bool WantParallel) : K(K) {
-    for (const StmtPtr &S : K.Body)
-      findRoots(*S, /*InRoot=*/false);
-    for (const StmtPtr &S : K.Body)
-      scanStmt(*S, /*Root=*/nullptr);
-    build(WantParallel);
-  }
-
-  ParPlan take() { return std::move(Plan); }
-
-private:
-  /// Use sites of one register or buffer: the set of parallel roots it
-  /// appears under, and whether it also appears outside every root.
-  struct Uses {
-    std::set<const Stmt *> Roots;
-    bool OutsideRoot = false;
-
-    void note(const Stmt *Root) {
-      if (Root)
-        Roots.insert(Root);
-      else
-        OutsideRoot = true;
-    }
-    bool privatizable() const { return !OutsideRoot && Roots.size() <= 1; }
-  };
-
-  void findRoots(const Stmt &S, bool InRoot) {
-    if (S.K != Stmt::Kind::Loop) {
-      return;
-    }
-    bool IsPar = S.LK == LoopKind::Glb || S.LK == LoopKind::Wrg;
-    if (IsPar && !InRoot)
-      Plan.Roots.insert(&S);
-    for (const StmtPtr &C : S.Body)
-      findRoots(*C, InRoot || IsPar);
-  }
-
-  void scanStmt(const Stmt &S, const Stmt *Root) {
-    switch (S.K) {
-    case Stmt::Kind::Store:
-      noteBuffer(S.BufferId, Root);
-      scanExpr(*S.Value, Root);
-      break;
-    case Stmt::Kind::AssignVar:
-      RegUses[S.VarId].note(Root);
-      scanExpr(*S.Value, Root);
-      break;
-    case Stmt::Kind::Loop: {
-      const Stmt *Inner = Plan.Roots.count(&S) ? &S : Root;
-      for (const StmtPtr &C : S.Body)
-        scanStmt(*C, Inner);
-      break;
-    }
-    case Stmt::Kind::Barrier:
-      break;
-    }
-  }
-
-  void scanExpr(const KExpr &E, const Stmt *Root) {
-    switch (E.K) {
-    case KExpr::Kind::ReadVar:
-      RegUses[E.VarId].note(Root);
-      break;
-    case KExpr::Kind::Load:
-      noteBuffer(E.BufferId, Root);
-      break;
-    case KExpr::Kind::CallUF:
-      for (const KExprPtr &A : E.Args)
-        scanExpr(*A, Root);
-      break;
-    case KExpr::Kind::Select:
-      scanExpr(*E.Then, Root);
-      scanExpr(*E.Else, Root);
-      break;
-    case KExpr::Kind::ConstScalar:
-    case KExpr::Kind::IndexVal:
-      break;
-    }
-  }
-
-  void noteBuffer(int Id, const Stmt *Root) {
-    if (K.buffer(Id).Space != MemSpace::Global)
-      BufUses[Id].note(Root);
-  }
-
-  void build(bool WantParallel) {
-    bool AllPrivatizable = true;
-    for (const auto &KV : RegUses)
-      AllPrivatizable &= KV.second.privatizable();
-    for (const auto &KV : BufUses)
-      AllPrivatizable &= KV.second.privatizable();
-    Plan.Parallel = WantParallel && AllPrivatizable && !Plan.Roots.empty();
-
-    // Declaration order follows the kernel's declaration lists so the
-    // output is independent of use order.
-    for (const BufferDecl &B : K.Buffers) {
-      if (B.Space == MemSpace::Global)
-        continue;
-      auto It = BufUses.find(B.Id);
-      const Stmt *Root = Plan.Parallel && It != BufUses.end() &&
-                                 !It->second.Roots.empty()
-                             ? *It->second.Roots.begin()
-                             : nullptr;
-      if (Root)
-        Plan.RootBufs[Root].push_back(B.Id);
-      else
-        Plan.TopBufs.push_back(B.Id);
-    }
-    for (const RegisterDecl &R : K.Registers) {
-      auto It = RegUses.find(R.Id);
-      const Stmt *Root = Plan.Parallel && It != RegUses.end() &&
-                                 !It->second.Roots.empty()
-                             ? *It->second.Roots.begin()
-                             : nullptr;
-      if (Root)
-        Plan.RootRegs[Root].push_back(R.Id);
-      else
-        Plan.TopRegs.push_back(R.Id);
-    }
-  }
-
-  const Kernel &K;
-  ParPlan Plan;
-  std::unordered_map<int, Uses> RegUses;
-  std::unordered_map<int, Uses> BufUses;
-};
-
-void collectLoads(const KExpr &E, std::set<int> &Loaded) {
-  switch (E.K) {
-  case KExpr::Kind::Load:
-    Loaded.insert(E.BufferId);
-    break;
-  case KExpr::Kind::CallUF:
-    for (const KExprPtr &A : E.Args)
-      collectLoads(*A, Loaded);
-    break;
-  case KExpr::Kind::Select:
-    collectLoads(*E.Then, Loaded);
-    collectLoads(*E.Else, Loaded);
-    break;
-  case KExpr::Kind::ConstScalar:
-  case KExpr::Kind::IndexVal:
-  case KExpr::Kind::ReadVar:
-    break;
-  }
-}
-
-/// The SIMD legality rule: a work-item loop (never Seq, so never a
-/// reduction or an unrolled loop) whose body is stores only, none of
-/// them to a buffer the body also loads. Its iterations are then
-/// independent and may run in vector lanes.
-bool isSimdLoop(const Stmt &S) {
-  if (S.LK == LoopKind::Seq)
-    return false;
-  std::set<int> Stored, Loaded;
-  for (const StmtPtr &C : S.Body) {
-    if (C->K != Stmt::Kind::Store)
-      return false;
-    Stored.insert(C->BufferId);
-    collectLoads(*C->Value, Loaded);
-  }
-  for (int Id : Stored)
-    if (Loaded.count(Id))
-      return false;
-  return true;
-}
-
-class Printer {
-public:
-  Printer(const Kernel &K, const CEmitOptions &O)
-      : K(K), Profile(O.Profile), Plan(makePlan(O)) {
-    // Claim names in a fixed order: buffers, registers, size args,
-    // loop variables (in syntactic order), so renames on collision are
-    // deterministic.
-    for (const BufferDecl &B : K.Buffers)
-      Names.setBuffer(B.Id, Names.claim(B.Name));
-    for (const RegisterDecl &R : K.Registers)
-      Names.setRegister(R.Id, Names.claim(R.Name));
-    for (const auto &SA : K.SizeArgs)
-      Names.setVar(SA.first, Names.claim(SA.second));
-    for (const StmtPtr &S : K.Body)
-      claimLoopVars(*S);
-    EntryName = Names.claim(K.Name);
-    if (Profile) {
-      std::vector<KernelRegion> Regions = profileRegions(K);
-      for (std::size_t I = 0; I != Regions.size(); ++I)
-        RegionIdx[Regions[I].Loop] = {I, Regions[I].Name};
-    }
-  }
-
-  std::string run();
-
-private:
-  ParPlan makePlan(const CEmitOptions &O) {
-    // Profiling forces sequential emission: region timers nested in a
-    // parallel loop would race and attribute one thread's clock to the
-    // whole grid.
-    return PlanBuilder(K, !O.Profile).take();
-  }
-
-  void claimLoopVars(const Stmt &S) {
-    if (S.K != Stmt::Kind::Loop)
-      return;
-    Names.setVar(S.LoopVar->getVarId(), Names.claim(S.LoopVar->getVarName()));
-    for (const StmtPtr &C : S.Body)
-      claimLoopVars(*C);
-  }
-
-  void line(const std::string &S) {
-    for (int I = 0; I != Indent; ++I)
-      Out += "  ";
-    Out += S;
-    Out += '\n';
-  }
-
-  std::string renderIndex(const AExpr &E) const {
-    return ocl::renderIndex(
-        E, [this](const ArithExpr &V) { return Names.var(V.getVarId()); });
-  }
-  std::string renderExpr(const KExpr &E) const;
-  void printDecl(int BufId);
-  void printRegDecl(int RegId);
-  void printStmt(const Stmt &S);
-  void printStmts(const std::vector<StmtPtr> &Body);
-
-  const Kernel &K;
-  bool Profile;
-  ParPlan Plan;
-  NameMap Names;
-  std::string EntryName;
-  std::string Out;
-  int Indent = 0;
-  /// Profile mode: region root -> (lift_prof slot, region name).
-  std::unordered_map<const Stmt *, std::pair<std::size_t, std::string>>
-      RegionIdx;
-};
-
-std::string Printer::renderExpr(const KExpr &E) const {
-  switch (E.K) {
-  case KExpr::Kind::ConstScalar:
-    return E.Const.K == ir::ScalarKind::Float ? formatFloat(E.Const.F)
-                                              : std::to_string(E.Const.I);
-  case KExpr::Kind::IndexVal:
-    // The simulator narrows index values to int32 when they enter the
-    // scalar world (Sim.cpp evalExpr); mirror that exactly.
-    return "(int32_t)" + renderIndex(E.Index);
-  case KExpr::Kind::ReadVar:
-    return Names.reg(E.VarId);
-  case KExpr::Kind::Load:
-    return Names.buffer(E.BufferId) + "[" + renderIndex(E.Index) + "]";
-  case KExpr::Kind::CallUF: {
-    std::string S = E.UF->getName() + "(";
-    for (std::size_t I = 0; I != E.Args.size(); ++I) {
-      if (I)
-        S += ", ";
-      S += renderExpr(*E.Args[I]);
-    }
-    return S + ")";
-  }
-  case KExpr::Kind::Select: {
-    std::string Cond;
-    for (std::size_t I = 0; I != E.Checks.size(); ++I) {
-      const BoundsCheck &C = E.Checks[I];
-      if (I)
-        Cond += " && ";
-      std::string Idx = renderIndex(C.Idx);
-      Cond += "(" + renderIndex(C.Lo) + " <= " + Idx + " && " + Idx + " < " +
-              renderIndex(C.Hi) + ")";
-    }
-    return "(" + Cond + " ? " + renderExpr(*E.Then) + " : " +
-           renderExpr(*E.Else) + ")";
-  }
-  }
-  unreachable("covered switch");
-}
-
-void Printer::printDecl(int BufId) {
-  const BufferDecl &B = K.buffer(BufId);
-  // Local/private tiles become (possibly variable-length) stack
-  // arrays, zero-initialized like the simulator's fresh storage so an
-  // unwritten element reads identically. VLAs cannot take an
-  // initializer, so symbolic extents get an explicit fill loop.
-  std::string N = renderIndex(B.NumElems);
-  if (B.NumElems->getKind() == ArithExpr::Kind::Cst) {
-    line(std::string(cKindName(B.ElemKind)) + " " + Names.buffer(BufId) +
-         "[" + N + "] = {0};");
-    return;
-  }
-  line(std::string(cKindName(B.ElemKind)) + " " + Names.buffer(BufId) + "[" +
-       N + "];");
-  line("for (long long lift_i = 0; lift_i < " + N + "; ++lift_i)");
-  line("  " + Names.buffer(BufId) + "[lift_i] = 0;");
-}
-
-void Printer::printRegDecl(int RegId) {
-  const RegisterDecl &R = K.Registers[std::size_t(RegId)];
-  line(std::string(cKindName(R.Kind)) + " " + Names.reg(RegId) + " = 0;");
-}
-
-void Printer::printStmt(const Stmt &S) {
-  switch (S.K) {
-  case Stmt::Kind::Store:
-    line(Names.buffer(S.BufferId) + "[" + renderIndex(S.Index) +
-         "] = " + renderExpr(*S.Value) + ";");
-    return;
-  case Stmt::Kind::AssignVar:
-    line(Names.reg(S.VarId) + " = " + renderExpr(*S.Value) + ";");
-    return;
-  case Stmt::Kind::Barrier:
-    // A Lcl loop completes for all local ids before the next statement
-    // runs — both here and on the simulator — so the barrier is
-    // structural and compiles to nothing.
-    line("/* work-group barrier: implicit (loop completed) */");
-    return;
-  case Stmt::Kind::Loop:
-    break;
-  }
-
-  auto Region = RegionIdx.end();
-  if (Profile && (Region = RegionIdx.find(&S)) != RegionIdx.end()) {
-    line("{ /* region " + std::to_string(Region->second.first) + ": " +
-         Region->second.second + " */");
-    ++Indent;
-    line("const double lift_t0 = lift_prof_now();");
-  }
-
-  bool IsRoot = Plan.Parallel && Plan.Roots.count(&S);
-  bool Simd = isSimdLoop(S);
-  if (IsRoot)
-    line(std::string("#pragma omp parallel for") + (Simd ? " simd" : "") +
-         " schedule(static) num_threads(lift_threads)");
-  else if (Simd)
-    line("#pragma omp simd");
-  if (S.Unroll && S.Count->getKind() == ArithExpr::Kind::Cst &&
-      S.Count->getCst() >= 1 && S.Count->getCst() <= 64)
-    line("#pragma GCC unroll " + std::to_string(S.Count->getCst()));
-  const std::string V = Names.var(S.LoopVar->getVarId());
-  line("for (long long " + V + " = 0; " + V + " < " + renderIndex(S.Count) +
-       "; ++" + V + ") {");
-  ++Indent;
-  if (IsRoot) {
-    auto BI = Plan.RootBufs.find(&S);
-    if (BI != Plan.RootBufs.end())
-      for (int Id : BI->second)
-        printDecl(Id);
-    auto RI = Plan.RootRegs.find(&S);
-    if (RI != Plan.RootRegs.end())
-      for (int Id : RI->second)
-        printRegDecl(Id);
-  }
-  printStmts(S.Body);
-  --Indent;
-  line("}");
-
-  if (Region != RegionIdx.end()) {
-    line("lift_prof[" + std::to_string(Region->second.first) +
-         "] += lift_prof_now() - lift_t0;");
-    --Indent;
-    line("}");
-  }
-}
-
-void Printer::printStmts(const std::vector<StmtPtr> &Body) {
-  for (const StmtPtr &S : Body)
-    printStmt(*S);
-}
-
-std::string Printer::run() {
-  Out += "// " + EntryName + ": generated by the liftcpp native backend.\n";
-  Out += "// Semantics contract: bit-identical to the NDRange simulator\n";
-  Out += "// (all loops run 0..count-1; floor division; exact float\n";
-  Out += "// literals; float-precision math builtins).\n\n";
-  Out += "#include <math.h>\n";
-  Out += "#include <stdint.h>\n";
-  if (Profile)
-    Out += "#include <time.h>\n";
-  Out += "\n";
-  // OpenCL's sqrt/fmax/fmin on float stay in float; C promotes to
-  // double. Map them to the float-precision versions the interpreter's
-  // C++ callbacks (std::sqrt(float) etc.) compile to.
-  Out += "#define sqrt(x) sqrtf(x)\n";
-  Out += "#define fmax(a, b) fmaxf((a), (b))\n";
-  Out += "#define fmin(a, b) fminf((a), (b))\n\n";
-  // Floor-semantics integer helpers: the simulator evaluates index
-  // arithmetic with floorDivInt/floorModInt (support/Support.h); these
-  // are the same functions in C.
-  Out += ocl::indexHelpers("static inline ", "long long");
-  if (Profile) {
-    // The region timer: the same monotonic clock the runner times whole
-    // kernels with, read as seconds so accumulation stays a single add.
-    Out += "static inline double lift_prof_now(void) {\n";
-    Out += "  struct timespec lift_ts;\n";
-    Out += "  clock_gettime(CLOCK_MONOTONIC, &lift_ts);\n";
-    Out += "  return (double)lift_ts.tv_sec + 1e-9 * "
-           "(double)lift_ts.tv_nsec;\n";
-    Out += "}\n";
-  }
-  Out += "\n";
-
-  for (const ir::UserFunPtr &UF : K.UserFuns) {
-    std::string Sig = "static inline ";
-    Sig += UF->getRetKind() == ir::ScalarKind::Float ? "float" : "int";
-    Sig += " " + UF->getName() + "(";
-    for (std::size_t I = 0; I != UF->getParamNames().size(); ++I) {
-      if (I)
-        Sig += ", ";
-      Sig += UF->getParamKinds()[I] == ir::ScalarKind::Float ? "float"
-                                                             : "int";
-      Sig += " " + UF->getParamNames()[I];
-    }
-    Sig += ") { " + UF->getOpenCLBody() + " }";
-    Out += Sig + "\n";
-  }
-  if (!K.UserFuns.empty())
-    Out += "\n";
-
-  Out += "void " + EntryName +
-         "(void **lift_bufs, const long long *lift_sizes, "
-         "int lift_threads, double *lift_prof) {\n";
-  Indent = 1;
-  std::size_t Slot = 0;
-  for (const BufferDecl &B : K.Buffers) {
-    if (B.Space != MemSpace::Global)
-      continue;
-    line(std::string(cKindName(B.ElemKind)) + " *restrict " +
-         Names.buffer(B.Id) + " = (" + cKindName(B.ElemKind) +
-         " *)lift_bufs[" + std::to_string(Slot++) + "];");
-  }
-  for (std::size_t I = 0; I != K.SizeArgs.size(); ++I)
-    line("const long long " + Names.var(K.SizeArgs[I].first) +
-         " = lift_sizes[" + std::to_string(I) + "];");
-  line("(void)lift_threads;");
-  if (!Profile)
-    line("(void)lift_prof;");
-  for (int Id : Plan.TopBufs)
-    printDecl(Id);
-  for (int Id : Plan.TopRegs)
-    printRegDecl(Id);
-  printStmts(K.Body);
-  Indent = 0;
-  Out += "}\n";
-  return Out;
-}
-
-} // namespace
 
 std::vector<KernelRegion> lift::native::profileRegions(const Kernel &K) {
   std::vector<KernelRegion> Out;
@@ -610,5 +58,10 @@ std::vector<KernelRegion> lift::native::profileRegions(const Kernel &K) {
 }
 
 std::string lift::native::emitC(const Kernel &K, const CEmitOptions &O) {
-  return Printer(K, O).run();
+  if (!O.Profile)
+    return printKernel(K, Dialect::C);
+  ProfileTimers Timers;
+  for (const KernelRegion &R : profileRegions(K))
+    Timers.emplace_back(R.Loop, R.Name);
+  return printKernel(K, Dialect::C, &Timers);
 }

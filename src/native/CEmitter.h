@@ -6,18 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Lowers the imperative kernel AST (ocl/KernelAst.h) to plain C so it
+/// Renders the imperative kernel AST (ocl/KernelAst.h) as plain C so it
 /// can be compiled by the host toolchain and executed natively (the
-/// Devito-style "emit C, compile, dlopen" backend). The emitted source
-/// is a semantic mirror of the NDRange simulator:
+/// Devito-style "emit C, compile, dlopen" backend). The text comes from
+/// the C dialect of the one kernel printer (ocl/Emitter.h), which
+/// shares its statement and expression walk, index helpers, float
+/// literals and identifier map with the OpenCL text. The emitted
+/// source is a semantic mirror of the NDRange simulator:
 ///
 ///  * every loop — Seq, Glb, Wrg, Lcl — iterates 0..count-1 in order,
 ///    matching the simulator's exact-fit NDRange execution;
-///  * index arithmetic uses *floor* division/modulo helpers
-///    (lift_fdiv/lift_fmod), the semantics ArithExpr::evaluate uses —
-///    C's truncating `/` and `%` would diverge on negative operands;
-///  * float literals are printed with 9 significant digits, enough for
-///    any float to round-trip bit-exactly;
 ///  * user functions keep their OpenCL C bodies, with sqrt/fmax/fmin
 ///    mapped onto their float-precision C versions so arithmetic stays
 ///    in float exactly as the interpreter's C++ callbacks compute it;

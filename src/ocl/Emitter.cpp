@@ -1,4 +1,4 @@
-//===- Emitter.cpp - OpenCL C source emission --------------------------------===//
+//===- Emitter.cpp - Kernel AST to OpenCL C or host C ----------------------===//
 //
 // Part of the liftcpp project.
 //
@@ -8,192 +8,505 @@
 
 #include "support/Support.h"
 
-#include <sstream>
+#include <cctype>
+#include <cmath>
+#include <cstdio>
+#include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace lift;
-using namespace lift::ir;
 using namespace lift::ocl;
 
 namespace {
 
-const char *scalarCType(ScalarKind K) {
-  return K == ScalarKind::Float ? "float" : "int";
+/// The OpenCL C spelling of a scalar kind, which user-function
+/// signatures keep in both dialects.
+const char *clScalarName(ir::ScalarKind K) {
+  return K == ir::ScalarKind::Float ? "float" : "int";
 }
 
-std::string varName(const ArithExpr &V) { return V.getVarName(); }
+/// Prints a float so it round-trips bit-exactly through the C
+/// compiler: 9 significant decimal digits suffice for binary32, and a
+/// trailing 'f' keeps the literal (and all arithmetic folded on it) in
+/// float. Infinities and NaNs map onto the math.h macros.
+std::string formatFloat(float V) {
+  if (std::isnan(V))
+    return "NAN";
+  if (std::isinf(V))
+    return V > 0 ? "INFINITY" : "(-INFINITY)";
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "%.9g", double(V));
+  std::string S(Buf);
+  if (S.find_first_of(".e") == std::string::npos)
+    S += ".0";
+  return S + "f";
+}
 
-std::string printIndex(const AExpr &E) { return renderIndex(E, varName); }
-
-class Printer {
+/// Identifier map for everything the kernel names: buffers, registers,
+/// loop variables, size arguments and the kernel itself. Names are
+/// sanitized and deduplicated against each other, the C keywords, the
+/// OpenCL qualifiers and builtins, the native ABI parameter names and
+/// the runtime helpers, in a deterministic order, so equal kernels
+/// always render identically.
+class NameMap {
 public:
-  explicit Printer(const Kernel &K) : K(K) {}
+  NameMap() {
+    for (const char *R :
+         {"auto",     "break",   "case",     "char",   "const",    "continue",
+          "default",  "do",      "double",   "else",   "enum",     "extern",
+          "float",    "for",     "goto",     "if",     "inline",   "int",
+          "long",     "register", "restrict", "return", "short",   "signed",
+          "sizeof",   "static",  "struct",   "switch", "typedef",  "union",
+          "unsigned", "void",    "volatile", "while",  "lift_bufs",
+          "lift_sizes", "lift_threads", "lift_fdiv", "lift_fmod", "lift_min",
+          "lift_max", "lift_i",  "int32_t",  "sqrt",   "fmax",     "fmin",
+          "lift_prof", "lift_prof_now", "lift_t0", "kernel", "global",
+          "local",    "private", "constant", "barrier", "get_global_id",
+          "get_global_size", "get_group_id", "get_num_groups",
+          "get_local_id", "get_local_size", "CLK_LOCAL_MEM_FENCE"})
+      Used.insert(R);
+  }
 
-  std::string print() {
-    OS << "// Generated by liftcpp (CGO'18 Lift stencil reproduction)\n\n";
-    OS << indexHelpers("", "int") << "\n";
-    for (const UserFunPtr &UF : K.UserFuns)
-      OS << UF->toOpenCL() << "\n";
-    if (!K.UserFuns.empty())
-      OS << "\n";
+  std::string claim(const std::string &Requested) {
+    std::string Base = sanitize(Requested);
+    std::string Name = Base;
+    for (unsigned N = 2; !Used.insert(Name).second; ++N)
+      Name = Base + "_" + std::to_string(N);
+    return Name;
+  }
 
-    OS << "kernel void " << K.Name << "(";
-    bool First = true;
-    for (const BufferDecl &B : K.Buffers) {
-      if (B.Space != MemSpace::Global)
-        continue;
-      if (!First)
-        OS << ", ";
-      First = false;
-      OS << "global " << scalarCType(B.ElemKind) << "* restrict " << B.Name;
-    }
-    for (const auto &[Id, Name] : K.SizeArgs) {
-      (void)Id;
-      if (!First)
-        OS << ", ";
-      First = false;
-      OS << "int " << Name;
-    }
-    OS << ") {\n";
-    Indent = 1;
+  void setBuffer(int Id, std::string Name) { BufNames[Id] = std::move(Name); }
+  void setRegister(int Id, std::string Name) {
+    RegNames[Id] = std::move(Name);
+  }
+  void setVar(unsigned Id, std::string Name) { VarNames[Id] = std::move(Name); }
 
-    for (const BufferDecl &B : K.Buffers) {
-      if (B.Space == MemSpace::Local)
-        line("local " + std::string(scalarCType(B.ElemKind)) + " " + B.Name +
-             "[" + printIndex(B.NumElems) + "];");
-      else if (B.Space == MemSpace::Private)
-        line(std::string(scalarCType(B.ElemKind)) + " " + B.Name + "[" +
-             printIndex(B.NumElems) + "];");
-    }
-    for (const RegisterDecl &R : K.Registers)
-      line(std::string(scalarCType(R.Kind)) + " " + R.Name + ";");
-
-    printStmts(K.Body);
-    Indent = 0;
-    OS << "}\n";
-    return OS.str();
+  const std::string &buffer(int Id) const { return BufNames.at(Id); }
+  const std::string &reg(int Id) const { return RegNames.at(Id); }
+  const std::string &var(unsigned Id) const {
+    auto It = VarNames.find(Id);
+    if (It == VarNames.end())
+      fatalError("kernel printer: unbound arith variable in kernel index");
+    return It->second;
   }
 
 private:
+  static std::string sanitize(const std::string &S) {
+    std::string Out;
+    for (char C : S)
+      Out += (std::isalnum(static_cast<unsigned char>(C)) || C == '_') ? C
+                                                                       : '_';
+    if (Out.empty() || std::isdigit(static_cast<unsigned char>(Out[0])))
+      Out = "v_" + Out;
+    return Out;
+  }
+
+  std::unordered_set<std::string> Used;
+  std::unordered_map<int, std::string> BufNames;
+  std::unordered_map<int, std::string> RegNames;
+  std::unordered_map<unsigned, std::string> VarNames;
+};
+
+/// Where registers and local/private buffers get declared: inside the
+/// parallel root that (exclusively) uses them, or at function scope
+/// with parallelism disabled when any use escapes that discipline.
+/// The sequential plan (parallelism off) declares everything at
+/// function scope, which is where OpenCL wants local memory.
+struct ParPlan {
+  bool Parallel = false; ///< pragmas on the roots, decls privatized
+  std::set<const Stmt *> Roots; ///< outermost Glb/Wrg loops
+  /// Registers / non-global buffers to declare in each root's body.
+  std::unordered_map<const Stmt *, std::vector<int>> RootRegs;
+  std::unordered_map<const Stmt *, std::vector<int>> RootBufs;
+  /// Declared at function scope (sequential fallback, or unused).
+  std::vector<int> TopRegs;
+  std::vector<int> TopBufs;
+};
+
+class PlanBuilder {
+public:
+  PlanBuilder(const Kernel &K, bool WantParallel) : K(K) {
+    for (const StmtPtr &S : K.Body)
+      findRoots(*S, /*InRoot=*/false);
+    for (const StmtPtr &S : K.Body)
+      scanStmt(*S, /*Root=*/nullptr);
+    build(WantParallel);
+  }
+
+  ParPlan take() { return std::move(Plan); }
+
+private:
+  /// Use sites of one register or buffer: the set of parallel roots it
+  /// appears under, and whether it also appears outside every root.
+  struct Uses {
+    std::set<const Stmt *> Roots;
+    bool OutsideRoot = false;
+
+    void note(const Stmt *Root) {
+      if (Root)
+        Roots.insert(Root);
+      else
+        OutsideRoot = true;
+    }
+    bool privatizable() const { return !OutsideRoot && Roots.size() <= 1; }
+  };
+
+  void findRoots(const Stmt &S, bool InRoot) {
+    if (S.K != Stmt::Kind::Loop) {
+      return;
+    }
+    bool IsPar = S.LK == LoopKind::Glb || S.LK == LoopKind::Wrg;
+    if (IsPar && !InRoot)
+      Plan.Roots.insert(&S);
+    for (const StmtPtr &C : S.Body)
+      findRoots(*C, InRoot || IsPar);
+  }
+
+  void scanStmt(const Stmt &S, const Stmt *Root) {
+    switch (S.K) {
+    case Stmt::Kind::Store:
+      noteBuffer(S.BufferId, Root);
+      scanExpr(*S.Value, Root);
+      break;
+    case Stmt::Kind::AssignVar:
+      RegUses[S.VarId].note(Root);
+      scanExpr(*S.Value, Root);
+      break;
+    case Stmt::Kind::Loop: {
+      const Stmt *Inner = Plan.Roots.count(&S) ? &S : Root;
+      for (const StmtPtr &C : S.Body)
+        scanStmt(*C, Inner);
+      break;
+    }
+    case Stmt::Kind::Barrier:
+      break;
+    }
+  }
+
+  void scanExpr(const KExpr &E, const Stmt *Root) {
+    switch (E.K) {
+    case KExpr::Kind::ReadVar:
+      RegUses[E.VarId].note(Root);
+      break;
+    case KExpr::Kind::Load:
+      noteBuffer(E.BufferId, Root);
+      break;
+    case KExpr::Kind::CallUF:
+      for (const KExprPtr &A : E.Args)
+        scanExpr(*A, Root);
+      break;
+    case KExpr::Kind::Select:
+      scanExpr(*E.Then, Root);
+      scanExpr(*E.Else, Root);
+      break;
+    case KExpr::Kind::ConstScalar:
+    case KExpr::Kind::IndexVal:
+      break;
+    }
+  }
+
+  void noteBuffer(int Id, const Stmt *Root) {
+    if (K.buffer(Id).Space != MemSpace::Global)
+      BufUses[Id].note(Root);
+  }
+
+  void build(bool WantParallel) {
+    bool AllPrivatizable = true;
+    for (const auto &KV : RegUses)
+      AllPrivatizable &= KV.second.privatizable();
+    for (const auto &KV : BufUses)
+      AllPrivatizable &= KV.second.privatizable();
+    Plan.Parallel = WantParallel && AllPrivatizable && !Plan.Roots.empty();
+
+    // Declaration order follows the kernel's declaration lists so the
+    // output is independent of use order.
+    for (const BufferDecl &B : K.Buffers) {
+      if (B.Space == MemSpace::Global)
+        continue;
+      auto It = BufUses.find(B.Id);
+      const Stmt *Root = Plan.Parallel && It != BufUses.end() &&
+                                 !It->second.Roots.empty()
+                             ? *It->second.Roots.begin()
+                             : nullptr;
+      if (Root)
+        Plan.RootBufs[Root].push_back(B.Id);
+      else
+        Plan.TopBufs.push_back(B.Id);
+    }
+    for (const RegisterDecl &R : K.Registers) {
+      auto It = RegUses.find(R.Id);
+      const Stmt *Root = Plan.Parallel && It != RegUses.end() &&
+                                 !It->second.Roots.empty()
+                             ? *It->second.Roots.begin()
+                             : nullptr;
+      if (Root)
+        Plan.RootRegs[Root].push_back(R.Id);
+      else
+        Plan.TopRegs.push_back(R.Id);
+    }
+  }
+
   const Kernel &K;
-  std::ostringstream OS;
-  int Indent = 0;
+  ParPlan Plan;
+  std::unordered_map<int, Uses> RegUses;
+  std::unordered_map<int, Uses> BufUses;
+};
+
+void collectLoads(const KExpr &E, std::set<int> &Loaded) {
+  switch (E.K) {
+  case KExpr::Kind::Load:
+    Loaded.insert(E.BufferId);
+    break;
+  case KExpr::Kind::CallUF:
+    for (const KExprPtr &A : E.Args)
+      collectLoads(*A, Loaded);
+    break;
+  case KExpr::Kind::Select:
+    collectLoads(*E.Then, Loaded);
+    collectLoads(*E.Else, Loaded);
+    break;
+  case KExpr::Kind::ConstScalar:
+  case KExpr::Kind::IndexVal:
+  case KExpr::Kind::ReadVar:
+    break;
+  }
+}
+
+/// The SIMD legality rule: a work-item loop (never Seq, so never a
+/// reduction or an unrolled loop) whose body is stores only, none of
+/// them to a buffer the body also loads. Its iterations are then
+/// independent and may run in vector lanes.
+bool isSimdLoop(const Stmt &S) {
+  if (S.LK == LoopKind::Seq)
+    return false;
+  std::set<int> Stored, Loaded;
+  for (const StmtPtr &C : S.Body) {
+    if (C->K != Stmt::Kind::Store)
+      return false;
+    Stored.insert(C->BufferId);
+    collectLoads(*C->Value, Loaded);
+  }
+  for (int Id : Stored)
+    if (Loaded.count(Id))
+      return false;
+  return true;
+}
+
+bool holdsBarrier(const Stmt &S) {
+  for (const StmtPtr &C : S.Body)
+    if (C->K == Stmt::Kind::Barrier)
+      return true;
+  return false;
+}
+
+class Printer {
+public:
+  Printer(const Kernel &K, Dialect D, const ProfileTimers *Profile)
+      : K(K), IsC(D == Dialect::C), Profile(Profile),
+        // Profiling forces sequential emission: region timers nested in
+        // a parallel loop would race and attribute one thread's clock
+        // to the whole grid. OpenCL declares everything at kernel scope.
+        Plan(PlanBuilder(K, IsC && !Profile).take()) {
+    // Claim names in a fixed order: buffers, registers, size args,
+    // loop variables (in syntactic order), so renames on collision are
+    // deterministic.
+    for (const BufferDecl &B : K.Buffers)
+      Names.setBuffer(B.Id, Names.claim(B.Name));
+    for (const RegisterDecl &R : K.Registers)
+      Names.setRegister(R.Id, Names.claim(R.Name));
+    for (const auto &SA : K.SizeArgs)
+      Names.setVar(SA.first, Names.claim(SA.second));
+    for (const StmtPtr &S : K.Body)
+      claimLoopVars(*S);
+    EntryName = Names.claim(K.Name);
+    if (Profile)
+      for (std::size_t I = 0; I != Profile->size(); ++I)
+        RegionIdx[(*Profile)[I].first] = {I, (*Profile)[I].second};
+  }
+
+  std::string run();
+
+private:
+  void claimLoopVars(const Stmt &S) {
+    if (S.K != Stmt::Kind::Loop)
+      return;
+    Names.setVar(S.LoopVar->getVarId(), Names.claim(S.LoopVar->getVarName()));
+    for (const StmtPtr &C : S.Body)
+      claimLoopVars(*C);
+  }
 
   void line(const std::string &S) {
     for (int I = 0; I != Indent; ++I)
-      OS << "  ";
-    OS << S << "\n";
+      Out += "  ";
+    Out += S;
+    Out += '\n';
   }
 
-  void printStmts(const std::vector<StmtPtr> &Stmts) {
-    for (const StmtPtr &S : Stmts)
-      printStmt(*S);
+  // Dialect spellings.
+  std::string scalarType(ir::ScalarKind SK) const {
+    return IsC && SK == ir::ScalarKind::Int ? "int32_t" : clScalarName(SK);
   }
+  std::string indexType() const { return IsC ? "long long" : "int"; }
+  const char *barrierLine() const {
+    // In C a Lcl loop completes for all local ids before the next
+    // statement runs — as on the simulator — so the barrier is
+    // structural and compiles to nothing.
+    return IsC ? "/* work-group barrier: implicit (loop completed) */"
+               : "barrier(CLK_LOCAL_MEM_FENCE);";
+  }
+  void printPrelude();
+  void printEntry();
+  void printLoopHeader(const Stmt &S, bool IsRoot);
+  void printDecl(int BufId);
 
-  void printStmt(const Stmt &S) {
-    switch (S.K) {
-    case Stmt::Kind::Store:
-      line(K.buffer(S.BufferId).Name + "[" + printIndex(S.Index) + "] = " +
-           printExpr(*S.Value) + ";");
-      return;
-    case Stmt::Kind::AssignVar:
-      line(K.Registers[std::size_t(S.VarId)].Name + " = " +
-           printExpr(*S.Value) + ";");
-      return;
-    case Stmt::Kind::Barrier:
-      line("barrier(CLK_LOCAL_MEM_FENCE);");
-      return;
-    case Stmt::Kind::Loop: {
-      std::string V = S.LoopVar->getVarName();
-      std::string N = printIndex(S.Count);
-      std::string Init, Stride;
-      switch (S.LK) {
-      case LoopKind::Seq:
-        Init = "0";
-        Stride = "1";
-        break;
-      case LoopKind::Glb:
-        Init = "get_global_id(" + std::to_string(S.Dim) + ")";
-        Stride = "get_global_size(" + std::to_string(S.Dim) + ")";
-        break;
-      case LoopKind::Wrg:
-        Init = "get_group_id(" + std::to_string(S.Dim) + ")";
-        Stride = "get_num_groups(" + std::to_string(S.Dim) + ")";
-        break;
-      case LoopKind::Lcl:
-        Init = "get_local_id(" + std::to_string(S.Dim) + ")";
-        Stride = "get_local_size(" + std::to_string(S.Dim) + ")";
-        break;
-      }
-      if (S.Unroll)
-        line("#pragma unroll");
-      line("for (int " + V + " = " + Init + "; " + V + " < " + N + "; " + V +
-           " += " + Stride + ") {");
-      ++Indent;
-      printStmts(S.Body);
-      --Indent;
-      line("}");
-      return;
-    }
-    }
-    unreachable("covered switch");
-  }
+  // The shared walk.
+  std::string index(const AExpr &E) const;
+  std::string indexHelpers() const;
+  std::string userFun(const ir::UserFun &UF) const;
+  std::string expr(const KExpr &E) const;
+  void printRegDecl(int RegId);
+  void printStmt(const Stmt &S);
+  void printStmts(const std::vector<StmtPtr> &Body);
 
-  std::string printExpr(const KExpr &E) {
-    switch (E.K) {
-    case KExpr::Kind::ConstScalar:
-      if (E.Const.K == ScalarKind::Float) {
-        std::ostringstream SS;
-        SS << E.Const.F;
-        std::string S = SS.str();
-        if (S.find('.') == std::string::npos &&
-            S.find('e') == std::string::npos)
-          S += ".0";
-        return S + "f";
-      }
-      return std::to_string(E.Const.I);
-    case KExpr::Kind::IndexVal:
-      return printIndex(E.Index);
-    case KExpr::Kind::ReadVar:
-      return K.Registers[std::size_t(E.VarId)].Name;
-    case KExpr::Kind::Load:
-      return K.buffer(E.BufferId).Name + "[" + printIndex(E.Index) + "]";
-    case KExpr::Kind::CallUF: {
-      std::string S = E.UF->getName() + "(";
-      for (std::size_t I = 0, N = E.Args.size(); I != N; ++I) {
-        if (I != 0)
-          S += ", ";
-        S += printExpr(*E.Args[I]);
-      }
-      return S + ")";
-    }
-    case KExpr::Kind::Select: {
-      std::string Cond;
-      for (std::size_t I = 0, N = E.Checks.size(); I != N; ++I) {
-        const BoundsCheck &C = E.Checks[I];
-        if (I != 0)
-          Cond += " && ";
-        std::string Idx = printIndex(C.Idx);
-        Cond += "(" + Idx + " >= " + printIndex(C.Lo) + " && " + Idx + " < " +
-                printIndex(C.Hi) + ")";
-      }
-      return "((" + Cond + ") ? " + printExpr(*E.Then) + " : " +
-             printExpr(*E.Else) + ")";
-    }
-    }
-    unreachable("covered switch");
-  }
+  const Kernel &K;
+  bool IsC;
+  const ProfileTimers *Profile;
+  ParPlan Plan;
+  NameMap Names;
+  std::string EntryName;
+  std::string Out;
+  int Indent = 0;
+  /// Profile mode: region root -> (lift_prof slot, region name).
+  std::unordered_map<const Stmt *, std::pair<std::size_t, std::string>>
+      RegionIdx;
 };
 
-} // namespace
+void Printer::printPrelude() {
+  if (!IsC) {
+    Out += "// Generated by liftcpp (CGO'18 Lift stencil reproduction)\n\n";
+    return;
+  }
+  Out += "// " + EntryName + ": generated by the liftcpp native backend.\n";
+  Out += "// Semantics contract: bit-identical to the NDRange simulator\n";
+  Out += "// (all loops run 0..count-1; floor division; exact float\n";
+  Out += "// literals; float-precision math builtins).\n\n";
+  Out += "#include <math.h>\n";
+  Out += "#include <stdint.h>\n";
+  if (Profile)
+    Out += "#include <time.h>\n";
+  Out += "\n";
+  // OpenCL's sqrt/fmax/fmin on float stay in float; C promotes to
+  // double. Map them to the float-precision versions the interpreter's
+  // C++ callbacks (std::sqrt(float) etc.) compile to.
+  Out += "#define sqrt(x) sqrtf(x)\n";
+  Out += "#define fmax(a, b) fmaxf((a), (b))\n";
+  Out += "#define fmin(a, b) fminf((a), (b))\n\n";
+}
 
-std::string lift::ocl::renderIndex(
-    const AExpr &E,
-    const std::function<std::string(const ArithExpr &Var)> &VarName) {
+void Printer::printEntry() {
+  if (!IsC) {
+    std::string Params;
+    for (const BufferDecl &B : K.Buffers)
+      if (B.Space == MemSpace::Global)
+        Params += (Params.empty() ? "global " : ", global ") +
+                  scalarType(B.ElemKind) + "* restrict " + Names.buffer(B.Id);
+    for (const auto &SA : K.SizeArgs)
+      Params += (Params.empty() ? "int " : ", int ") + Names.var(SA.first);
+    Out += "kernel void " + EntryName + "(" + Params + ") {\n";
+    Indent = 1;
+    return;
+  }
+  Out += "void " + EntryName +
+         "(void **lift_bufs, const long long *lift_sizes, "
+         "int lift_threads, double *lift_prof) {\n";
+  Indent = 1;
+  std::size_t Slot = 0;
+  for (const BufferDecl &B : K.Buffers) {
+    if (B.Space != MemSpace::Global)
+      continue;
+    line(scalarType(B.ElemKind) + " *restrict " + Names.buffer(B.Id) + " = (" +
+         scalarType(B.ElemKind) + " *)lift_bufs[" + std::to_string(Slot++) +
+         "];");
+  }
+  for (std::size_t I = 0; I != K.SizeArgs.size(); ++I)
+    line("const long long " + Names.var(K.SizeArgs[I].first) +
+         " = lift_sizes[" + std::to_string(I) + "];");
+  line("(void)lift_threads;");
+  if (!Profile)
+    line("(void)lift_prof;");
+}
+
+void Printer::printLoopHeader(const Stmt &S, bool IsRoot) {
+  const std::string V = Names.var(S.LoopVar->getVarId());
+  std::string Init = "0", Step = "++" + V;
+  if (IsC) {
+    bool Simd = isSimdLoop(S);
+    if (IsRoot)
+      line(std::string("#pragma omp parallel for") + (Simd ? " simd" : "") +
+           " schedule(static) num_threads(lift_threads)");
+    else if (Simd)
+      line("#pragma omp simd");
+    if (S.Unroll && S.Count->getKind() == ArithExpr::Kind::Cst &&
+        S.Count->getCst() >= 1 && S.Count->getCst() <= 64)
+      line("#pragma GCC unroll " + std::to_string(S.Count->getCst()));
+  } else {
+    if (S.Unroll)
+      line("#pragma unroll");
+    std::string Dim = "(" + std::to_string(S.Dim) + ")";
+    std::string Stride = "1";
+    switch (S.LK) {
+    case LoopKind::Seq:
+      break;
+    case LoopKind::Glb:
+      Init = "get_global_id" + Dim;
+      Stride = "get_global_size" + Dim;
+      break;
+    case LoopKind::Wrg:
+      Init = "get_group_id" + Dim;
+      Stride = "get_num_groups" + Dim;
+      break;
+    case LoopKind::Lcl:
+      Init = "get_local_id" + Dim;
+      Stride = "get_local_size" + Dim;
+      break;
+    }
+    Step = V + " += " + Stride;
+  }
+  line("for (" + indexType() + " " + V + " = " + Init + "; " + V + " < " +
+       index(S.Count) + "; " + Step + ") {");
+}
+
+void Printer::printDecl(int BufId) {
+  const BufferDecl &B = K.buffer(BufId);
+  const std::string N = index(B.NumElems);
+  std::string Decl =
+      scalarType(B.ElemKind) + " " + Names.buffer(BufId) + "[" + N + "]";
+  if (!IsC) {
+    line((B.Space == MemSpace::Local ? "local " : "") + Decl + ";");
+    return;
+  }
+  // Local/private tiles become (possibly variable-length) stack
+  // arrays, zero-initialized like the simulator's fresh storage so an
+  // unwritten element reads identically. VLAs cannot take an
+  // initializer, so symbolic extents get an explicit fill loop.
+  if (B.NumElems->getKind() == ArithExpr::Kind::Cst) {
+    line(Decl + " = {0};");
+    return;
+  }
+  line(Decl + ";");
+  line("for (long long lift_i = 0; lift_i < " + N + "; ++lift_i)");
+  line("  " + Names.buffer(BufId) + "[lift_i] = 0;");
+}
+
+/// Floor division, floor modulo, min and max print as calls to the
+/// helpers indexHelpers() defines.
+std::string Printer::index(const AExpr &E) const {
   switch (E->getKind()) {
   case ArithExpr::Kind::Cst:
     return std::to_string(E->getCst());
   case ArithExpr::Kind::Var:
-    return VarName(*E);
+    return Names.var(E->getVarId());
   case ArithExpr::Kind::Add:
   case ArithExpr::Kind::Mul: {
     const char *Op = E->getKind() == ArithExpr::Kind::Add ? " + " : " * ";
@@ -202,7 +515,7 @@ std::string lift::ocl::renderIndex(
     for (std::size_t I = 0; I != Ops.size(); ++I) {
       if (I)
         S += Op;
-      S += renderIndex(Ops[I], VarName);
+      S += index(Ops[I]);
     }
     return S + ")";
   }
@@ -214,21 +527,25 @@ std::string lift::ocl::renderIndex(
                      : E->getKind() == ArithExpr::Kind::Mod ? "lift_fmod"
                      : E->getKind() == ArithExpr::Kind::Min ? "lift_min"
                                                             : "lift_max";
-    return std::string(Fn) + "(" + renderIndex(E->getOperands()[0], VarName) +
-           ", " + renderIndex(E->getOperands()[1], VarName) + ")";
+    return std::string(Fn) + "(" + index(E->getOperands()[0]) + ", " +
+           index(E->getOperands()[1]) + ")";
   }
   }
   unreachable("covered switch");
 }
 
-std::string lift::ocl::indexHelpers(const std::string &Qualifiers,
-                                    const std::string &IntType) {
+/// The index helpers over the dialect's index type. Division and
+/// modulo round toward negative infinity, like floorDivInt/floorModInt
+/// (support/Support.h), which the simulator evaluates indices with.
+std::string Printer::indexHelpers() const {
+  const std::string Qual = IsC ? "static inline " : "";
+  const std::string T = indexType();
   std::string Out;
   auto Helper = [&](const char *Name, const std::string &Body) {
-    Out += Qualifiers + IntType + " " + Name + "(" + IntType + " a, " +
-           IntType + " b) {\n" + Body + "}\n";
+    Out += Qual + T + " " + Name + "(" + T + " a, " + T + " b) {\n" + Body +
+           "}\n";
   };
-  Helper("lift_fdiv", "  " + IntType + " q = a / b;\n"
+  Helper("lift_fdiv", "  " + T + " q = a / b;\n"
                       "  if ((a % b != 0) && ((a < 0) != (b < 0)))\n"
                       "    --q;\n"
                       "  return q;\n");
@@ -238,7 +555,158 @@ std::string lift::ocl::indexHelpers(const std::string &Qualifiers,
   return Out;
 }
 
+/// A user function keeps its OpenCL C body and signature in both
+/// dialects; C makes it `static inline` so it inlines into vector loops.
+std::string Printer::userFun(const ir::UserFun &UF) const {
+  std::string S = IsC ? "static inline " : "";
+  S += std::string(clScalarName(UF.getRetKind())) + " " + UF.getName() + "(";
+  for (std::size_t I = 0; I != UF.getParamNames().size(); ++I) {
+    if (I)
+      S += ", ";
+    S += std::string(clScalarName(UF.getParamKinds()[I])) + " " +
+         UF.getParamNames()[I];
+  }
+  return S + ") { " + UF.getOpenCLBody() + " }";
+}
+
+std::string Printer::expr(const KExpr &E) const {
+  switch (E.K) {
+  case KExpr::Kind::ConstScalar:
+    return E.Const.K == ir::ScalarKind::Float ? formatFloat(E.Const.F)
+                                              : std::to_string(E.Const.I);
+  case KExpr::Kind::IndexVal:
+    // The simulator narrows index values to int32 when they enter the
+    // scalar world (Sim.cpp evalExpr); mirror that exactly.
+    return "(" + scalarType(ir::ScalarKind::Int) + ")" + index(E.Index);
+  case KExpr::Kind::ReadVar:
+    return Names.reg(E.VarId);
+  case KExpr::Kind::Load:
+    return Names.buffer(E.BufferId) + "[" + index(E.Index) + "]";
+  case KExpr::Kind::CallUF: {
+    std::string S = E.UF->getName() + "(";
+    for (std::size_t I = 0; I != E.Args.size(); ++I) {
+      if (I)
+        S += ", ";
+      S += expr(*E.Args[I]);
+    }
+    return S + ")";
+  }
+  case KExpr::Kind::Select: {
+    std::string Cond;
+    for (std::size_t I = 0; I != E.Checks.size(); ++I) {
+      const BoundsCheck &C = E.Checks[I];
+      if (I)
+        Cond += " && ";
+      std::string Idx = index(C.Idx);
+      Cond += "(" + index(C.Lo) + " <= " + Idx + " && " + Idx + " < " +
+              index(C.Hi) + ")";
+    }
+    return "(" + Cond + " ? " + expr(*E.Then) + " : " + expr(*E.Else) + ")";
+  }
+  }
+  unreachable("covered switch");
+}
+
+void Printer::printRegDecl(int RegId) {
+  const RegisterDecl &R = K.Registers[std::size_t(RegId)];
+  line(scalarType(R.Kind) + " " + Names.reg(RegId) + " = 0;");
+}
+
+void Printer::printStmt(const Stmt &S) {
+  switch (S.K) {
+  case Stmt::Kind::Store:
+    line(Names.buffer(S.BufferId) + "[" + index(S.Index) +
+         "] = " + expr(*S.Value) + ";");
+    return;
+  case Stmt::Kind::AssignVar:
+    line(Names.reg(S.VarId) + " = " + expr(*S.Value) + ";");
+    return;
+  case Stmt::Kind::Barrier:
+    line(barrierLine());
+    return;
+  case Stmt::Kind::Loop:
+    break;
+  }
+
+  auto Region = RegionIdx.find(&S);
+  if (Region != RegionIdx.end()) {
+    line("{ /* region " + std::to_string(Region->second.first) + ": " +
+         Region->second.second + " */");
+    ++Indent;
+    line("const double lift_t0 = lift_prof_now();");
+  }
+
+  bool IsRoot = Plan.Parallel && Plan.Roots.count(&S);
+  printLoopHeader(S, IsRoot);
+  ++Indent;
+  if (IsRoot) {
+    auto BI = Plan.RootBufs.find(&S);
+    if (BI != Plan.RootBufs.end())
+      for (int Id : BI->second)
+        printDecl(Id);
+    auto RI = Plan.RootRegs.find(&S);
+    if (RI != Plan.RootRegs.end())
+      for (int Id : RI->second)
+        printRegDecl(Id);
+  }
+  printStmts(S.Body);
+  // An OpenCL work-group that runs more than one tile must not start
+  // the next tile's local write while this tile is still being read.
+  if (!IsC && S.LK == LoopKind::Wrg && holdsBarrier(S))
+    line(barrierLine());
+  --Indent;
+  line("}");
+
+  if (Region != RegionIdx.end()) {
+    line("lift_prof[" + std::to_string(Region->second.first) +
+         "] += lift_prof_now() - lift_t0;");
+    --Indent;
+    line("}");
+  }
+}
+
+void Printer::printStmts(const std::vector<StmtPtr> &Body) {
+  for (const StmtPtr &S : Body)
+    printStmt(*S);
+}
+
+std::string Printer::run() {
+  printPrelude();
+  Out += indexHelpers();
+  if (Profile) {
+    // The region timer: the same monotonic clock the runner times whole
+    // kernels with, read as seconds so accumulation stays a single add.
+    Out += "static inline double lift_prof_now(void) {\n";
+    Out += "  struct timespec lift_ts;\n";
+    Out += "  clock_gettime(CLOCK_MONOTONIC, &lift_ts);\n";
+    Out += "  return (double)lift_ts.tv_sec + 1e-9 * "
+           "(double)lift_ts.tv_nsec;\n";
+    Out += "}\n";
+  }
+  Out += "\n";
+  for (const ir::UserFunPtr &UF : K.UserFuns)
+    Out += userFun(*UF) + "\n";
+  if (!K.UserFuns.empty())
+    Out += "\n";
+
+  printEntry();
+  for (int Id : Plan.TopBufs)
+    printDecl(Id);
+  for (int Id : Plan.TopRegs)
+    printRegDecl(Id);
+  printStmts(K.Body);
+  Indent = 0;
+  Out += "}\n";
+  return Out;
+}
+
+} // namespace
+
+std::string lift::ocl::printKernel(const Kernel &K, Dialect D,
+                                   const ProfileTimers *Profile) {
+  return Printer(K, D, Profile).run();
+}
+
 std::string lift::ocl::emitOpenCL(const Kernel &K) {
-  Printer P(K);
-  return P.print();
+  return printKernel(K, Dialect::OpenCL);
 }

@@ -79,7 +79,7 @@ TEST(GoldenKernel, Listing2Global) {
       "\n"
       "kernel void jacobi3pt(global float* restrict in0, "
       "global float* restrict out, int n) {\n"
-      "  float acc0;\n"
+      "  float acc0 = 0;\n"
       "  for (int i0 = get_global_id(0); i0 < n; "
       "i0 += get_global_size(0)) {\n"
       "    acc0 = 0.0f;\n"
@@ -112,7 +112,7 @@ TEST(GoldenKernel, Listing2TiledLocalUnrolled) {
       "kernel void jacobi3pt(global float* restrict in0, "
       "global float* restrict out, int n) {\n"
       "  local float lcl0[6];\n"
-      "  float acc0;\n"
+      "  float acc0 = 0;\n"
       // Clamped (remainder-legal) tiling: ceil(n/4) work-groups, the
       // last one shifted left to min(n-4, 4*i0) so it stays in bounds
       // at any n >= 4 (exact fits fold back at concrete sizes).
@@ -133,6 +133,9 @@ TEST(GoldenKernel, Listing2TiledLocalUnrolled) {
       "      }\n"
       "      out[(i2 + lift_min((-4 + n), (4 * i0)))] = acc0;\n"
       "    }\n"
+      // The trailing barrier: a work-group that runs several tiles must
+      // not overwrite lcl0 with the next tile while this one is read.
+      "    barrier(CLK_LOCAL_MEM_FENCE);\n"
       "  }\n"
       "}\n";
   EXPECT_EQ(Src, Expected);

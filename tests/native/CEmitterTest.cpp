@@ -15,11 +15,13 @@
 #include "native/CEmitter.h"
 
 #include "codegen/CodeGen.h"
+#include "ocl/Emitter.h"
 #include "rewrite/Lowering.h"
 #include "stencil/Benchmarks.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 
 using namespace lift;
@@ -286,24 +288,30 @@ TEST(CEmitter, FloorDivisionNeverUsesTruncatingOperators) {
 }
 
 TEST(CEmitter, FloatLiteralsRoundTrip) {
-  auto Lit = [](float V) {
-    Kernel K;
-    AExpr N = var("n", Range(1, 1 << 30));
-    K.Name = "lit";
-    K.Buffers.push_back({0, "out", ir::ScalarKind::Float, MemSpace::Global,
-                         N, false, true});
-    K.SizeArgs.push_back({N->getVarId(), "n"});
-    AExpr I = var("i");
-    K.Body.push_back(
-        sLoop(LoopKind::Seq, 0, I, N, {sStore(0, I, kConst(ir::Scalar(V)))}));
-    return native::emitC(K);
-  };
-  // %.9g round-trips every finite float; integral values still get a
-  // decimal point so the literal parses as floating.
-  EXPECT_NE(Lit(0.1f).find("0.100000001f"), std::string::npos);
-  EXPECT_NE(Lit(1.0f).find("1.0f"), std::string::npos);
-  EXPECT_NE(Lit(-1.0e30f).find("-1.00000002e+30f"), std::string::npos);
-  EXPECT_NE(Lit(1.0f / 6.0f).find("0.166666672f"), std::string::npos);
+  // Both dialects print literals through one formatter, so the OpenCL
+  // text computes the same bits as the native kernel.
+  for (bool OpenCL : {false, true}) {
+    auto Lit = [OpenCL](float V) {
+      Kernel K;
+      AExpr N = var("n", Range(1, 1 << 30));
+      K.Name = "lit";
+      K.Buffers.push_back({0, "out", ir::ScalarKind::Float, MemSpace::Global,
+                           N, false, true});
+      K.SizeArgs.push_back({N->getVarId(), "n"});
+      AExpr I = var("i");
+      K.Body.push_back(sLoop(LoopKind::Seq, 0, I, N,
+                             {sStore(0, I, kConst(ir::Scalar(V)))}));
+      return OpenCL ? ocl::emitOpenCL(K) : native::emitC(K);
+    };
+    // %.9g round-trips every finite float; integral values still get a
+    // decimal point so the literal parses as floating.
+    EXPECT_NE(Lit(0.1f).find("0.100000001f"), std::string::npos);
+    EXPECT_NE(Lit(1.0f).find("1.0f"), std::string::npos);
+    EXPECT_NE(Lit(-1.0e30f).find("-1.00000002e+30f"), std::string::npos);
+    EXPECT_NE(Lit(1.0f / 6.0f).find("0.166666672f"), std::string::npos);
+    EXPECT_NE(Lit(1.0f / 9.0f).find("0.111111112f"), std::string::npos);
+    EXPECT_NE(Lit(INFINITY).find("] = INFINITY;"), std::string::npos);
+  }
 }
 
 TEST(CEmitter, LocalTileEmission) {
@@ -356,6 +364,20 @@ TEST(CEmitter, KernelNameSanitizedAndCollisionFree) {
   EXPECT_NE(Src.find("void v_1bad_name_(void **lift_bufs"),
             std::string::npos)
       << Src;
+  std::string Cl = ocl::emitOpenCL(K);
+  EXPECT_EQ(Cl.find("void 1bad"), std::string::npos);
+  EXPECT_NE(Cl.find("kernel void v_1bad_name_(global float* restrict in0"),
+            std::string::npos)
+      << Cl;
+
+  // OpenCL qualifiers and builtins are reserved in both dialects: a
+  // buffer named `local` would otherwise read as an address space.
+  K.Name = "get_global_id";
+  K.Buffers[0].Name = "local";
+  for (const std::string &S : {native::emitC(K), ocl::emitOpenCL(K)}) {
+    EXPECT_NE(S.find("void get_global_id_2("), std::string::npos) << S;
+    EXPECT_NE(S.find("out[i] = local_2[i];"), std::string::npos) << S;
+  }
 }
 
 } // namespace

@@ -9,9 +9,12 @@
 //   * the untiled lowering (the semantic reference),
 //   * the NDRange simulator at jobs=1,
 //   * the same simulator sharded over 4 jobs, and
-//   * the native C backend (emit, compile, dlopen, run),
+//   * the native C backend (emit, compile, dlopen, run), and
+//   * the OpenCL text itself, compiled as host C under
+//     opencl_host_shim.h and run one work-item at a time,
 //
-// for every boundary kind (clamp / mirror / wrap / constant). A final
+// for every boundary kind (clamp / mirror / wrap / constant). A
+// constant of 1/3 needs every digit of its float literal. A final
 // case covers the short-axis shape (extent < tile, Hotspot3D's 4-deep
 // z axis) where the per-dimension clamp shrinks the tile to the axis.
 //
@@ -19,6 +22,7 @@
 
 #include "codegen/Runner.h"
 #include "native/NativeRunner.h"
+#include "ocl/Emitter.h"
 #include "rewrite/Lowering.h"
 #include "stencil/StencilOps.h"
 
@@ -83,6 +87,35 @@ Fixture makeFixture(Boundary B, const std::vector<std::int64_t> &Ext) {
   return F;
 }
 
+/// The OpenCL text of \p C (ocl::emitOpenCL) compiled as host C: the
+/// shim makes it a C translation unit that runs one work-item at a
+/// time, and a positional wrapper gives it the native entry ABI, so
+/// runNative runs it like a native kernel.
+native::NativeKernelPtr compileOpenCLText(const codegen::Compiled &C) {
+  std::string Cl = ocl::emitOpenCL(C.K);
+  std::size_t At = Cl.find("kernel void ") + std::strlen("kernel void ");
+  std::string Name = Cl.substr(At, Cl.find('(', At) - At);
+  std::string Args;
+  unsigned Slot = 0;
+  for (const ocl::BufferDecl &B : C.K.Buffers)
+    if (B.Space == ocl::MemSpace::Global)
+      Args += std::string(Args.empty() ? "" : ", ") +
+              (B.ElemKind == ScalarKind::Float ? "(float *)" : "(int *)") +
+              "lift_bufs[" + std::to_string(Slot++) + "]";
+  for (std::size_t I = 0; I != C.K.SizeArgs.size(); ++I)
+    Args += std::string(Args.empty() ? "" : ", ") + "(int)lift_sizes[" +
+            std::to_string(I) + "]";
+  std::string Src = "#include \"" LIFT_OPENCL_HOST_SHIM "\"\n" + Cl +
+                    "\nvoid lift_opencl_entry(void **lift_bufs, "
+                    "const long long *lift_sizes, int lift_threads, "
+                    "double *lift_prof) {\n"
+                    "  (void)lift_threads;\n"
+                    "  (void)lift_prof;\n"
+                    "  " + Name + "(" + Args + ");\n"
+                    "}\n";
+  return native::compileCSource(Src, "lift_opencl_entry");
+}
+
 bool bitIdentical(const std::vector<float> &A, const std::vector<float> &B) {
   return A.size() == B.size() &&
          (A.empty() ||
@@ -132,6 +165,13 @@ void checkRaggedAgreement(Boundary B, const std::vector<std::int64_t> &Ext,
       native::runNative(C, *Kern, F.Inputs, F.Sizes, /*Threads=*/3);
   EXPECT_TRUE(bitIdentical(NR.Output, Ref))
       << What << ": native backend diverged from untiled reference";
+
+  native::NativeKernelPtr ClKern = compileOpenCLText(C);
+  native::NativeRunResult CR =
+      native::runNative(C, *ClKern, F.Inputs, F.Sizes);
+  EXPECT_TRUE(bitIdentical(CR.Output, Ref))
+      << What << ": OpenCL text diverged from untiled reference\n"
+      << ClKern->source();
 }
 
 // 53 and 47 are prime: no tile size >= 2 divides either extent, so
@@ -152,6 +192,12 @@ TEST(RemainderTileDiff, WrapBoundaryPrimeGrid) {
 
 TEST(RemainderTileDiff, ConstantBoundaryPrimeGrid) {
   checkRaggedAgreement(Boundary::constant(0.75f), {53, 47}, 16);
+}
+
+// 1/3 has no short decimal form: the pad value only keeps its bits
+// when every printer writes all nine significant digits.
+TEST(RemainderTileDiff, ConstantThirdBoundaryPrimeGrid) {
+  checkRaggedAgreement(Boundary::constant(1.0f / 3.0f), {53, 47}, 16);
 }
 
 // Extent smaller than the tile (Hotspot3D's 4-deep z axis under tile
