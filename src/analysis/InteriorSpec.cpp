@@ -28,17 +28,6 @@ constexpr int MaxHalo = 4;
 // Subtree scans
 //===----------------------------------------------------------------------===//
 
-bool mentionsVar(const AExpr &E, unsigned Id) {
-  if (!E)
-    return false;
-  std::vector<unsigned> Vars;
-  collectVars(E, Vars);
-  for (unsigned V : Vars)
-    if (V == Id)
-      return true;
-  return false;
-}
-
 /// True when \p E contains a Min/Max/Mod node whose subtree mentions
 /// variable \p Id — i.e. surviving boundary arithmetic on that loop.
 bool hasBoundaryOpOn(const AExpr &E, unsigned Id) {
@@ -60,98 +49,58 @@ bool hasBoundaryOpOn(const AExpr &E, unsigned Id) {
   return false;
 }
 
-/// Eligibility scan over one loop subtree: the split duplicates the
-/// body into three clones, which is only safe when the body is a pure
+/// Eligibility scan over one loop body: the split duplicates the body
+/// into three clones, which is only safe when the body is a pure
 /// per-iteration computation over global memory — no barriers, no
 /// work-group/local-id loops, no local/private buffers, and every
-/// register read after a write within the same subtree.
-struct EligibilityScan {
-  const ocl::Kernel &K;
+/// register read after a write within the same body.
+bool splittable(const ocl::Kernel &K, const std::vector<StmtPtr> &Body) {
   bool Ok = true;
+  auto Global = [&](int BufferId) {
+    return K.buffer(BufferId).Space == ocl::MemSpace::Global;
+  };
   std::unordered_set<int> Assigned;
-  std::unordered_map<int, unsigned> RegUses; ///< reg id -> occurrences
-
-  void expr(const KExprPtr &E) {
-    if (!E || !Ok)
-      return;
-    switch (E->K) {
-    case KExpr::Kind::ConstScalar:
-    case KExpr::Kind::IndexVal:
-      return;
-    case KExpr::Kind::ReadVar:
-      ++RegUses[E->VarId];
-      if (!Assigned.count(E->VarId))
-        Ok = false; // value flows in from outside the subtree
-      return;
-    case KExpr::Kind::Load:
-      if (K.buffer(E->BufferId).Space != ocl::MemSpace::Global)
-        Ok = false;
-      return;
-    case KExpr::Kind::CallUF:
-      for (const KExprPtr &A : E->Args)
-        expr(A);
-      return;
-    case KExpr::Kind::Select:
-      expr(E->Then);
-      expr(E->Else);
-      return;
-    }
-  }
-
-  void stmt(const StmtPtr &S) {
-    if (!Ok)
-      return;
-    switch (S->K) {
-    case Stmt::Kind::Store:
-      if (K.buffer(S->BufferId).Space != ocl::MemSpace::Global)
-        Ok = false;
-      expr(S->Value);
-      return;
-    case Stmt::Kind::AssignVar:
-      expr(S->Value); // RHS reads happen before the write
-      ++RegUses[S->VarId];
-      Assigned.insert(S->VarId);
-      return;
-    case Stmt::Kind::Barrier:
-      Ok = false;
-      return;
-    case Stmt::Kind::Loop:
-      if (S->LK == ocl::LoopKind::Wrg || S->LK == ocl::LoopKind::Lcl) {
-        Ok = false;
-        return;
-      }
-      for (const StmtPtr &B : S->Body)
-        stmt(B);
-      return;
-    }
-  }
-};
+  // An assignment's own right-hand side, visited after it, reads the
+  // register's old value: the write lands at the next statement.
+  int Pending = -1;
+  ocl::walkKernel(
+      Body,
+      [&](const Stmt &S, const ocl::WalkContext &) {
+        if (Pending >= 0)
+          Assigned.insert(Pending);
+        Pending = S.K == Stmt::Kind::AssignVar ? S.VarId : -1;
+        if (S.K == Stmt::Kind::Store)
+          Ok &= Global(S.BufferId);
+        else if (S.K == Stmt::Kind::Barrier)
+          Ok = false;
+        else if (S.K == Stmt::Kind::Loop)
+          Ok &= S.LK != ocl::LoopKind::Wrg && S.LK != ocl::LoopKind::Lcl;
+      },
+      [&](const KExpr &E, const ocl::WalkContext &) {
+        // A read before any write here takes a value from outside.
+        if (E.K == KExpr::Kind::ReadVar)
+          Ok &= Assigned.count(E.VarId) != 0;
+        else if (E.K == KExpr::Kind::Load)
+          Ok &= Global(E.BufferId);
+      });
+  return Ok;
+}
 
 /// Counts register occurrences (reads + writes) under \p Body.
-void countRegUses(const std::vector<StmtPtr> &Body,
-                  std::unordered_map<int, unsigned> &Out) {
-  struct Walk {
-    std::unordered_map<int, unsigned> &Out;
-    void expr(const KExprPtr &E) {
-      if (!E)
-        return;
-      if (E->K == KExpr::Kind::ReadVar)
-        ++Out[E->VarId];
-      for (const KExprPtr &A : E->Args)
-        expr(A);
-      expr(E->Then);
-      expr(E->Else);
-    }
-    void stmt(const StmtPtr &S) {
-      if (S->K == Stmt::Kind::AssignVar)
-        ++Out[S->VarId];
-      expr(S->Value);
-      for (const StmtPtr &B : S->Body)
-        stmt(B);
-    }
-  } W{Out};
-  for (const StmtPtr &S : Body)
-    W.stmt(S);
+std::unordered_map<int, unsigned>
+countRegUses(const std::vector<StmtPtr> &Body) {
+  std::unordered_map<int, unsigned> Uses;
+  ocl::walkKernel(
+      Body,
+      [&](const Stmt &S, const ocl::WalkContext &) {
+        if (S.K == Stmt::Kind::AssignVar)
+          ++Uses[S.VarId];
+      },
+      [&](const KExpr &E, const ocl::WalkContext &) {
+        if (E.K == KExpr::Kind::ReadVar)
+          ++Uses[E.VarId];
+      });
+  return Uses;
 }
 
 //===----------------------------------------------------------------------===//
@@ -256,41 +205,22 @@ StmtPtr cloneStmt(const StmtPtr &S, const CloneCtx &C, const Facts &F) {
 /// respect to the interior variable \p Id: no surviving Min/Max/Mod
 /// mentioning it in any index/count expression, and no surviving
 /// Select guard mentioning it.
-struct InteriorVerify {
-  unsigned Id;
+bool clampFree(const std::vector<StmtPtr> &Body, unsigned Id) {
   bool Clean = true;
-
-  void index(const AExpr &E) {
-    if (Clean && hasBoundaryOpOn(E, Id))
-      Clean = false;
-  }
-
-  void expr(const KExprPtr &E) {
-    if (!E || !Clean)
-      return;
-    index(E->Index);
-    for (const ocl::BoundsCheck &B : E->Checks)
-      if (mentionsVar(B.Idx, Id) || mentionsVar(B.Lo, Id) ||
-          mentionsVar(B.Hi, Id)) {
-        Clean = false;
-        return;
-      }
-    for (const KExprPtr &A : E->Args)
-      expr(A);
-    expr(E->Then);
-    expr(E->Else);
-  }
-
-  void stmt(const StmtPtr &S) {
-    if (!Clean)
-      return;
-    index(S->Index);
-    index(S->Count);
-    expr(S->Value);
-    for (const StmtPtr &B : S->Body)
-      stmt(B);
-  }
-};
+  ocl::walkKernel(
+      Body,
+      [&](const Stmt &S, const ocl::WalkContext &) {
+        Clean = Clean && !hasBoundaryOpOn(S.Index, Id) &&
+                !hasBoundaryOpOn(S.Count, Id);
+      },
+      [&](const KExpr &E, const ocl::WalkContext &) {
+        Clean = Clean && !hasBoundaryOpOn(E.Index, Id);
+        for (const ocl::BoundsCheck &B : E.Checks)
+          Clean = Clean && !mentionsVar(B.Idx, Id) &&
+                  !mentionsVar(B.Lo, Id) && !mentionsVar(B.Hi, Id);
+      });
+  return Clean;
+}
 
 //===----------------------------------------------------------------------===//
 // The splitter
@@ -353,16 +283,15 @@ struct Splitter {
                                Loop->Unroll));
     };
 
-    EligibilityScan Scan{K};
-    for (const StmtPtr &S : Loop->Body)
-      Scan.stmt(S);
-    if (!Scan.Ok) {
+    if (!splittable(K, Loop->Body)) {
       Keep();
       return;
     }
     // Registers written here must not be visible elsewhere: clones get
     // fresh copies, so any outside read would see the wrong one.
-    for (const auto &[Id, N] : Scan.RegUses) {
+    const std::unordered_map<int, unsigned> RegUses =
+        countRegUses(Loop->Body);
+    for (const auto &[Id, N] : RegUses) {
       auto It = GlobalRegUses.find(Id);
       if (It == GlobalRegUses.end() || It->second != N) {
         Keep();
@@ -390,10 +319,7 @@ struct Splitter {
       Probed.reserve(Loop->Body.size());
       for (const StmtPtr &S : Loop->Body)
         Probed.push_back(cloneStmt(S, Probe, IF));
-      InteriorVerify V{VI->getVarId()};
-      for (const StmtPtr &S : Probed)
-        V.stmt(S);
-      if (!V.Clean)
+      if (!clampFree(Probed, VI->getVarId()))
         continue;
 
       // Commit. Left edge [0, min(H, count)) keeps the original body
@@ -405,7 +331,7 @@ struct Splitter {
 
       // Interior [H, count - H): fresh registers, simplified body,
       // then recurse so nested grid loops split too.
-      auto RegMapI = duplicateRegs(Scan.RegUses, "_i");
+      auto RegMapI = duplicateRegs(RegUses, "_i");
       CloneCtx CI{Subst, &RegMapI, /*Simplify=*/true, &Stats};
       std::vector<StmtPtr> InteriorBody;
       InteriorBody.reserve(Loop->Body.size());
@@ -423,7 +349,7 @@ struct Splitter {
       AExpr RightStart = amax(cst(H), sub(Loop->Count, cst(H)));
       std::unordered_map<unsigned, AExpr> SubstR{
           {VId, add(VRight, RightStart)}};
-      auto RegMapR = duplicateRegs(Scan.RegUses, "_r");
+      auto RegMapR = duplicateRegs(RegUses, "_r");
       CloneCtx CR{SubstR, &RegMapR, /*Simplify=*/false, nullptr};
       std::vector<StmtPtr> RightBody;
       RightBody.reserve(Loop->Body.size());
@@ -446,8 +372,7 @@ struct Splitter {
 ocl::Kernel specializeInterior(const ocl::Kernel &K, SpecStats *Stats) {
   ocl::Kernel Out = K;
   SpecStats Local;
-  Splitter S{Out, Stats ? *Stats : Local, {}};
-  countRegUses(Out.Body, S.GlobalRegUses);
+  Splitter S{Out, Stats ? *Stats : Local, countRegUses(Out.Body)};
   Out.Body = S.processBody(Out.Body, Facts{});
   return Out;
 }

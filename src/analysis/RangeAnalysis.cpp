@@ -20,8 +20,9 @@ namespace {
 
 using Kind = ArithExpr::Kind;
 
-/// Occurrence count of every variable in \p E (collectVars deduplicates,
-/// so the refinement solver counts by hand), plus the Var node itself.
+/// Occurrence count of every variable in \p E, plus the Var node
+/// itself, which the refinement solver needs and collectVars (ids
+/// only) does not give.
 void countVars(const AExpr &E,
                std::unordered_map<unsigned, std::pair<unsigned, AExpr>> &Out) {
   if (E->getKind() == Kind::Var) {
@@ -713,93 +714,46 @@ std::optional<std::string> refuteSplitDivisibility(
 // Static kernel bounds checking
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-struct BoundsChecker {
-  const ocl::Kernel &K;
-  const std::unordered_map<unsigned, AExpr> *Subst; // SizeEnv, as exprs
-  std::vector<BoundsViolation> Violations;
-
-  AExpr inst(const AExpr &E) const {
-    if (!E)
-      return E;
-    return Subst ? substitute(E, *Subst) : E;
-  }
-
-  void checkAccess(bool IsStore, int BufferId, const AExpr &Index,
-                   const Facts &F) {
-    const ocl::BufferDecl &B = K.buffer(BufferId);
-    AExpr Idx = simplifyWithFacts(inst(Index), F);
-    AExpr N = inst(B.NumElems);
-    if (provablyInBounds(Idx, cst(0), N, F))
-      return;
-    Violations.push_back(
-        {IsStore, B.Name, Idx->toString(), N->toString()});
-  }
-
-  void checkExpr(const ocl::KExprPtr &E, const Facts &F) {
-    if (!E)
-      return;
-    switch (E->K) {
-    case ocl::KExpr::Kind::ConstScalar:
-    case ocl::KExpr::Kind::IndexVal:
-    case ocl::KExpr::Kind::ReadVar:
-      return;
-    case ocl::KExpr::Kind::Load:
-      checkAccess(/*IsStore=*/false, E->BufferId, E->Index, F);
-      return;
-    case ocl::KExpr::Kind::CallUF:
-      for (const ocl::KExprPtr &A : E->Args)
-        checkExpr(A, F);
-      return;
-    case ocl::KExpr::Kind::Select: {
-      // The Then branch only executes when every check holds — learn
-      // each Lo <= Idx < Hi as a refinement for its analysis.
-      Facts ThenF = F;
-      for (const ocl::BoundsCheck &C : E->Checks)
-        ThenF = ThenF.withCheckFact(inst(C.Idx), inst(C.Lo), inst(C.Hi));
-      checkExpr(E->Then, ThenF);
-      checkExpr(E->Else, F);
-      return;
-    }
-    }
-  }
-
-  void checkStmt(const ocl::StmtPtr &S, const Facts &F) {
-    switch (S->K) {
-    case ocl::Stmt::Kind::Store:
-      checkAccess(/*IsStore=*/true, S->BufferId, S->Index, F);
-      checkExpr(S->Value, F);
-      return;
-    case ocl::Stmt::Kind::AssignVar:
-      checkExpr(S->Value, F);
-      return;
-    case ocl::Stmt::Kind::Barrier:
-      return;
-    case ocl::Stmt::Kind::Loop: {
-      Facts LoopF = F.withLoopVar(S->LoopVar, inst(S->Count));
-      for (const ocl::StmtPtr &B : S->Body)
-        checkStmt(B, LoopF);
-      return;
-    }
-    }
-  }
-};
-
-} // namespace
-
 std::vector<BoundsViolation> checkKernelBounds(
     const ocl::Kernel &K,
     const std::unordered_map<unsigned, std::int64_t> *Sizes) {
-  std::unordered_map<unsigned, AExpr> Subst;
+  std::unordered_map<unsigned, AExpr> Subst; // SizeEnv, as exprs
   if (Sizes)
     for (const auto &[Id, V] : *Sizes)
       Subst.emplace(Id, cst(V));
-  BoundsChecker C{K, Sizes ? &Subst : nullptr, {}};
-  Facts F;
-  for (const ocl::StmtPtr &S : K.Body)
-    C.checkStmt(S, F);
-  return C.Violations;
+  auto Inst = [&](const AExpr &E) { return Sizes ? substitute(E, Subst) : E; };
+  // The loop-bound facts inside each loop's body, built outermost first
+  // (pre-order reaches a loop before anything it encloses).
+  std::unordered_map<const ocl::Stmt *, Facts> BodyFacts;
+  auto LoopFacts = [&](const ocl::WalkContext &C) {
+    return C.Loops.empty() ? Facts() : BodyFacts.at(C.Loops.back());
+  };
+  std::vector<BoundsViolation> Violations;
+  auto Check = [&](bool IsStore, int BufferId, const AExpr &Index,
+                   const ocl::WalkContext &C) {
+    // A guarded branch only executes when each of its checks holds.
+    Facts F = LoopFacts(C);
+    for (const ocl::BoundsCheck *G : C.Guards)
+      F = F.withCheckFact(Inst(G->Idx), Inst(G->Lo), Inst(G->Hi));
+    const ocl::BufferDecl &B = K.buffer(BufferId);
+    AExpr Idx = simplifyWithFacts(Inst(Index), F);
+    AExpr N = Inst(B.NumElems);
+    if (!provablyInBounds(Idx, cst(0), N, F))
+      Violations.push_back({IsStore, B.Name, Idx->toString(), N->toString()});
+  };
+  ocl::walkKernel(
+      K.Body,
+      [&](const ocl::Stmt &S, const ocl::WalkContext &C) {
+        if (S.K == ocl::Stmt::Kind::Loop)
+          BodyFacts[&S] = LoopFacts(C).withLoopVar(S.LoopVar, Inst(S.Count));
+        else if (S.K == ocl::Stmt::Kind::Store)
+          Check(/*IsStore=*/true, S.BufferId, S.Index, C);
+      },
+      [&](const ocl::KExpr &E, const ocl::WalkContext &C) {
+        if (E.K == ocl::KExpr::Kind::Load)
+          Check(/*IsStore=*/false, E.BufferId, E.Index, C);
+      });
+  return Violations;
 }
 
 std::string describeViolations(const std::vector<BoundsViolation> &V) {

@@ -785,6 +785,17 @@ void lift::collectVars(const AExpr &E, std::vector<unsigned> &Out) {
     collectVars(Op, Out);
 }
 
+bool lift::mentionsVar(const AExpr &E, unsigned VarId) {
+  if (!E)
+    return false;
+  if (E->getKind() == Kind::Var)
+    return E->getVarId() == VarId;
+  for (const AExpr &Op : E->getOperands())
+    if (mentionsVar(Op, VarId))
+      return true;
+  return false;
+}
+
 std::string ArithExpr::toString() const {
   switch (K) {
   case Kind::Cst:

@@ -219,6 +219,9 @@ AExpr substitute(const AExpr &E,
 /// Collects the ids of all variables occurring in \p E into \p Out.
 void collectVars(const AExpr &E, std::vector<unsigned> &Out);
 
+/// True when variable \p VarId occurs in \p E (false for a null \p E).
+bool mentionsVar(const AExpr &E, unsigned VarId);
+
 } // namespace lift
 
 #endif // LIFT_ARITH_ARITHEXPR_H

@@ -8,6 +8,8 @@
 
 #include "support/Support.h"
 
+#include <algorithm>
+
 using namespace lift;
 using namespace lift::ocl;
 using namespace lift::codegen;
@@ -43,102 +45,32 @@ bool AccessReport::fullyCoalesced() const {
   return true;
 }
 
-namespace {
-
-class Analyzer {
-public:
-  Analyzer(const Kernel &K, const SizeEnv &Sizes) : K(K), Env(Sizes) {}
-
-  AccessReport run() {
-    walkStmts(K.Body);
-    return std::move(Report);
-  }
-
-private:
-  const Kernel &K;
-  SizeEnv Env; ///< sizes + sample values for loop variables
-  /// Innermost lane variable in scope (a Glb/Lcl dim-0 loop var id), or
-  /// 0 when none.
-  unsigned LaneVar = 0;
+AccessReport lift::codegen::analyzeAccesses(const Kernel &K,
+                                            const SizeEnv &Sizes) {
+  // A small interior sample value avoiding boundary clamps, chosen
+  // below the smallest loop extent seen so far where possible.
+  constexpr std::int64_t SampleBase = 5;
+  SizeEnv Env = Sizes; // sizes + sample values for loop variables
   AccessReport Report;
 
-  /// A small interior sample value avoiding boundary clamps, chosen
-  /// below the smallest loop extent seen so far where possible.
-  static constexpr std::int64_t SampleBase = 5;
-
-  void walkStmts(const std::vector<StmtPtr> &Stmts) {
-    for (const StmtPtr &S : Stmts)
-      walkStmt(*S);
-  }
-
-  void walkStmt(const Stmt &S) {
-    switch (S.K) {
-    case Stmt::Kind::Store:
-      noteSite(/*IsStore=*/true, S.BufferId, S.Index);
-      walkExpr(*S.Value);
-      return;
-    case Stmt::Kind::AssignVar:
-      walkExpr(*S.Value);
-      return;
-    case Stmt::Kind::Barrier:
-      return;
-    case Stmt::Kind::Loop: {
-      unsigned VarId = S.LoopVar->getVarId();
-      // Bind an interior sample value for this loop variable so index
-      // probes avoid the boundary clamps.
-      std::int64_t Extent = 0;
-      // Counts may reference outer loop vars, already bound.
-      Extent = S.Count->evaluate(Env);
-      std::int64_t Sample =
-          Extent > 2 * SampleBase ? SampleBase : std::max<std::int64_t>(
-                                                     0, Extent / 2);
-      Env[VarId] = Sample;
-      unsigned SavedLane = LaneVar;
-      bool IsLane = (S.LK == LoopKind::Glb || S.LK == LoopKind::Lcl) &&
-                    S.Dim == 0;
-      if (IsLane)
-        LaneVar = VarId;
-      walkStmts(S.Body);
-      LaneVar = SavedLane;
-      Env.erase(VarId);
-      return;
-    }
-    }
-    unreachable("covered switch");
-  }
-
-  void walkExpr(const KExpr &E) {
-    switch (E.K) {
-    case KExpr::Kind::Load:
-      noteSite(/*IsStore=*/false, E.BufferId, E.Index);
-      return;
-    case KExpr::Kind::CallUF:
-      for (const KExprPtr &A : E.Args)
-        walkExpr(*A);
-      return;
-    case KExpr::Kind::Select:
-      walkExpr(*E.Then);
-      walkExpr(*E.Else);
-      return;
-    case KExpr::Kind::ConstScalar:
-    case KExpr::Kind::IndexVal:
-    case KExpr::Kind::ReadVar:
-      return;
-    }
-    unreachable("covered switch");
-  }
-
-  void noteSite(bool IsStore, int BufferId, const AExpr &Index) {
+  auto NoteSite = [&](bool IsStore, int BufferId, const AExpr &Index,
+                      const WalkContext &C) {
     const BufferDecl &B = K.buffer(BufferId);
     if (B.Space != MemSpace::Global)
       return;
+    // The innermost lane variable in scope (a Glb/Lcl dim-0 loop var
+    // id), or 0 when none.
+    unsigned LaneVar = 0;
+    for (const Stmt *L : C.Loops)
+      if ((L->LK == LoopKind::Glb || L->LK == LoopKind::Lcl) && L->Dim == 0)
+        LaneVar = L->LoopVar->getVarId();
     AccessSite Site;
     Site.IsStore = IsStore;
     Site.BufferId = BufferId;
     Site.BufferName = B.Name;
     Site.Index = Index;
 
-    if (LaneVar == 0 || !referencesVar(Index, LaneVar)) {
+    if (LaneVar == 0 || !mentionsVar(Index, LaneVar)) {
       Site.Pattern =
           LaneVar == 0 ? AccessPattern::Sequential : AccessPattern::Uniform;
       Report.Sites.push_back(std::move(Site));
@@ -165,24 +97,28 @@ private:
                                : AccessPattern::Strided;
     }
     Report.Sites.push_back(std::move(Site));
-  }
+  };
 
-  static bool referencesVar(const AExpr &E, unsigned VarId) {
-    if (E->getKind() == ArithExpr::Kind::Var)
-      return E->getVarId() == VarId;
-    for (const AExpr &Op : E->getOperands())
-      if (referencesVar(Op, VarId))
-        return true;
-    return false;
-  }
-};
-
-} // namespace
-
-AccessReport lift::codegen::analyzeAccesses(const Kernel &K,
-                                            const SizeEnv &Sizes) {
-  Analyzer A(K, Sizes);
-  return A.run();
+  walkKernel(
+      K.Body,
+      [&](const Stmt &S, const WalkContext &C) {
+        if (S.K == Stmt::Kind::Store)
+          NoteSite(/*IsStore=*/true, S.BufferId, S.Index, C);
+        if (S.K != Stmt::Kind::Loop)
+          return;
+        // Bind an interior sample value for this loop variable so index
+        // probes avoid the boundary clamps. Counts may reference outer
+        // loop vars, which pre-order has already bound.
+        std::int64_t Extent = S.Count->evaluate(Env);
+        Env[S.LoopVar->getVarId()] =
+            Extent > 2 * SampleBase ? SampleBase
+                                    : std::max<std::int64_t>(0, Extent / 2);
+      },
+      [&](const KExpr &E, const WalkContext &C) {
+        if (E.K == KExpr::Kind::Load)
+          NoteSite(/*IsStore=*/false, E.BufferId, E.Index, C);
+      });
+  return Report;
 }
 
 //===----------------------------------------------------------------------===//
@@ -199,94 +135,50 @@ std::uint64_t tripCount(const Stmt &Loop, const SizeEnv &Env) {
   return N && *N > 0 ? std::uint64_t(*N) : 0;
 }
 
-class WorkCounter {
-public:
-  WorkCounter(const Kernel &K, const SizeEnv &Env) : K(K), Env(Env) {}
-
-  RegionWork count(const Stmt &Root, std::uint64_t OuterMult) {
-    Work.Iterations = tripCount(Root, Env);
-    walkStmt(Root, OuterMult);
-    return Work;
-  }
-
-private:
-  void walkStmt(const Stmt &S, std::uint64_t Mult) {
-    switch (S.K) {
-    case Stmt::Kind::Store:
-      if (K.buffer(S.BufferId).Space == MemSpace::Global)
-        Work.BytesWritten += 4 * Mult;
-      walkExpr(*S.Value, Mult);
-      return;
-    case Stmt::Kind::AssignVar:
-      walkExpr(*S.Value, Mult);
-      return;
-    case Stmt::Kind::Loop: {
-      std::uint64_t Inner = Mult * tripCount(S, Env);
-      for (const StmtPtr &C : S.Body)
-        walkStmt(*C, Inner);
-      return;
-    }
-    case Stmt::Kind::Barrier:
-      return;
-    }
-  }
-
-  void walkExpr(const KExpr &E, std::uint64_t Mult) {
-    switch (E.K) {
-    case KExpr::Kind::Load:
-      if (K.buffer(E.BufferId).Space == MemSpace::Global)
-        Work.BytesRead += 4 * Mult;
-      return;
-    case KExpr::Kind::CallUF:
-      Work.Flops += std::uint64_t(E.UF->getFlopCost()) * Mult;
-      for (const KExprPtr &A : E.Args)
-        walkExpr(*A, Mult);
-      return;
-    case KExpr::Kind::Select:
-      // Count the in-bounds branch on every lane (see header comment).
-      walkExpr(*E.Then, Mult);
-      return;
-    case KExpr::Kind::ConstScalar:
-    case KExpr::Kind::IndexVal:
-    case KExpr::Kind::ReadVar:
-      return;
-    }
-  }
-
-  const Kernel &K;
-  const SizeEnv &Env;
-  RegionWork Work;
-};
-
-/// Product of the trip counts of every loop strictly enclosing
-/// \p Target, or false when \p Target is not in this statement tree.
-bool enclosingMult(const std::vector<StmtPtr> &Body, const Stmt *Target,
-                   const SizeEnv &Env, std::uint64_t &Mult) {
-  for (const StmtPtr &S : Body) {
-    if (S.get() == Target)
-      return true;
-    if (S->K != Stmt::Kind::Loop)
-      continue;
-    std::uint64_t Here = Mult;
-    Mult *= tripCount(*S, Env);
-    if (enclosingMult(S->Body, Target, Env, Mult))
-      return true;
-    Mult = Here;
-  }
-  return false;
-}
-
 } // namespace
 
 RegionWork lift::codegen::staticRegionWork(const Kernel &K,
                                            const Stmt &RegionRoot,
                                            const SizeEnv &Sizes) {
-  std::uint64_t Mult = 1;
-  if (!enclosingMult(K.Body, &RegionRoot, Sizes, Mult))
+  RegionWork W;
+  bool Found = false;
+  // Every enclosing loop's trip count multiplies in, the region's own
+  // and those outside it alike.
+  auto Mult = [&](const WalkContext &C) {
+    std::uint64_t M = 1;
+    for (const Stmt *L : C.Loops)
+      M *= tripCount(*L, Sizes);
+    return M;
+  };
+  // Only the in-bounds branch of a Select counts (see header comment).
+  auto InRegion = [&](const WalkContext &C) {
+    return !C.InElse && std::find(C.Loops.begin(), C.Loops.end(),
+                                  &RegionRoot) != C.Loops.end();
+  };
+  auto Global = [&](int BufferId) {
+    return K.buffer(BufferId).Space == MemSpace::Global;
+  };
+  walkKernel(
+      K.Body,
+      [&](const Stmt &S, const WalkContext &C) {
+        if (&S == &RegionRoot) {
+          Found = true;
+          W.Iterations = tripCount(S, Sizes) * Mult(C);
+        } else if (S.K == Stmt::Kind::Store && InRegion(C) &&
+                   Global(S.BufferId)) {
+          W.BytesWritten += 4 * Mult(C);
+        }
+      },
+      [&](const KExpr &E, const WalkContext &C) {
+        if (!InRegion(C))
+          return;
+        if (E.K == KExpr::Kind::Load && Global(E.BufferId))
+          W.BytesRead += 4 * Mult(C);
+        else if (E.K == KExpr::Kind::CallUF)
+          W.Flops += std::uint64_t(E.UF->getFlopCost()) * Mult(C);
+      });
+  if (!Found)
     fatalError("staticRegionWork: region root is not a statement of the "
                "kernel");
-  WorkCounter C(K, Sizes);
-  RegionWork W = C.count(RegionRoot, Mult);
-  W.Iterations *= Mult;
   return W;
 }

@@ -13,7 +13,7 @@
 #include "support/Support.h"
 
 #include <cassert>
-#include <optional>
+#include <functional>
 #include <unordered_map>
 
 using namespace lift;
@@ -22,6 +22,9 @@ using namespace lift::ocl;
 using namespace lift::codegen;
 
 namespace {
+
+/// A transformation of output views (an inverted layout).
+using ViewFn = std::function<ViewPtr(const ViewPtr &)>;
 
 class Generator {
 public:
@@ -276,7 +279,7 @@ private:
         const auto F = std::static_pointer_cast<LambdaExpr>(C->getArgs()[0]);
         if (auto Inv = buildElementInverse(F->getBody(),
                                            F->getParams()[0].get())) {
-          genToView(C->getArgs()[1], vMapLazyFn(*Inv, Out));
+          genToView(C->getArgs()[1], vMapLazyFn(Inv, Out));
           return;
         }
       }
@@ -295,29 +298,8 @@ private:
       // the output view and recurse into the producer, so e.g. the
       // tiling rule's join(mapWrg(...)) writes directly to the right
       // offsets (paper 4.1).
-      if (C->getPrim() == Prim::Join) {
-        const TypePtr &ArgTy = C->getArgs()[0]->getType();
-        genToView(C->getArgs()[0],
-                  vSplit(ArgTy->getElem()->getSize(), Out));
-        return;
-      }
-      if (C->getPrim() == Prim::JoinClamp) {
-        // The producer's tile w element j must land at out[min(w*k,
-        // m-k)+j]: exactly a clamped slide view of the output buffer.
-        // Overlap positions are stored more than once with identical
-        // values (last writer wins).
-        const TypePtr &ArgTy = C->getArgs()[0]->getType();
-        AExpr K = ArgTy->getElem()->getSize();
-        genToView(C->getArgs()[0],
-                  vSlideClamped(K, K, sub(C->Size, K), Out));
-        return;
-      }
-      if (C->getPrim() == Prim::Split) {
-        genToView(C->getArgs()[0], vJoin(C->Factor, Out));
-        return;
-      }
-      if (C->getPrim() == Prim::Transpose) {
-        genToView(C->getArgs()[0], vTranspose(Out));
+      if (ViewFn Inv = layoutInverse(*C)) {
+        genToView(C->getArgs()[0], Inv(Out));
         return;
       }
     }
@@ -411,83 +393,76 @@ private:
     emit(sStore(T.BufferId, T.Index, std::move(Val)));
   }
 
+  /// The inverse of one Join/JoinClamp/Split/Transpose call \p C as a
+  /// view transformer: writing x through Inv(out) is equivalent to
+  /// writing C(x) to out. Empty for any other call, or when the input
+  /// type lacks the nesting the inverse needs.
+  static ViewFn layoutInverse(const CallExpr &C) {
+    if (C.getArgs().empty())
+      return nullptr;
+    const TypePtr &InTy = C.getArgs()[0]->getType();
+    bool Nested = InTy && InTy->getKind() == Type::Kind::Array;
+    switch (C.getPrim()) {
+    case Prim::Join: {
+      // forward join merges [a][m] -> [a*m]; inverse splits by m.
+      if (!Nested)
+        return nullptr;
+      AExpr M = InTy->getElem()->getSize();
+      return [M](const ViewPtr &V) { return vSplit(M, V); };
+    }
+    case Prim::JoinClamp: {
+      // forward joinClamp merges [t][k] -> [m] with clamped tile
+      // starts: tile w element j lands at out[min(w*k, m-k)+j], a
+      // clamped k/k slide view of the output. Overlap positions are
+      // stored more than once with identical values (last writer wins).
+      if (!Nested || InTy->getElem()->getKind() != Type::Kind::Array)
+        return nullptr;
+      AExpr K = InTy->getElem()->getSize();
+      AExpr ClampMax = sub(C.Size, K);
+      return [K, ClampMax](const ViewPtr &V) {
+        return vSlideClamped(K, K, ClampMax, V);
+      };
+    }
+    case Prim::Split: {
+      AExpr M = C.Factor;
+      return [M](const ViewPtr &V) { return vJoin(M, V); };
+    }
+    case Prim::Transpose:
+      return [](const ViewPtr &V) { return vTranspose(V); };
+    default:
+      return nullptr;
+    }
+  }
+
   /// Builds, when possible, the elementwise *inverse* of a layout-only
   /// lambda consisting of Join/Split/Transpose over its parameter, as a
   /// view transformer: writing x through Inv(out) is equivalent to
   /// writing chain(x) to out. Enables reshaping maps (untileNd) around
   /// producers to vanish into output index arithmetic.
-  std::optional<std::function<ViewPtr(const ViewPtr &)>>
-  buildElementInverse(const ExprPtr &Body, const ParamExpr *P) {
+  ViewFn buildElementInverse(const ExprPtr &Body, const ParamExpr *P) {
     if (Body.get() == P)
-      return std::function<ViewPtr(const ViewPtr &)>(
-          [](const ViewPtr &V) { return V; });
+      return [](const ViewPtr &V) { return V; };
     const auto *C = dynCast<CallExpr>(Body);
     if (!C || C->getArgs().empty())
-      return std::nullopt;
-    const ExprPtr &Inner = C->getArgs()[0];
-    switch (C->getPrim()) {
-    case Prim::Join: {
-      // forward join merges [a][m] -> [a*m]; inverse splits by m.
-      const TypePtr &InnerTy = Inner->getType();
-      if (!InnerTy || InnerTy->getKind() != Type::Kind::Array)
-        return std::nullopt;
-      AExpr M = InnerTy->getElem()->getSize();
-      auto Rec = buildElementInverse(Inner, P);
-      if (!Rec)
-        return std::nullopt;
-      return std::function<ViewPtr(const ViewPtr &)>(
-          [M, Rec](const ViewPtr &V) { return (*Rec)(vSplit(M, V)); });
-    }
-    case Prim::JoinClamp: {
-      // forward joinClamp merges [t][k] -> [m] with clamped tile
-      // starts; inverse views the output as a clamped k/k slide.
-      const TypePtr &InnerTy = Inner->getType();
-      if (!InnerTy || InnerTy->getKind() != Type::Kind::Array ||
-          InnerTy->getElem()->getKind() != Type::Kind::Array)
-        return std::nullopt;
-      AExpr K = InnerTy->getElem()->getSize();
-      AExpr ClampMax = sub(C->Size, K);
-      auto Rec = buildElementInverse(Inner, P);
-      if (!Rec)
-        return std::nullopt;
-      return std::function<ViewPtr(const ViewPtr &)>(
-          [K, ClampMax, Rec](const ViewPtr &V) {
-            return (*Rec)(vSlideClamped(K, K, ClampMax, V));
-          });
-    }
-    case Prim::Split: {
-      AExpr M = C->Factor;
-      auto Rec = buildElementInverse(Inner, P);
-      if (!Rec)
-        return std::nullopt;
-      return std::function<ViewPtr(const ViewPtr &)>(
-          [M, Rec](const ViewPtr &V) { return (*Rec)(vJoin(M, V)); });
-    }
-    case Prim::Transpose: {
-      auto Rec = buildElementInverse(Inner, P);
-      if (!Rec)
-        return std::nullopt;
-      return std::function<ViewPtr(const ViewPtr &)>(
-          [Rec](const ViewPtr &V) { return (*Rec)(vTranspose(V)); });
-    }
-    case Prim::Map: {
+      return nullptr;
+    if (C->getPrim() == Prim::Map) {
       // map(g) applied along the way (e.g. map(map(join)) in 3D
       // untiling): invert g elementwise one level deeper. Note the
       // map's data argument is getArgs()[1].
       const auto G = std::static_pointer_cast<LambdaExpr>(C->getArgs()[0]);
-      auto InvG = buildElementInverse(G->getBody(), G->getParams()[0].get());
-      auto Rec = buildElementInverse(C->getArgs()[1], P);
+      ViewFn InvG = buildElementInverse(G->getBody(), G->getParams()[0].get());
+      ViewFn Rec = buildElementInverse(C->getArgs()[1], P);
       if (!InvG || !Rec)
-        return std::nullopt;
-      auto InvGFn = *InvG;
-      return std::function<ViewPtr(const ViewPtr &)>(
-          [InvGFn, Rec](const ViewPtr &V) {
-            return (*Rec)(vMapLazyFn(InvGFn, V));
-          });
+        return nullptr;
+      return [InvG, Rec](const ViewPtr &V) {
+        return Rec(vMapLazyFn(InvG, V));
+      };
     }
-    default:
-      return std::nullopt;
-    }
+    ViewFn Inv = layoutInverse(*C);
+    ViewFn Rec = Inv ? buildElementInverse(C->getArgs()[0], P) : nullptr;
+    if (!Rec)
+      return nullptr;
+    return [Inv, Rec](const ViewPtr &V) { return Rec(Inv(V)); };
   }
 
   /// Copies \p Ty-shaped data from \p In to \p Out with sequential
@@ -586,78 +561,43 @@ private:
   // Size argument collection
   //===--------------------------------------------------------------------===//
 
-  void collectVarsIn(const AExpr &A, std::vector<unsigned> &Bound,
-                     std::vector<std::pair<unsigned, std::string>> &Out) {
+  /// Appends every variable of \p A that \p Loops do not bind to the
+  /// size arguments, in order of first occurrence.
+  void collectFreeVars(const AExpr &A, const std::vector<const Stmt *> &Loops) {
     if (!A)
       return;
-    collectFreeVarExprs(A, Bound, Out);
-  }
-
-  static void collectFreeVarExprs(
-      const AExpr &A, const std::vector<unsigned> &Bound,
-      std::vector<std::pair<unsigned, std::string>> &Out) {
-    if (A->getKind() == ArithExpr::Kind::Var) {
-      unsigned Id = A->getVarId();
-      for (unsigned B : Bound)
-        if (B == Id)
-          return;
-      for (const auto &[ExistingId, Name] : Out)
-        if (ExistingId == Id)
-          return;
-      Out.emplace_back(Id, A->getVarName());
+    if (A->getKind() != ArithExpr::Kind::Var) {
+      for (const AExpr &Op : A->getOperands())
+        collectFreeVars(Op, Loops);
       return;
     }
-    for (const AExpr &Op : A->getOperands())
-      collectFreeVarExprs(Op, Bound, Out);
-  }
-
-  void collectStmtVars(const StmtPtr &S, std::vector<unsigned> &Bound,
-                       std::vector<std::pair<unsigned, std::string>> &Out) {
-    switch (S->K) {
-    case Stmt::Kind::Store:
-      collectVarsIn(S->Index, Bound, Out);
-      collectExprVars(S->Value, Bound, Out);
-      return;
-    case Stmt::Kind::AssignVar:
-      collectExprVars(S->Value, Bound, Out);
-      return;
-    case Stmt::Kind::Barrier:
-      return;
-    case Stmt::Kind::Loop: {
-      collectVarsIn(S->Count, Bound, Out);
-      Bound.push_back(S->LoopVar->getVarId());
-      for (const StmtPtr &B : S->Body)
-        collectStmtVars(B, Bound, Out);
-      Bound.pop_back();
-      return;
-    }
-    }
-  }
-
-  void collectExprVars(const KExprPtr &E, std::vector<unsigned> &Bound,
-                       std::vector<std::pair<unsigned, std::string>> &Out) {
-    if (!E)
-      return;
-    collectVarsIn(E->Index, Bound, Out);
-    for (const KExprPtr &A : E->Args)
-      collectExprVars(A, Bound, Out);
-    for (const BoundsCheck &C : E->Checks) {
-      collectVarsIn(C.Idx, Bound, Out);
-      collectVarsIn(C.Lo, Bound, Out);
-      collectVarsIn(C.Hi, Bound, Out);
-    }
-    collectExprVars(E->Then, Bound, Out);
-    collectExprVars(E->Else, Bound, Out);
+    unsigned Id = A->getVarId();
+    for (const Stmt *L : Loops)
+      if (L->LoopVar->getVarId() == Id)
+        return;
+    for (const auto &[ExistingId, Name] : K.SizeArgs)
+      if (ExistingId == Id)
+        return;
+    K.SizeArgs.emplace_back(Id, A->getVarName());
   }
 
   void collectSizeArgs() {
-    std::vector<unsigned> Bound;
-    std::vector<std::pair<unsigned, std::string>> Args;
     for (const BufferDecl &B : K.Buffers)
-      collectVarsIn(B.NumElems, Bound, Args);
-    for (const StmtPtr &S : K.Body)
-      collectStmtVars(S, Bound, Args);
-    K.SizeArgs = std::move(Args);
+      collectFreeVars(B.NumElems, {});
+    walkKernel(
+        K.Body,
+        [&](const Stmt &S, const WalkContext &C) {
+          collectFreeVars(S.Index, C.Loops);
+          collectFreeVars(S.Count, C.Loops);
+        },
+        [&](const KExpr &E, const WalkContext &C) {
+          collectFreeVars(E.Index, C.Loops);
+          for (const BoundsCheck &B : E.Checks) {
+            collectFreeVars(B.Idx, C.Loops);
+            collectFreeVars(B.Lo, C.Loops);
+            collectFreeVars(B.Hi, C.Loops);
+          }
+        });
   }
 };
 

@@ -82,6 +82,8 @@ public:
   }
   void setVar(unsigned Id, std::string Name) { VarNames[Id] = std::move(Name); }
 
+  bool hasVar(unsigned Id) const { return VarNames.count(Id) != 0; }
+
   const std::string &buffer(int Id) const { return BufNames.at(Id); }
   const std::string &reg(int Id) const { return RegNames.at(Id); }
   const std::string &var(unsigned Id) const {
@@ -124,13 +126,39 @@ struct ParPlan {
   std::vector<int> TopBufs;
 };
 
+bool isParallelLoop(const Stmt &S) {
+  return S.K == Stmt::Kind::Loop &&
+         (S.LK == LoopKind::Glb || S.LK == LoopKind::Wrg);
+}
+
+/// A node's parallel root: the outermost Glb/Wrg loop enclosing it.
+const Stmt *parallelRoot(const WalkContext &C) {
+  for (const Stmt *L : C.Loops)
+    if (isParallelLoop(*L))
+      return L;
+  return nullptr;
+}
+
 class PlanBuilder {
 public:
   PlanBuilder(const Kernel &K, bool WantParallel) : K(K) {
-    for (const StmtPtr &S : K.Body)
-      findRoots(*S, /*InRoot=*/false);
-    for (const StmtPtr &S : K.Body)
-      scanStmt(*S, /*Root=*/nullptr);
+    walkKernel(
+        K.Body,
+        [&](const Stmt &S, const WalkContext &C) {
+          const Stmt *Root = parallelRoot(C);
+          if (S.K == Stmt::Kind::Store)
+            noteBuffer(S.BufferId, Root);
+          else if (S.K == Stmt::Kind::AssignVar)
+            RegUses[S.VarId].note(Root);
+          else if (!Root && isParallelLoop(S))
+            Plan.Roots.insert(&S);
+        },
+        [&](const KExpr &E, const WalkContext &C) {
+          if (E.K == KExpr::Kind::ReadVar)
+            RegUses[E.VarId].note(parallelRoot(C));
+          else if (E.K == KExpr::Kind::Load)
+            noteBuffer(E.BufferId, parallelRoot(C));
+        });
     build(WantParallel);
   }
 
@@ -151,60 +179,6 @@ private:
     }
     bool privatizable() const { return !OutsideRoot && Roots.size() <= 1; }
   };
-
-  void findRoots(const Stmt &S, bool InRoot) {
-    if (S.K != Stmt::Kind::Loop) {
-      return;
-    }
-    bool IsPar = S.LK == LoopKind::Glb || S.LK == LoopKind::Wrg;
-    if (IsPar && !InRoot)
-      Plan.Roots.insert(&S);
-    for (const StmtPtr &C : S.Body)
-      findRoots(*C, InRoot || IsPar);
-  }
-
-  void scanStmt(const Stmt &S, const Stmt *Root) {
-    switch (S.K) {
-    case Stmt::Kind::Store:
-      noteBuffer(S.BufferId, Root);
-      scanExpr(*S.Value, Root);
-      break;
-    case Stmt::Kind::AssignVar:
-      RegUses[S.VarId].note(Root);
-      scanExpr(*S.Value, Root);
-      break;
-    case Stmt::Kind::Loop: {
-      const Stmt *Inner = Plan.Roots.count(&S) ? &S : Root;
-      for (const StmtPtr &C : S.Body)
-        scanStmt(*C, Inner);
-      break;
-    }
-    case Stmt::Kind::Barrier:
-      break;
-    }
-  }
-
-  void scanExpr(const KExpr &E, const Stmt *Root) {
-    switch (E.K) {
-    case KExpr::Kind::ReadVar:
-      RegUses[E.VarId].note(Root);
-      break;
-    case KExpr::Kind::Load:
-      noteBuffer(E.BufferId, Root);
-      break;
-    case KExpr::Kind::CallUF:
-      for (const KExprPtr &A : E.Args)
-        scanExpr(*A, Root);
-      break;
-    case KExpr::Kind::Select:
-      scanExpr(*E.Then, Root);
-      scanExpr(*E.Else, Root);
-      break;
-    case KExpr::Kind::ConstScalar:
-    case KExpr::Kind::IndexVal:
-      break;
-    }
-  }
 
   void noteBuffer(int Id, const Stmt *Root) {
     if (K.buffer(Id).Space != MemSpace::Global)
@@ -253,26 +227,6 @@ private:
   std::unordered_map<int, Uses> BufUses;
 };
 
-void collectLoads(const KExpr &E, std::set<int> &Loaded) {
-  switch (E.K) {
-  case KExpr::Kind::Load:
-    Loaded.insert(E.BufferId);
-    break;
-  case KExpr::Kind::CallUF:
-    for (const KExprPtr &A : E.Args)
-      collectLoads(*A, Loaded);
-    break;
-  case KExpr::Kind::Select:
-    collectLoads(*E.Then, Loaded);
-    collectLoads(*E.Else, Loaded);
-    break;
-  case KExpr::Kind::ConstScalar:
-  case KExpr::Kind::IndexVal:
-  case KExpr::Kind::ReadVar:
-    break;
-  }
-}
-
 /// The SIMD legality rule: a work-item loop (never Seq, so never a
 /// reduction or an unrolled loop) whose body is stores only, none of
 /// them to a buffer the body also loads. Its iterations are then
@@ -280,13 +234,20 @@ void collectLoads(const KExpr &E, std::set<int> &Loaded) {
 bool isSimdLoop(const Stmt &S) {
   if (S.LK == LoopKind::Seq)
     return false;
+  bool OnlyStores = true;
   std::set<int> Stored, Loaded;
-  for (const StmtPtr &C : S.Body) {
-    if (C->K != Stmt::Kind::Store)
-      return false;
-    Stored.insert(C->BufferId);
-    collectLoads(*C->Value, Loaded);
-  }
+  walkKernel(
+      S.Body,
+      [&](const Stmt &C, const WalkContext &) {
+        OnlyStores &= C.K == Stmt::Kind::Store;
+        Stored.insert(C.BufferId);
+      },
+      [&](const KExpr &E, const WalkContext &) {
+        if (E.K == KExpr::Kind::Load)
+          Loaded.insert(E.BufferId);
+      });
+  if (!OnlyStores)
+    return false;
   for (int Id : Stored)
     if (Loaded.count(Id))
       return false;
@@ -317,8 +278,13 @@ public:
       Names.setRegister(R.Id, Names.claim(R.Name));
     for (const auto &SA : K.SizeArgs)
       Names.setVar(SA.first, Names.claim(SA.second));
-    for (const StmtPtr &S : K.Body)
-      claimLoopVars(*S);
+    // The specializer's clones of one loop share its variable, so the
+    // first loop over each variable names it.
+    walkKernel(K.Body, [&](const Stmt &S, const WalkContext &) {
+      if (S.K == Stmt::Kind::Loop && !Names.hasVar(S.LoopVar->getVarId()))
+        Names.setVar(S.LoopVar->getVarId(),
+                     Names.claim(S.LoopVar->getVarName()));
+    });
     EntryName = Names.claim(K.Name);
     if (Profile)
       for (std::size_t I = 0; I != Profile->size(); ++I)
@@ -328,14 +294,6 @@ public:
   std::string run();
 
 private:
-  void claimLoopVars(const Stmt &S) {
-    if (S.K != Stmt::Kind::Loop)
-      return;
-    Names.setVar(S.LoopVar->getVarId(), Names.claim(S.LoopVar->getVarName()));
-    for (const StmtPtr &C : S.Body)
-      claimLoopVars(*C);
-  }
-
   void line(const std::string &S) {
     for (int I = 0; I != Indent; ++I)
       Out += "  ";

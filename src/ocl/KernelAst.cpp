@@ -139,3 +139,52 @@ void Kernel::noteUserFun(const ir::UserFunPtr &UF) {
       return;
   UserFuns.push_back(UF);
 }
+
+namespace {
+
+struct Walker {
+  const StmtVisitor &OnStmt;
+  const ExprVisitor &OnExpr;
+  WalkContext Ctx;
+
+  void stmts(const std::vector<StmtPtr> &Body) {
+    for (const StmtPtr &S : Body)
+      stmt(*S);
+  }
+
+  void stmt(const Stmt &S) {
+    if (OnStmt)
+      OnStmt(S, Ctx);
+    if (S.K == Stmt::Kind::Loop) {
+      Ctx.Loops.push_back(&S);
+      stmts(S.Body);
+      Ctx.Loops.pop_back();
+    } else if (S.Value && OnExpr) {
+      expr(*S.Value);
+    }
+  }
+
+  void expr(const KExpr &E) {
+    OnExpr(E, Ctx);
+    for (const KExprPtr &A : E.Args)
+      expr(*A);
+    if (E.K != KExpr::Kind::Select)
+      return;
+    for (const BoundsCheck &C : E.Checks)
+      Ctx.Guards.push_back(&C);
+    expr(*E.Then);
+    Ctx.Guards.resize(Ctx.Guards.size() - E.Checks.size());
+    bool OuterElse = Ctx.InElse;
+    Ctx.InElse = true;
+    expr(*E.Else);
+    Ctx.InElse = OuterElse;
+  }
+};
+
+} // namespace
+
+void lift::ocl::walkKernel(const std::vector<StmtPtr> &Body,
+                           const StmtVisitor &OnStmt,
+                           const ExprVisitor &OnExpr) {
+  Walker{OnStmt, OnExpr, {}}.stmts(Body);
+}

@@ -21,6 +21,7 @@
 #include "arith/ArithExpr.h"
 #include "ir/UserFun.h"
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -163,6 +164,32 @@ struct Kernel {
   /// Registers a user function (dedup by pointer identity).
   void noteUserFun(const ir::UserFunPtr &UF);
 };
+
+/// Where a visited node sits in its kernel. Valid only during the
+/// visit.
+struct WalkContext {
+  /// The loops enclosing the node, outermost first. A loop is not in
+  /// its own context.
+  std::vector<const Stmt *> Loops;
+  /// The bounds checks of every Select whose then-branch encloses the
+  /// node: outermost Select first, each Select's checks in order.
+  std::vector<const BoundsCheck *> Guards;
+  /// True when the node lies under some Select's else-branch.
+  bool InElse = false;
+};
+
+using StmtVisitor = std::function<void(const Stmt &, const WalkContext &)>;
+using ExprVisitor = std::function<void(const KExpr &, const WalkContext &)>;
+
+/// The read-only traversal of the kernel AST, in pre-order: a
+/// statement before the value it stores or assigns, a loop before its
+/// body, a call before its arguments (in order), a Select before its
+/// then-branch and the then-branch before the else-branch. Either
+/// visitor may be null; without \p OnExpr no expression is entered.
+/// Passes that rebuild the tree (the printer, the simulator's plan
+/// compiler, the interior specializer) keep their own recursion.
+void walkKernel(const std::vector<StmtPtr> &Body, const StmtVisitor &OnStmt,
+                const ExprVisitor &OnExpr = nullptr);
 
 } // namespace ocl
 } // namespace lift

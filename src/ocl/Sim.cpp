@@ -27,39 +27,30 @@ std::int64_t NDRangeInfo::totalWorkGroups() const {
   return NumGroups[0] * NumGroups[1] * NumGroups[2];
 }
 
-static void analyzeLoops(const std::vector<StmtPtr> &Stmts,
-                         const SizeEnv &Sizes, NDRangeInfo &Info) {
-  for (const StmtPtr &S : Stmts) {
-    if (S->K != Stmt::Kind::Loop)
-      continue;
-    std::int64_t Extent = S->Count->evaluate(Sizes);
-    switch (S->LK) {
+NDRangeInfo lift::ocl::analyzeNDRange(const Kernel &K, const SizeEnv &Sizes) {
+  NDRangeInfo Info;
+  // Every count is evaluated on the sizes alone: Lift-generated loop
+  // extents never depend on outer loop indices.
+  walkKernel(K.Body, [&](const Stmt &S, const WalkContext &) {
+    if (S.K != Stmt::Kind::Loop)
+      return;
+    std::int64_t Extent = S.Count->evaluate(Sizes);
+    switch (S.LK) {
     case LoopKind::Glb:
-      Info.GlobalSize[S->Dim] = std::max(Info.GlobalSize[S->Dim], Extent);
+      Info.GlobalSize[S.Dim] = std::max(Info.GlobalSize[S.Dim], Extent);
       break;
     case LoopKind::Wrg:
       Info.UsesWorkGroups = true;
-      Info.NumGroups[S->Dim] = std::max(Info.NumGroups[S->Dim], Extent);
+      Info.NumGroups[S.Dim] = std::max(Info.NumGroups[S.Dim], Extent);
       break;
     case LoopKind::Lcl:
       Info.UsesWorkGroups = true;
-      Info.LocalSize[S->Dim] = std::max(Info.LocalSize[S->Dim], Extent);
+      Info.LocalSize[S.Dim] = std::max(Info.LocalSize[S.Dim], Extent);
       break;
     case LoopKind::Seq:
       break;
     }
-    // Parallel loop extents may be symbolic in outer loop variables;
-    // analysis only runs on sizes, so bind missing loop vars to zero
-    // would be wrong — instead, inner structures get analyzed with the
-    // same Sizes and rely on counts independent of outer indices (true
-    // for Lift-generated code).
-    analyzeLoops(S->Body, Sizes, Info);
-  }
-}
-
-NDRangeInfo lift::ocl::analyzeNDRange(const Kernel &K, const SizeEnv &Sizes) {
-  NDRangeInfo Info;
-  analyzeLoops(K.Body, Sizes, Info);
+  });
   for (const BufferDecl &B : K.Buffers)
     if (B.Space == MemSpace::Local)
       Info.LocalMemBytes += B.NumElems->evaluate(Sizes) * 4;

@@ -24,6 +24,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 using namespace lift;
 using namespace lift::ocl;
@@ -311,6 +312,14 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
     return R;
   }
 
+  // The simulation (on a memo miss) and the measured run share one
+  // compiled kernel, built only when one of them needs it.
+  std::optional<codegen::Compiled> Built;
+  auto Compiled = [&]() -> const codegen::Compiled & {
+    if (!Built)
+      Built = codegen::compileProgram(Low, B.Name);
+    return *Built;
+  };
   ExecCounters Counters;
   NDRangeInfo ND;
   EvalMemo::Entry *Ent = nullptr;
@@ -323,12 +332,11 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
     ND = Ent->ND;
     R.FromMemo = true;
   } else {
-    codegen::Compiled Compiled = codegen::compileProgram(Low, B.Name);
-    codegen::RunResult Run = codegen::runCompiled(Compiled, P.Inputs,
+    codegen::RunResult Run = codegen::runCompiled(Compiled(), P.Inputs,
                                                   MeasureEnv, Cache,
                                                   Opts.Jobs);
     Counters = Run.Counters;
-    ND = analyzeNDRange(Compiled.K, TargetEnv);
+    ND = analyzeNDRange(Compiled().K, TargetEnv);
     if (Ent)
       Ent->publish(Counters, ND);
   }
@@ -354,11 +362,10 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
   // *measured* individually — wall clock is noisy, never memoized.
   if (Opts.Obj == Objective::Measured) {
     try {
-      codegen::Compiled NatC = codegen::compileProgram(Low, B.Name);
       native::NativeKernelPtr Kern =
-          native::KernelCache::global().getOrCompile(LowHash, NatC.K);
+          native::KernelCache::global().getOrCompile(LowHash, Compiled().K);
       native::NativeRunResult NR = native::runNative(
-          NatC, *Kern, P.Inputs, MeasureEnv, Opts.MeasureThreads,
+          Compiled(), *Kern, P.Inputs, MeasureEnv, Opts.MeasureThreads,
           Opts.MeasureWarmup, Opts.MeasureRepeats);
       R.MeasuredSeconds = NR.Seconds;
       R.MeasuredGElemsPerSec =

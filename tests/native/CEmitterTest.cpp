@@ -14,6 +14,7 @@
 
 #include "native/CEmitter.h"
 
+#include "analysis/InteriorSpec.h"
 #include "codegen/CodeGen.h"
 #include "ocl/Emitter.h"
 #include "rewrite/Lowering.h"
@@ -377,6 +378,24 @@ TEST(CEmitter, KernelNameSanitizedAndCollisionFree) {
   for (const std::string &S : {native::emitC(K), ocl::emitOpenCL(K)}) {
     EXPECT_NE(S.find("void get_global_id_2("), std::string::npos) << S;
     EXPECT_NE(S.find("out[i] = local_2[i];"), std::string::npos) << S;
+  }
+}
+
+TEST(CEmitter, SpecializedClonesKeepTheLoopName) {
+  // The specializer's edge and interior clones of a loop share its
+  // variable; the printer names that variable once, so the column
+  // loop stays `i1` in every clone instead of a burned suffix.
+  using namespace lift::stencil;
+  const Benchmark &B = findBenchmark("Jacobi2D5pt");
+  BenchmarkInstance I = B.Build();
+  ir::Program Low = rewrite::lowerStencil(I.P, rewrite::LoweringOptions());
+  ASSERT_TRUE(Low);
+  codegen::Compiled C = codegen::compileProgram(Low, B.Name);
+  Kernel K = analysis::specializeInterior(C.K);
+  for (const std::string &Src : {native::emitC(K), ocl::emitOpenCL(K)}) {
+    EXPECT_NE(Src.find(" i1 = "), std::string::npos) << Src;
+    EXPECT_EQ(Src.find("i1_2"), std::string::npos) << Src;
+    EXPECT_EQ(Src.find("i1_3"), std::string::npos) << Src;
   }
 }
 

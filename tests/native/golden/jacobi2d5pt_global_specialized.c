@@ -38,15 +38,15 @@ void Jacobi2D5pt(void **lift_bufs, const long long *lift_sizes, int lift_threads
   #pragma omp parallel for schedule(static) num_threads(lift_threads)
   for (long long i0 = 0; i0 < 1; ++i0) {
     #pragma omp simd
-    for (long long i1_3 = 0; i1_3 < d1; ++i1_3) {
-      out[(i1_3 + (d1 * i0))] = Jacobi2D5pt_f(in0[(lift_min(i1_3, (-1 + d1)) + (d1 * lift_max(0, lift_min((-1 + d0), (-1 + i0)))))], in0[(lift_max(0, lift_min((-1 + d1), (-1 + i1_3))) + (d1 * lift_min(i0, (-1 + d0))))], in0[(lift_min(i1_3, (-1 + d1)) + (d1 * lift_min(i0, (-1 + d0))))], in0[(lift_min((-1 + d1), (1 + i1_3)) + (d1 * lift_min(i0, (-1 + d0))))], in0[(lift_min(i1_3, (-1 + d1)) + (d1 * lift_min((-1 + d0), (1 + i0))))]);
+    for (long long i1 = 0; i1 < d1; ++i1) {
+      out[(i1 + (d1 * i0))] = Jacobi2D5pt_f(in0[(lift_min(i1, (-1 + d1)) + (d1 * lift_max(0, lift_min((-1 + d0), (-1 + i0)))))], in0[(lift_max(0, lift_min((-1 + d1), (-1 + i1))) + (d1 * lift_min(i0, (-1 + d0))))], in0[(lift_min(i1, (-1 + d1)) + (d1 * lift_min(i0, (-1 + d0))))], in0[(lift_min((-1 + d1), (1 + i1)) + (d1 * lift_min(i0, (-1 + d0))))], in0[(lift_min(i1, (-1 + d1)) + (d1 * lift_min((-1 + d0), (1 + i0))))]);
     }
   }
   #pragma omp parallel for schedule(static) num_threads(lift_threads)
   for (long long i0_i = 0; i0_i < lift_max(0, (-2 + d0)); ++i0_i) {
     #pragma omp simd
-    for (long long i1_3 = 0; i1_3 < 1; ++i1_3) {
-      out[(d1 + i1_3 + (d1 * i0_i))] = Jacobi2D5pt_f(in0[(i1_3 + (d1 * i0_i))], in0[(d1 + lift_max(0, (-1 + i1_3)) + (d1 * i0_i))], in0[(d1 + i1_3 + (d1 * i0_i))], in0[(d1 + lift_min((-1 + d1), (1 + i1_3)) + (d1 * i0_i))], in0[((2 * d1) + i1_3 + (d1 * i0_i))]);
+    for (long long i1 = 0; i1 < 1; ++i1) {
+      out[(d1 + i1 + (d1 * i0_i))] = Jacobi2D5pt_f(in0[(i1 + (d1 * i0_i))], in0[(d1 + lift_max(0, (-1 + i1)) + (d1 * i0_i))], in0[(d1 + i1 + (d1 * i0_i))], in0[(d1 + lift_min((-1 + d1), (1 + i1)) + (d1 * i0_i))], in0[((2 * d1) + i1 + (d1 * i0_i))]);
     }
     #pragma omp simd
     for (long long i1_i = 0; i1_i < lift_max(0, (-2 + d1)); ++i1_i) {
@@ -60,8 +60,8 @@ void Jacobi2D5pt(void **lift_bufs, const long long *lift_sizes, int lift_threads
   #pragma omp parallel for schedule(static) num_threads(lift_threads)
   for (long long i0_r = 0; i0_r < lift_max(0, (d0 + (-1 * lift_max(1, (-1 + d0))))); ++i0_r) {
     #pragma omp simd
-    for (long long i1_3 = 0; i1_3 < d1; ++i1_3) {
-      out[(i1_3 + (d1 * i0_r) + (d1 * lift_max(1, (-1 + d0))))] = Jacobi2D5pt_f(in0[(lift_min(i1_3, (-1 + d1)) + (d1 * lift_min((-1 + d0), (-1 + i0_r + lift_max(1, (-1 + d0))))))], in0[(lift_max(0, lift_min((-1 + d1), (-1 + i1_3))) + (d1 * lift_min((-1 + d0), (i0_r + lift_max(1, (-1 + d0))))))], in0[(lift_min(i1_3, (-1 + d1)) + (d1 * lift_min((-1 + d0), (i0_r + lift_max(1, (-1 + d0))))))], in0[(lift_min((-1 + d1), (1 + i1_3)) + (d1 * lift_min((-1 + d0), (i0_r + lift_max(1, (-1 + d0))))))], in0[(lift_min(i1_3, (-1 + d1)) + (d1 * lift_min((-1 + d0), (1 + i0_r + lift_max(1, (-1 + d0))))))]);
+    for (long long i1 = 0; i1 < d1; ++i1) {
+      out[(i1 + (d1 * i0_r) + (d1 * lift_max(1, (-1 + d0))))] = Jacobi2D5pt_f(in0[(lift_min(i1, (-1 + d1)) + (d1 * lift_min((-1 + d0), (-1 + i0_r + lift_max(1, (-1 + d0))))))], in0[(lift_max(0, lift_min((-1 + d1), (-1 + i1))) + (d1 * lift_min((-1 + d0), (i0_r + lift_max(1, (-1 + d0))))))], in0[(lift_min(i1, (-1 + d1)) + (d1 * lift_min((-1 + d0), (i0_r + lift_max(1, (-1 + d0))))))], in0[(lift_min((-1 + d1), (1 + i1)) + (d1 * lift_min((-1 + d0), (i0_r + lift_max(1, (-1 + d0))))))], in0[(lift_min(i1, (-1 + d1)) + (d1 * lift_min((-1 + d0), (1 + i0_r + lift_max(1, (-1 + d0))))))]);
     }
   }
 }

@@ -58,7 +58,8 @@ int usage() {
       "  show <bench>                  print the high-level Lift IR\n"
       "  lower <bench> [variant]       print the lowered (OpenCL-level) IR\n"
       "  emit <bench> [variant]        print generated OpenCL C\n"
-      "  analyze <bench> [variant]     coalescing report per access\n"
+      "  analyze <bench> [variant] [--extents a,b,c]\n"
+      "                                coalescing report per access\n"
       "  run <bench> [variant] [--extents a,b,c]\n"
       "                                execute on the simulator\n"
       "  tune <bench> [--device <NvidiaK20c|AmdHd7970|MaliT628>] [--large]\n"
@@ -528,7 +529,9 @@ int cmdTune(const Args &A) {
     // Profile the winning candidate on the tuning target grid.
     const tuner::Candidate &Best = R.All.front().C;
     std::printf("\nprofiling best candidate %s\n", Best.describe().c_str());
-    ir::Program Low = lowerOrDie(B, P.Instance, Best.Options);
+    rewrite::LoweringOptions LO = Best.Options;
+    LO.OutputExtents.assign(P.Target.begin(), P.Target.end());
+    ir::Program Low = lowerOrDie(B, P.Instance, LO);
     Compiled C = compileProgram(Low, B.Name);
     std::vector<std::vector<float>> Inputs =
         makeBenchmarkInputs(B, P.Target);
@@ -606,10 +609,17 @@ int main(int Argc, char **Argv) {
   if (A.Command == "analyze") {
     const Benchmark &B = findBenchmark(A.Bench);
     BenchmarkInstance I = B.Build();
-    ir::Program Low = lowerOrDie(B, I, A.Options);
-    Compiled C = compileProgram(Low, B.Name);
     Extents E = A.ExtentsOverride.empty() ? B.MeasureExtents
                                           : A.ExtentsOverride;
+    if (E.size() != B.Dims) {
+      std::fprintf(stderr, "error: %s needs %u extents\n", B.Name.c_str(),
+                   B.Dims);
+      return Done(1);
+    }
+    // Lower at the grid the report evaluates (see cmdProfile).
+    rewrite::LoweringOptions LO = A.Options;
+    LO.OutputExtents.assign(E.begin(), E.end());
+    Compiled C = compileProgram(lowerOrDie(B, I, LO), B.Name);
     AccessReport R = analyzeAccesses(C.K, makeSizeEnv(I, E));
     std::printf("%-6s %-8s %-12s %8s  %s\n", "kind", "buffer", "pattern",
                 "stride", "index");
