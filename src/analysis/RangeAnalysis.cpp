@@ -192,6 +192,8 @@ AExpr tightMax(AExpr A, AExpr B) {
 }
 
 struct BoundCtx {
+  explicit BoundCtx(const Facts &F) : F(F) {}
+
   const Facts &F;
   std::unordered_set<unsigned> Active;
   int Depth = 0;
@@ -305,12 +307,12 @@ private:
 } // namespace
 
 AExpr lowerBound(const AExpr &E, const Facts &F) {
-  BoundCtx C{F};
+  BoundCtx C(F);
   return C.bound(E, /*Upper=*/false);
 }
 
 AExpr upperBound(const AExpr &E, const Facts &F) {
-  BoundCtx C{F};
+  BoundCtx C(F);
   return C.bound(E, /*Upper=*/true);
 }
 
@@ -319,51 +321,10 @@ namespace {
 /// Rebuilds \p E with every occurrence of the node \p Target replaced
 /// by \p Repl (node identity via structural equality; interning makes
 /// equal subtrees one node, so all occurrences are caught).
-AExpr replaceNode(const AExpr &E, const AExpr &Target, const AExpr &Repl,
-                  std::unordered_map<const ArithExpr *, AExpr> &Memo) {
-  if (exprEquals(E, Target))
-    return Repl;
-  if (E->getOperands().empty())
-    return E;
-  auto It = Memo.find(E.get());
-  if (It != Memo.end())
-    return It->second;
-  std::vector<AExpr> Ops;
-  Ops.reserve(E->getOperands().size());
-  for (const AExpr &Op : E->getOperands())
-    Ops.push_back(replaceNode(Op, Target, Repl, Memo));
-  AExpr Out;
-  switch (E->getKind()) {
-  case Kind::Add: {
-    Out = cst(0);
-    for (AExpr &Op : Ops)
-      Out = add(Out, std::move(Op));
-    break;
-  }
-  case Kind::Mul: {
-    Out = cst(1);
-    for (AExpr &Op : Ops)
-      Out = mul(Out, std::move(Op));
-    break;
-  }
-  case Kind::Div:
-    Out = floorDiv(Ops[0], Ops[1]);
-    break;
-  case Kind::Mod:
-    Out = floorMod(Ops[0], Ops[1]);
-    break;
-  case Kind::Min:
-    Out = amin(Ops[0], Ops[1]);
-    break;
-  case Kind::Max:
-    Out = amax(Ops[0], Ops[1]);
-    break;
-  default:
-    Out = E;
-    break;
-  }
-  Memo.emplace(E.get(), Out);
-  return Out;
+AExpr replaceNode(const AExpr &E, const AExpr &Target, const AExpr &Repl) {
+  return rebuild(E, [&](const AExpr &N, const std::vector<AExpr> &) {
+    return exprEquals(N, Target) ? Repl : AExpr();
+  });
 }
 
 /// First Min/Max node of \p E in pre-order, or nullptr.
@@ -533,11 +494,9 @@ bool proveNonNeg(const AExpr &E, int Budget) {
   collectCtx(E, M, +1, Ctx);
   if ((M->getKind() == Kind::Min && Ctx == CtxDec) ||
       (M->getKind() == Kind::Max && Ctx == CtxInc)) {
-    for (const AExpr &Op : M->getOperands()) {
-      std::unordered_map<const ArithExpr *, AExpr> Memo;
-      if (proveNonNeg(replaceNode(E, M, Op, Memo), Budget - 1))
+    for (const AExpr &Op : M->getOperands())
+      if (proveNonNeg(replaceNode(E, M, Op), Budget - 1))
         return true;
-    }
   }
   for (const AExpr &Op : M->getOperands()) {
     // Skip branches that can never be the extremum: min(a,b) = a
@@ -547,8 +506,7 @@ bool proveNonNeg(const AExpr &E, int Budget) {
     Range DR = sub(Op, Other)->getRange();
     if (M->getKind() == Kind::Min ? DR.atLeast(1) : DR.atMost(-1))
       continue;
-    std::unordered_map<const ArithExpr *, AExpr> Memo;
-    if (!proveNonNeg(replaceNode(E, M, Op, Memo), Budget - 1))
+    if (!proveNonNeg(replaceNode(E, M, Op), Budget - 1))
       return false;
   }
   return true;
@@ -581,80 +539,25 @@ bool provablyInBounds(const AExpr &I, const AExpr &Lo, const AExpr &HiExcl,
 // Fact-driven simplification
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-AExpr simplifyRec(const AExpr &E, const Facts &F,
-                  std::unordered_map<const ArithExpr *, AExpr> &Memo) {
-  auto It = Memo.find(E.get());
-  if (It != Memo.end())
-    return It->second;
-
-  AExpr Out;
-  switch (E->getKind()) {
-  case Kind::Cst:
-  case Kind::Var:
-    Out = E;
-    break;
-  case Kind::Add: {
-    Out = cst(0);
-    for (const AExpr &Op : E->getOperands())
-      Out = add(Out, simplifyRec(Op, F, Memo));
-    break;
-  }
-  case Kind::Mul: {
-    Out = cst(1);
-    for (const AExpr &Op : E->getOperands())
-      Out = mul(Out, simplifyRec(Op, F, Memo));
-    break;
-  }
-  case Kind::Div: {
-    AExpr A = simplifyRec(E->getOperands()[0], F, Memo);
-    AExpr B = simplifyRec(E->getOperands()[1], F, Memo);
-    Out = floorDiv(std::move(A), std::move(B));
-    break;
-  }
-  case Kind::Mod: {
-    AExpr A = simplifyRec(E->getOperands()[0], F, Memo);
-    AExpr B = simplifyRec(E->getOperands()[1], F, Memo);
-    // a mod b == a whenever 0 <= a < b.
-    if (provablyInBounds(A, cst(0), B, F))
-      Out = A;
-    else
-      Out = floorMod(std::move(A), std::move(B));
-    break;
-  }
-  case Kind::Min: {
-    AExpr A = simplifyRec(E->getOperands()[0], F, Memo);
-    AExpr B = simplifyRec(E->getOperands()[1], F, Memo);
-    if (provablyLE(A, B, F))
-      Out = A;
-    else if (provablyLE(B, A, F))
-      Out = B;
-    else
-      Out = amin(std::move(A), std::move(B));
-    break;
-  }
-  case Kind::Max: {
-    AExpr A = simplifyRec(E->getOperands()[0], F, Memo);
-    AExpr B = simplifyRec(E->getOperands()[1], F, Memo);
-    if (provablyLE(B, A, F))
-      Out = A;
-    else if (provablyLE(A, B, F))
-      Out = B;
-    else
-      Out = amax(std::move(A), std::move(B));
-    break;
-  }
-  }
-  Memo.emplace(E.get(), Out);
-  return Out;
-}
-
-} // namespace
-
 AExpr simplifyWithFacts(const AExpr &E, const Facts &F) {
-  std::unordered_map<const ArithExpr *, AExpr> Memo;
-  return simplifyRec(E, F, Memo);
+  return rebuild(E, [&](const AExpr &N, const std::vector<AExpr> &Ops) {
+    const AExpr None;
+    switch (N->getKind()) {
+    case Kind::Mod:
+      // a mod b == a whenever 0 <= a < b.
+      return provablyInBounds(Ops[0], cst(0), Ops[1], F) ? Ops[0] : None;
+    case Kind::Min:
+      return provablyLE(Ops[0], Ops[1], F)   ? Ops[0]
+             : provablyLE(Ops[1], Ops[0], F) ? Ops[1]
+                                             : None;
+    case Kind::Max:
+      return provablyLE(Ops[1], Ops[0], F)   ? Ops[0]
+             : provablyLE(Ops[0], Ops[1], F) ? Ops[1]
+                                             : None;
+    default:
+      return None;
+    }
+  });
 }
 
 //===----------------------------------------------------------------------===//

@@ -709,71 +709,43 @@ std::int64_t ArithExpr::evaluate(const Env &Bindings) const {
   return *V;
 }
 
-namespace {
-/// Per-call substitution memo keyed on interned node identity: subtrees
-/// shared through the arena are rewritten once per substitute() call.
-using SubstMemo = std::unordered_map<const ArithExpr *, AExpr>;
-} // namespace
-
-static AExpr substituteRec(const AExpr &E,
-                           const std::unordered_map<unsigned, AExpr> &Subst,
-                           SubstMemo &Memo) {
-  switch (E->getKind()) {
-  case Kind::Cst:
-    return E;
-  case Kind::Var: {
-    auto It = Subst.find(E->getVarId());
-    return It == Subst.end() ? E : It->second;
-  }
-  default:
-    break;
-  }
-  auto Cached = Memo.find(E.get());
-  if (Cached != Memo.end())
-    return Cached->second;
-  AExpr Result;
-  switch (E->getKind()) {
+AExpr lift::rebuildNode(Kind K, const std::vector<AExpr> &Ops) {
+  switch (K) {
   case Kind::Add: {
     AExpr Sum = cst(0);
-    for (const AExpr &Op : E->getOperands())
-      Sum = add(Sum, substituteRec(Op, Subst, Memo));
-    Result = Sum;
-    break;
+    for (const AExpr &Op : Ops)
+      Sum = add(Sum, Op);
+    return Sum;
   }
   case Kind::Mul: {
     AExpr Product = cst(1);
-    for (const AExpr &Op : E->getOperands())
-      Product = mul(Product, substituteRec(Op, Subst, Memo));
-    Result = Product;
-    break;
+    for (const AExpr &Op : Ops)
+      Product = mul(Product, Op);
+    return Product;
   }
   case Kind::Div:
-    Result = floorDiv(substituteRec(E->getOperands()[0], Subst, Memo),
-                      substituteRec(E->getOperands()[1], Subst, Memo));
-    break;
+    return floorDiv(Ops[0], Ops[1]);
   case Kind::Mod:
-    Result = floorMod(substituteRec(E->getOperands()[0], Subst, Memo),
-                      substituteRec(E->getOperands()[1], Subst, Memo));
-    break;
+    return floorMod(Ops[0], Ops[1]);
   case Kind::Min:
-    Result = amin(substituteRec(E->getOperands()[0], Subst, Memo),
-                  substituteRec(E->getOperands()[1], Subst, Memo));
-    break;
+    return amin(Ops[0], Ops[1]);
   case Kind::Max:
-    Result = amax(substituteRec(E->getOperands()[0], Subst, Memo),
-                  substituteRec(E->getOperands()[1], Subst, Memo));
+    return amax(Ops[0], Ops[1]);
+  case Kind::Cst:
+  case Kind::Var:
     break;
-  default:
-    unreachable("covered switch");
   }
-  Memo.emplace(E.get(), Result);
-  return Result;
+  unreachable("rebuildNode: leaves have no operands to rebuild from");
 }
 
 AExpr lift::substitute(const AExpr &E,
                        const std::unordered_map<unsigned, AExpr> &Subst) {
-  SubstMemo Memo;
-  return substituteRec(E, Subst, Memo);
+  return rebuild(E, [&](const AExpr &N, const std::vector<AExpr> &) {
+    if (N->getKind() != Kind::Var)
+      return AExpr();
+    auto It = Subst.find(N->getVarId());
+    return It == Subst.end() ? AExpr() : It->second;
+  });
 }
 
 void lift::collectVars(const AExpr &E, std::vector<unsigned> &Out) {

@@ -210,9 +210,43 @@ AExpr amax(AExpr A, AExpr B);
 /// paper (Section 3.2).
 AExpr clampIndex(AExpr I, AExpr N);
 
-/// Replaces variables (by id) with expressions, re-simplifying.
-/// Memoized on node identity within one call, so subtrees shared via
-/// interning are rewritten once.
+/// A fresh node of kind \p K (not Cst or Var) over \p Ops, built
+/// through the simplifying factories: Add and Mul fold \p Ops in order
+/// from cst(0) and cst(1), Div/Mod/Min/Max call floorDiv, floorMod,
+/// amin and amax.
+AExpr rebuildNode(ArithExpr::Kind K, const std::vector<AExpr> &Ops);
+
+/// The one bottom-up rebuild of \p E. Each distinct node is visited
+/// once (memoized on node identity, so subtrees shared via interning
+/// are rewritten once), operands first. \p Hook(Node, Ops) sees the
+/// original node with its rebuilt operands (none for Cst/Var) and may
+/// return a replacement; a null result keeps the default, which is the
+/// leaf itself or rebuildNode(Node's kind, Ops).
+template <typename HookFn> AExpr rebuild(const AExpr &E, HookFn &&Hook) {
+  std::unordered_map<const ArithExpr *, AExpr> Memo;
+  auto Rec = [&](auto &Self, const AExpr &N) -> AExpr {
+    if (N->getOperands().empty()) {
+      AExpr Out = Hook(N, N->getOperands());
+      return Out ? Out : N;
+    }
+    auto It = Memo.find(N.get());
+    if (It != Memo.end())
+      return It->second;
+    std::vector<AExpr> Ops;
+    Ops.reserve(N->getOperands().size());
+    for (const AExpr &Op : N->getOperands())
+      Ops.push_back(Self(Self, Op));
+    AExpr Out = Hook(N, Ops);
+    if (!Out)
+      Out = rebuildNode(N->getKind(), Ops);
+    Memo.emplace(N.get(), Out);
+    return Out;
+  };
+  return Rec(Rec, E);
+}
+
+/// Replaces variables (by id) with expressions, re-simplifying (a
+/// rebuild whose hook looks up Var nodes).
 AExpr substitute(const AExpr &E,
                  const std::unordered_map<unsigned, AExpr> &Subst);
 

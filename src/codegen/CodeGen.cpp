@@ -105,25 +105,6 @@ private:
   // Views for data expressions
   //===--------------------------------------------------------------------===//
 
-  static bool isLayoutPrim(Prim P) {
-    switch (P) {
-    case Prim::Zip:
-    case Prim::Split:
-    case Prim::Join:
-    case Prim::Transpose:
-    case Prim::Slide:
-    case Prim::SlideClamp:
-    case Prim::JoinClamp:
-    case Prim::Pad:
-    case Prim::At:
-    case Prim::Get:
-    case Prim::Generate:
-      return true;
-    default:
-      return false;
-    }
-  }
-
   /// Returns a view of \p E's value, materializing compute expressions
   /// into temporary buffers.
   ViewPtr valueOf(const ExprPtr &E) {
@@ -162,33 +143,6 @@ private:
     if (E->getType()->getKind() == Type::Kind::Scalar)
       return vScalar(genScalar(E));
     return materialize(E);
-  }
-
-  /// True when \p E consists only of layout primitives, parameters and
-  /// layout-only maps -- i.e. it can live entirely in the view system.
-  static bool isLayoutOnly(const ExprPtr &E) {
-    switch (E->getKind()) {
-    case Expr::Kind::Param:
-      return true;
-    case Expr::Kind::Literal:
-    case Expr::Kind::Lambda:
-      return false;
-    case Expr::Kind::Call:
-      break;
-    }
-    const auto *C = dynCast<CallExpr>(E);
-    if (C->getPrim() == Prim::Map) {
-      const auto *F = dynCast<LambdaExpr>(C->getArgs()[0]);
-      return isLayoutOnly(F->getBody()) && isLayoutOnly(C->getArgs()[1]);
-    }
-    if (!isLayoutPrim(C->getPrim()))
-      return false;
-    if (C->getPrim() == Prim::Generate)
-      return true;
-    for (const ExprPtr &A : C->getArgs())
-      if (!isLayoutOnly(A))
-        return false;
-    return true;
   }
 
   ViewPtr layoutView(const CallExpr &C) {

@@ -36,23 +36,6 @@ const char *templateName(Template T) {
   unreachable("covered switch");
 }
 
-std::string boundaryName(const Boundary &B) {
-  switch (B.K) {
-  case Boundary::Kind::Clamp:
-    return "clamp";
-  case Boundary::Kind::Mirror:
-    return "mirror";
-  case Boundary::Kind::Wrap:
-    return "wrap";
-  case Boundary::Kind::Constant: {
-    std::ostringstream OS;
-    OS << "constant(" << B.ConstVal << ")";
-    return OS.str();
-  }
-  }
-  unreachable("covered switch");
-}
-
 /// The outer length of input 0 after the layout chain ran (layout pads
 /// grow it; everything else is length-preserving).
 std::int64_t outerAfterLayout(const ProgramSpec &S) {
@@ -166,7 +149,7 @@ std::string lift::fuzz::describeSpec(const ProgramSpec &S) {
     OS << "window: size " << S.WinSize << " step " << S.WinStep << "\n";
     OS << "pad: " << S.PadL << "/" << S.PadR << " boundaries:";
     for (const Boundary &B : S.PerDimBdy)
-      OS << " " << boundaryName(B);
+      OS << " " << toString(B);
     OS << "\n";
     OS << "reduce: " << (S.UseMax ? "max" : "sum") << "\n";
   }
@@ -176,7 +159,7 @@ std::string lift::fuzz::describeSpec(const ProgramSpec &S) {
   for (const LayoutOp &Op : S.Layout) {
     switch (Op.K) {
     case LayoutOp::Kind::Pad:
-      OS << " pad(" << Op.A << "," << Op.B << "," << boundaryName(Op.Bdy)
+      OS << " pad(" << Op.A << "," << Op.B << "," << toString(Op.Bdy)
          << ")";
       break;
     case LayoutOp::Kind::SplitJoin:

@@ -8,91 +8,95 @@
 
 #include "support/Support.h"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
+#include <sstream>
+#include <type_traits>
 
 using namespace lift;
 using namespace lift::ir;
 
 Expr::~Expr() = default;
 
-const char *lift::ir::primName(Prim P) {
-  switch (P) {
-  case Prim::UserFunCall:
-    return "userFun";
-  case Prim::Map:
-    return "map";
-  case Prim::Reduce:
-    return "reduce";
-  case Prim::Iterate:
-    return "iterate";
-  case Prim::Zip:
-    return "zip";
-  case Prim::Split:
-    return "split";
-  case Prim::Join:
-    return "join";
-  case Prim::Transpose:
-    return "transpose";
-  case Prim::At:
-    return "at";
-  case Prim::Get:
-    return "get";
-  case Prim::Generate:
-    return "generate";
-  case Prim::SizeVal:
-    return "sizeVal";
-  case Prim::Slide:
-    return "slide";
-  case Prim::SlideClamp:
-    return "slideClamp";
-  case Prim::JoinClamp:
-    return "joinClamp";
-  case Prim::Pad:
-    return "pad";
-  case Prim::MapGlb:
-    return "mapGlb";
-  case Prim::MapWrg:
-    return "mapWrg";
-  case Prim::MapLcl:
-    return "mapLcl";
-  case Prim::MapSeq:
-    return "mapSeq";
-  case Prim::ReduceSeq:
-    return "reduceSeq";
-  case Prim::ReduceSeqUnroll:
-    return "reduceSeqUnroll";
-  }
-  unreachable("covered switch");
+namespace {
+
+enum class PrimFamily { None, Map, Reduce, Layout };
+
+/// One row of the primitive table.
+struct PrimInfo {
+  Prim P;
+  const char *Name;
+  PrimFamily Family;
+};
+
+/// The primitive table: one row per Prim, in enumerator order.
+constexpr PrimInfo PrimTable[] = {
+    {Prim::UserFunCall, "userFun", PrimFamily::None},
+    {Prim::Map, "map", PrimFamily::Map},
+    {Prim::Reduce, "reduce", PrimFamily::Reduce},
+    {Prim::Iterate, "iterate", PrimFamily::None},
+    {Prim::Zip, "zip", PrimFamily::Layout},
+    {Prim::Split, "split", PrimFamily::Layout},
+    {Prim::Join, "join", PrimFamily::Layout},
+    {Prim::Transpose, "transpose", PrimFamily::Layout},
+    {Prim::At, "at", PrimFamily::Layout},
+    {Prim::Get, "get", PrimFamily::Layout},
+    {Prim::Generate, "generate", PrimFamily::Layout},
+    {Prim::SizeVal, "sizeVal", PrimFamily::None},
+    {Prim::Slide, "slide", PrimFamily::Layout},
+    {Prim::Pad, "pad", PrimFamily::Layout},
+    {Prim::SlideClamp, "slideClamp", PrimFamily::Layout},
+    {Prim::JoinClamp, "joinClamp", PrimFamily::Layout},
+    {Prim::MapGlb, "mapGlb", PrimFamily::Map},
+    {Prim::MapWrg, "mapWrg", PrimFamily::Map},
+    {Prim::MapLcl, "mapLcl", PrimFamily::Map},
+    {Prim::MapSeq, "mapSeq", PrimFamily::Map},
+    {Prim::ReduceSeq, "reduceSeq", PrimFamily::Reduce},
+    {Prim::ReduceSeqUnroll, "reduceSeqUnroll", PrimFamily::Reduce},
+};
+
+static_assert(std::size(PrimTable) == NumPrims, "one table row per Prim");
+
+constexpr bool rowsInEnumOrder() {
+  for (std::size_t I = 0; I != NumPrims; ++I)
+    if (PrimTable[I].P != Prim(I))
+      return false;
+  return true;
 }
+static_assert(rowsInEnumOrder(), "table rows follow the Prim enumerators");
+
+const PrimInfo &primInfo(Prim P) { return PrimTable[std::size_t(P)]; }
+
+} // namespace
+
+const char *lift::ir::primName(Prim P) { return primInfo(P).Name; }
 
 bool lift::ir::isMapPrim(Prim P) {
-  switch (P) {
-  case Prim::Map:
-  case Prim::MapGlb:
-  case Prim::MapWrg:
-  case Prim::MapLcl:
-  case Prim::MapSeq:
-    return true;
-  default:
-    return false;
-  }
+  return primInfo(P).Family == PrimFamily::Map;
 }
 
 bool lift::ir::isReducePrim(Prim P) {
-  return P == Prim::Reduce || P == Prim::ReduceSeq ||
-         P == Prim::ReduceSeqUnroll;
+  return primInfo(P).Family == PrimFamily::Reduce;
 }
 
-const char *Boundary::name() const {
-  switch (K) {
-  case Kind::Clamp:
+bool lift::ir::isLayoutPrim(Prim P) {
+  return primInfo(P).Family == PrimFamily::Layout;
+}
+
+std::string lift::ir::toString(const Boundary &B) {
+  switch (B.K) {
+  case Boundary::Kind::Clamp:
     return "clamp";
-  case Kind::Mirror:
+  case Boundary::Kind::Mirror:
     return "mirror";
-  case Kind::Wrap:
+  case Boundary::Kind::Wrap:
     return "wrap";
-  case Kind::Constant:
-    return "constant";
+  case Boundary::Kind::Constant: {
+    std::ostringstream OS;
+    OS << "constant(" << B.ConstVal << ")";
+    return OS.str();
+  }
   }
   unreachable("covered switch");
 }
@@ -438,6 +442,24 @@ ExprPtr lift::ir::betaReduce(const LambdaPtr &F,
   return substituteParams(F->getBody(), Subst);
 }
 
+bool lift::ir::isLayoutOnly(const ExprPtr &E) {
+  if (E->getKind() == Expr::Kind::Param)
+    return true;
+  const auto *C = dynCast<CallExpr>(E);
+  if (!C)
+    return false;
+  if (C->getPrim() == Prim::Map) {
+    const auto *F = dynCast<LambdaExpr>(C->getArgs()[0]);
+    return isLayoutOnly(F->getBody()) && isLayoutOnly(C->getArgs()[1]);
+  }
+  // A generator's lambda computes lazily, per element the view reads.
+  if (C->getPrim() == Prim::Generate)
+    return true;
+  return isLayoutPrim(C->getPrim()) &&
+         std::all_of(C->getArgs().begin(), C->getArgs().end(),
+                     [](const ExprPtr &A) { return isLayoutOnly(A); });
+}
+
 Program lift::ir::cloneProgram(const Program &P) {
   ParamMap PM;
   std::vector<ParamPtr> NewInputs;
@@ -464,6 +486,16 @@ static std::string scalarToString(Scalar V) {
     return S;
   }
   return std::to_string(V.I);
+}
+
+static std::string payloadToString(int V) { return std::to_string(V); }
+static std::string payloadToString(const AExpr &V) { return V->toString(); }
+static std::string payloadToString(const Boundary &B) { return toString(B); }
+static std::string payloadToString(const std::vector<AExpr> &Sizes) {
+  std::string S;
+  for (std::size_t I = 0, N = Sizes.size(); I != N; ++I)
+    S += (I != 0 ? ", " : "") + Sizes[I]->toString();
+  return S;
 }
 
 static std::string printRec(const ExprPtr &E) {
@@ -500,59 +532,18 @@ static std::string printRec(const ExprPtr &E) {
       S = C->UF->getName() + "(";
     else
       S = std::string(primName(C->getPrim())) + "(";
-    std::string Payload;
-    switch (C->getPrim()) {
-    case Prim::MapGlb:
-    case Prim::MapWrg:
-    case Prim::MapLcl:
-      Payload = std::to_string(C->Dim);
-      break;
-    case Prim::Split:
-      Payload = C->Factor->toString();
-      break;
-    case Prim::Slide:
-    case Prim::SlideClamp:
-      Payload = C->Size->toString() + ", " + C->Step->toString();
-      break;
-    case Prim::JoinClamp:
-      Payload = C->Size->toString();
-      break;
-    case Prim::Pad:
-      Payload = C->PadL->toString() + ", " + C->PadR->toString() + ", " +
-                C->Bdy.name();
-      break;
-    case Prim::At:
-    case Prim::Get:
-      Payload = std::to_string(C->Index);
-      break;
-    case Prim::Iterate:
-      Payload = std::to_string(C->IterCount);
-      break;
-    case Prim::Generate: {
-      for (std::size_t I = 0, N = C->GenSizes.size(); I != N; ++I) {
-        if (I != 0)
-          Payload += ", ";
-        Payload += C->GenSizes[I]->toString();
-      }
-      break;
-    }
-    case Prim::SizeVal:
-      Payload = C->Size->toString();
-      break;
-    default:
-      break;
-    }
-    bool NeedComma = false;
-    if (!Payload.empty()) {
-      S += Payload;
-      NeedComma = true;
-    }
-    for (const ExprPtr &A : C->getArgs()) {
-      if (NeedComma)
-        S += ", ";
-      S += printRec(A);
-      NeedComma = true;
-    }
+    bool First = true;
+    auto Append = [&](const std::string &Part) {
+      S += (First ? "" : ", ") + Part;
+      First = false;
+    };
+    forEachPayload(C->getPrim(), [&](auto Field) {
+      // The user function's name is the call's head, printed above.
+      if constexpr (!std::is_same_v<decltype(Field), UserFunPtr CallExpr::*>)
+        Append(payloadToString(C->*Field));
+    });
+    for (const ExprPtr &A : C->getArgs())
+      Append(printRec(A));
     return S + ")";
   }
   }

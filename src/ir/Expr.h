@@ -79,6 +79,11 @@ enum class Prim {
   ReduceSeqUnroll, ///< unrolled sequential reduction (paper §4.3)
 };
 
+/// Number of primitives: ReduceSeqUnroll must stay the last enumerator.
+/// The primitive table (Expr.cpp) holds one row per primitive, in
+/// enumerator order; a missing row fails to compile.
+constexpr std::size_t NumPrims = std::size_t(Prim::ReduceSeqUnroll) + 1;
+
 /// Returns the printable name of a primitive (e.g. "mapGlb").
 const char *primName(Prim P);
 
@@ -87,6 +92,12 @@ bool isMapPrim(Prim P);
 
 /// True for Reduce, ReduceSeq and ReduceSeqUnroll.
 bool isReducePrim(Prim P);
+
+/// True for the layout family: zip, split, join, transpose, slide,
+/// slideClamp, joinClamp, pad, at, get and generate only rearrange (or
+/// lazily produce) data, so the view system resolves them without
+/// computing anything.
+bool isLayoutPrim(Prim P);
 
 /// Boundary handling strategies for `pad` (paper §3.2). Clamp/Mirror/
 /// Wrap reindex into the array; Constant appends a fixed value.
@@ -99,9 +110,11 @@ struct Boundary {
   static Boundary mirror() { return Boundary{Kind::Mirror, 0.0f}; }
   static Boundary wrap() { return Boundary{Kind::Wrap, 0.0f}; }
   static Boundary constant(float V) { return Boundary{Kind::Constant, V}; }
-
-  const char *name() const;
 };
+
+/// The printed form of a boundary: "clamp", "mirror", "wrap" or
+/// "constant(<value>)".
+std::string toString(const Boundary &B);
 
 /// Resolves an out-of-range index \p I into [0, N) for a reindexing
 /// boundary (Clamp/Mirror/Wrap). This is the single source of truth for
@@ -227,6 +240,59 @@ private:
   Prim P;
   std::vector<ExprPtr> Args;
 };
+
+/// The payload walk: calls \p F with a pointer to each payload member a
+/// call of \p P carries, in printing order. Structural hashing, structural
+/// equality and the printer are its visitors, so a primitive's payload is
+/// listed here once.
+template <typename Fn> void forEachPayload(Prim P, Fn &&F) {
+  switch (P) {
+  case Prim::UserFunCall:
+    F(&CallExpr::UF);
+    return;
+  case Prim::MapGlb:
+  case Prim::MapWrg:
+  case Prim::MapLcl:
+    F(&CallExpr::Dim);
+    return;
+  case Prim::Split:
+    F(&CallExpr::Factor);
+    return;
+  case Prim::Slide:
+  case Prim::SlideClamp:
+    F(&CallExpr::Size);
+    F(&CallExpr::Step);
+    return;
+  case Prim::JoinClamp:
+  case Prim::SizeVal:
+    F(&CallExpr::Size);
+    return;
+  case Prim::Pad:
+    F(&CallExpr::PadL);
+    F(&CallExpr::PadR);
+    F(&CallExpr::Bdy);
+    return;
+  case Prim::At:
+  case Prim::Get:
+    F(&CallExpr::Index);
+    return;
+  case Prim::Iterate:
+    F(&CallExpr::IterCount);
+    return;
+  case Prim::Generate:
+    F(&CallExpr::GenSizes);
+    return;
+  case Prim::Map:
+  case Prim::Reduce:
+  case Prim::Zip:
+  case Prim::Join:
+  case Prim::Transpose:
+  case Prim::MapSeq:
+  case Prim::ReduceSeq:
+  case Prim::ReduceSeqUnroll:
+    return;
+  }
+}
 
 /// dyn_cast-style helpers (LLVM-style kind dispatch, no RTTI).
 template <typename T> T *dynCast(Expr *E) {
@@ -362,6 +428,12 @@ ExprPtr substituteParams(
 /// Applies \p F to \p Args by substituting parameters into a clone of
 /// the body.
 ExprPtr betaReduce(const LambdaPtr &F, const std::vector<ExprPtr> &Args);
+
+/// True when \p E consists only of parameters, layout primitives and
+/// maps whose body is itself layout-only (the map(slide) /
+/// map(transpose) compositions of slideNd/padNd, paper §3.4), i.e. it
+/// can live entirely in the view system.
+bool isLayoutOnly(const ExprPtr &E);
 
 /// Renders a compact single-line textual form, e.g.
 /// "map(\x0. addF(x0, 1), slide(3, 1, pad(1, 1, clamp, A)))".

@@ -8,6 +8,7 @@
 
 #include "support/Support.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 using namespace lift;
@@ -34,6 +35,41 @@ std::size_t lift::ir::structuralHash(const TypePtr &T) {
 }
 
 namespace {
+
+// Hash and equality of the payload fields the payload walk visits
+// (forEachPayload). User functions compare by name; a constant
+// boundary's value only counts for the constant kind.
+
+std::size_t hashPayload(int V) { return static_cast<std::size_t>(V); }
+std::size_t hashPayload(const AExpr &V) { return V->hash(); }
+std::size_t hashPayload(const UserFunPtr &UF) {
+  return std::hash<std::string>()(UF->getName());
+}
+std::size_t hashPayload(const Boundary &B) {
+  std::size_t H = static_cast<std::size_t>(B.K);
+  return B.K == Boundary::Kind::Constant
+             ? hashCombine(H, std::hash<float>()(B.ConstVal))
+             : H;
+}
+std::size_t hashPayload(const std::vector<AExpr> &Sizes) {
+  std::size_t H = Sizes.size();
+  for (const AExpr &S : Sizes)
+    H = hashCombine(H, S->hash());
+  return H;
+}
+
+bool payloadEquals(int A, int B) { return A == B; }
+bool payloadEquals(const AExpr &A, const AExpr &B) { return exprEquals(A, B); }
+bool payloadEquals(const UserFunPtr &A, const UserFunPtr &B) {
+  return A->getName() == B->getName();
+}
+bool payloadEquals(const Boundary &A, const Boundary &B) {
+  return A.K == B.K &&
+         (A.K != Boundary::Kind::Constant || A.ConstVal == B.ConstVal);
+}
+bool payloadEquals(const std::vector<AExpr> &A, const std::vector<AExpr> &B) {
+  return std::equal(A.begin(), A.end(), B.begin(), B.end(), exprEquals);
+}
 
 /// Node-kind tags mixed into hashes so different constructs with equal
 /// children cannot collide trivially.
@@ -106,50 +142,9 @@ private:
 
   std::size_t hashCall(const CallExpr &C) {
     std::size_t H = hashCombine(TagCall, static_cast<std::size_t>(C.getPrim()));
-    switch (C.getPrim()) {
-    case Prim::UserFunCall:
-      H = hashCombine(H, std::hash<std::string>()(C.UF->getName()));
-      break;
-    case Prim::MapGlb:
-    case Prim::MapWrg:
-    case Prim::MapLcl:
-      H = hashCombine(H, static_cast<std::size_t>(C.Dim));
-      break;
-    case Prim::Split:
-      H = hashCombine(H, C.Factor->hash());
-      break;
-    case Prim::Slide:
-    case Prim::SlideClamp:
-      H = hashCombine(H, C.Size->hash());
-      H = hashCombine(H, C.Step->hash());
-      break;
-    case Prim::JoinClamp:
-      H = hashCombine(H, C.Size->hash());
-      break;
-    case Prim::Pad:
-      H = hashCombine(H, C.PadL->hash());
-      H = hashCombine(H, C.PadR->hash());
-      H = hashCombine(H, static_cast<std::size_t>(C.Bdy.K));
-      if (C.Bdy.K == Boundary::Kind::Constant)
-        H = hashCombine(H, std::hash<float>()(C.Bdy.ConstVal));
-      break;
-    case Prim::At:
-    case Prim::Get:
-      H = hashCombine(H, static_cast<std::size_t>(C.Index));
-      break;
-    case Prim::Iterate:
-      H = hashCombine(H, static_cast<std::size_t>(C.IterCount));
-      break;
-    case Prim::Generate:
-      for (const AExpr &S : C.GenSizes)
-        H = hashCombine(H, S->hash());
-      break;
-    case Prim::SizeVal:
-      H = hashCombine(H, C.Size->hash());
-      break;
-    default:
-      break;
-    }
+    forEachPayload(C.getPrim(), [&](auto Field) {
+      H = hashCombine(H, hashPayload(C.*Field));
+    });
     for (const ExprPtr &A : C.getArgs())
       H = hashCombine(H, hash(A));
     return H;
@@ -243,62 +238,12 @@ private:
     if (A.getPrim() != B.getPrim() ||
         A.getArgs().size() != B.getArgs().size())
       return false;
-    switch (A.getPrim()) {
-    case Prim::UserFunCall:
-      if (A.UF->getName() != B.UF->getName())
-        return false;
-      break;
-    case Prim::MapGlb:
-    case Prim::MapWrg:
-    case Prim::MapLcl:
-      if (A.Dim != B.Dim)
-        return false;
-      break;
-    case Prim::Split:
-      if (!exprEquals(A.Factor, B.Factor))
-        return false;
-      break;
-    case Prim::Slide:
-    case Prim::SlideClamp:
-      if (!exprEquals(A.Size, B.Size) || !exprEquals(A.Step, B.Step))
-        return false;
-      break;
-    case Prim::JoinClamp:
-      if (!exprEquals(A.Size, B.Size))
-        return false;
-      break;
-    case Prim::Pad:
-      if (!exprEquals(A.PadL, B.PadL) || !exprEquals(A.PadR, B.PadR) ||
-          A.Bdy.K != B.Bdy.K)
-        return false;
-      if (A.Bdy.K == Boundary::Kind::Constant &&
-          A.Bdy.ConstVal != B.Bdy.ConstVal)
-        return false;
-      break;
-    case Prim::At:
-    case Prim::Get:
-      if (A.Index != B.Index)
-        return false;
-      break;
-    case Prim::Iterate:
-      if (A.IterCount != B.IterCount)
-        return false;
-      break;
-    case Prim::Generate: {
-      if (A.GenSizes.size() != B.GenSizes.size())
-        return false;
-      for (std::size_t I = 0, E = A.GenSizes.size(); I != E; ++I)
-        if (!exprEquals(A.GenSizes[I], B.GenSizes[I]))
-          return false;
-      break;
-    }
-    case Prim::SizeVal:
-      if (!exprEquals(A.Size, B.Size))
-        return false;
-      break;
-    default:
-      break;
-    }
+    bool Same = true;
+    forEachPayload(A.getPrim(), [&](auto Field) {
+      Same = Same && payloadEquals(A.*Field, B.*Field);
+    });
+    if (!Same)
+      return false;
     for (std::size_t I = 0, E = A.getArgs().size(); I != E; ++I)
       if (!eq(A.getArgs()[I], B.getArgs()[I]))
         return false;

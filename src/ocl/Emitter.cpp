@@ -534,7 +534,8 @@ std::string Printer::expr(const KExpr &E) const {
                                               : std::to_string(E.Const.I);
   case KExpr::Kind::IndexVal:
     // The simulator narrows index values to int32 when they enter the
-    // scalar world (Sim.cpp evalExpr); mirror that exactly.
+    // scalar world (ParallelExecutor::evalExpr in ParallelSim.cpp);
+    // mirror that exactly.
     return "(" + scalarType(ir::ScalarKind::Int) + ")" + index(E.Index);
   case KExpr::Kind::ReadVar:
     return Names.reg(E.VarId);

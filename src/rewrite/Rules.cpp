@@ -158,44 +158,6 @@ static LambdaPtr lambdaOf(const CallExpr &C, std::size_t I = 0) {
   return std::static_pointer_cast<LambdaExpr>(C.getArgs()[I]);
 }
 
-bool lift::rewrite::isLayoutOnly(const ExprPtr &E) {
-  switch (E->getKind()) {
-  case Expr::Kind::Param:
-    return true;
-  case Expr::Kind::Literal:
-  case Expr::Kind::Lambda:
-    return false;
-  case Expr::Kind::Call:
-    break;
-  }
-  const auto *C = dynCast<CallExpr>(E);
-  switch (C->getPrim()) {
-  case Prim::Map: {
-    const auto F = lambdaOf(*C);
-    return isLayoutOnly(F->getBody()) && isLayoutOnly(C->getArgs()[1]);
-  }
-  case Prim::Generate:
-    return true;
-  case Prim::Zip:
-  case Prim::Split:
-  case Prim::Join:
-  case Prim::Transpose:
-  case Prim::Slide:
-  case Prim::SlideClamp:
-  case Prim::JoinClamp:
-  case Prim::Pad:
-  case Prim::At:
-  case Prim::Get: {
-    for (const ExprPtr &A : C->getArgs())
-      if (!isLayoutOnly(A))
-        return false;
-    return true;
-  }
-  default:
-    return false;
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Pre-existing Lift rules
 //===----------------------------------------------------------------------===//

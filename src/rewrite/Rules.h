@@ -181,10 +181,6 @@ struct ZipNdMatch {
 /// dimensions and returns the component arrays.
 std::optional<ZipNdMatch> matchZipNd(const ir::ExprPtr &E, unsigned Dims);
 
-/// True when \p E consists only of layout primitives, parameters,
-/// generators and layout-only maps (no user functions or reductions).
-bool isLayoutOnly(const ir::ExprPtr &E);
-
 } // namespace rewrite
 } // namespace lift
 

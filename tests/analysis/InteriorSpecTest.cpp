@@ -64,8 +64,9 @@ TEST(InteriorSpec, SplitsEveryUntiledBenchmarkGridLoop) {
     EXPECT_GE(S.LoopsSplit, B.Dims) << B.Name;
     // Any registers used under split loops get fresh interior/right
     // clones (register-free kernels have nothing to duplicate).
-    if (!L.C.K.Registers.empty())
+    if (!L.C.K.Registers.empty()) {
       EXPECT_GT(K.Registers.size(), L.C.K.Registers.size()) << B.Name;
+    }
   }
 }
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 using namespace lift;
 using namespace lift::ir;
 
@@ -131,12 +133,55 @@ TEST(Expr, BoundaryIndexWrap) {
 }
 
 TEST(Expr, PrimNames) {
-  EXPECT_STREQ(primName(Prim::Slide), "slide");
-  EXPECT_STREQ(primName(Prim::Pad), "pad");
-  EXPECT_STREQ(primName(Prim::MapGlb), "mapGlb");
-  EXPECT_TRUE(isMapPrim(Prim::MapLcl));
-  EXPECT_FALSE(isMapPrim(Prim::Reduce));
-  EXPECT_TRUE(isReducePrim(Prim::ReduceSeqUnroll));
+  // One expectation per primitive table row, in Prim order.
+  struct Row {
+    const char *Name;
+    bool Map, Reduce, Layout;
+  };
+  const Row Rows[] = {
+      {"userFun", false, false, false},
+      {"map", true, false, false},
+      {"reduce", false, true, false},
+      {"iterate", false, false, false},
+      {"zip", false, false, true},
+      {"split", false, false, true},
+      {"join", false, false, true},
+      {"transpose", false, false, true},
+      {"at", false, false, true},
+      {"get", false, false, true},
+      {"generate", false, false, true},
+      {"sizeVal", false, false, false},
+      {"slide", false, false, true},
+      {"pad", false, false, true},
+      {"slideClamp", false, false, true},
+      {"joinClamp", false, false, true},
+      {"mapGlb", true, false, false},
+      {"mapWrg", true, false, false},
+      {"mapLcl", true, false, false},
+      {"mapSeq", true, false, false},
+      {"reduceSeq", false, true, false},
+      {"reduceSeqUnroll", false, true, false},
+  };
+  ASSERT_EQ(std::size(Rows), NumPrims);
+  for (std::size_t I = 0; I != NumPrims; ++I) {
+    Prim P = Prim(I);
+    EXPECT_STREQ(primName(P), Rows[I].Name);
+    EXPECT_EQ(isMapPrim(P), Rows[I].Map) << Rows[I].Name;
+    EXPECT_EQ(isReducePrim(P), Rows[I].Reduce) << Rows[I].Name;
+    EXPECT_EQ(isLayoutPrim(P), Rows[I].Layout) << Rows[I].Name;
+  }
+}
+
+TEST(Expr, ConstantPadPrintsItsValue) {
+  // Two programs differing only in the pad constant print differently.
+  ParamPtr A = param("A");
+  EXPECT_EQ(toString(pad(cst(1), cst(1), Boundary::constant(0.0f), A)),
+            "pad(1, 1, constant(0), A)");
+  EXPECT_EQ(toString(pad(cst(1), cst(1), Boundary::constant(1.5f), A)),
+            "pad(1, 1, constant(1.5), A)");
+  EXPECT_EQ(toString(Boundary::clamp()), "clamp");
+  EXPECT_EQ(toString(Boundary::mirror()), "mirror");
+  EXPECT_EQ(toString(Boundary::wrap()), "wrap");
 }
 
 } // namespace

@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <unordered_set>
+#include <vector>
 
 using namespace lift;
 using namespace lift::ir;
@@ -75,6 +77,66 @@ TEST(StructuralHash, DistinguishesPayloads) {
   EXPECT_FALSE(structuralEquals(Base, Build(5, 0.0f)));
   // Different constant-pad value: differs only in the boundary payload.
   EXPECT_FALSE(structuralEquals(Base, Build(3, 1.0f)));
+
+  // Every payload field of every payload-carrying primitive: Make(0)
+  // and Make(1) differ in that one field only.
+  auto Id = [] { return etaLambda(ufIdFloat()); };
+  auto Pad = [&](int L, int R, Boundary B) {
+    return pad(cst(L), cst(R), B, A);
+  };
+  struct Case {
+    const char *Field;
+    std::function<ExprPtr(int)> Make;
+  };
+  const std::vector<Case> Cases = {
+      {"mapGlb dim", [&](int V) { return mapGlb(V, Id(), A); }},
+      {"mapWrg dim", [&](int V) { return mapWrg(V, Id(), A); }},
+      {"mapLcl dim", [&](int V) { return mapLcl(V, Id(), A); }},
+      {"split factor", [&](int V) { return split(cst(2 + V), A); }},
+      {"slide size", [&](int V) { return slide(cst(3 + V), cst(1), A); }},
+      {"slide step", [&](int V) { return slide(cst(3), cst(1 + V), A); }},
+      {"slideClamp size",
+       [&](int V) { return slideClamp(cst(3 + V), cst(1), A); }},
+      {"slideClamp step",
+       [&](int V) { return slideClamp(cst(3), cst(1 + V), A); }},
+      {"joinClamp size", [&](int V) { return joinClamp(cst(8 + V), A); }},
+      {"pad left", [&](int V) { return Pad(1 + V, 1, Boundary::clamp()); }},
+      {"pad right", [&](int V) { return Pad(1, 1 + V, Boundary::clamp()); }},
+      {"pad boundary kind",
+       [&](int V) {
+         return Pad(1, 1, V ? Boundary::mirror() : Boundary::clamp());
+       }},
+      {"pad boundary constant vs wrap",
+       [&](int V) {
+         return Pad(1, 1, V ? Boundary::wrap() : Boundary::constant(0.0f));
+       }},
+      {"pad constant",
+       [&](int V) { return Pad(1, 1, Boundary::constant(float(V))); }},
+      {"at index", [&](int V) { return at(V, A); }},
+      {"get index", [&](int V) { return get(V, A); }},
+      {"iterate count", [&](int V) { return iterate(1 + V, Id(), A); }},
+      {"generate size",
+       [&](int V) {
+         return generate({cst(4), cst(4 + V)},
+                         lam2("i", "j", [](ExprPtr, ExprPtr) {
+                           return lit(1.0f);
+                         }));
+       }},
+      {"sizeVal size", [&](int V) { return sizeVal(cst(3 + V)); }},
+      {"userFun name",
+       [&](int V) {
+         return ir::apply(V ? ufMultFloat() : ufAddFloat(),
+                          {lit(1.0f), lit(2.0f)});
+       }},
+  };
+  for (const Case &C : Cases) {
+    ExprPtr X = C.Make(0), Y = C.Make(1);
+    EXPECT_TRUE(structuralEquals(X, C.Make(0))) << C.Field;
+    EXPECT_EQ(structuralHash(X), structuralHash(C.Make(0))) << C.Field;
+    EXPECT_FALSE(structuralEquals(X, Y)) << C.Field;
+    EXPECT_NE(structuralHash(X), structuralHash(Y)) << C.Field;
+    EXPECT_NE(toString(X), toString(Y)) << C.Field;
+  }
 }
 
 TEST(StructuralHash, FreeParametersCompareByIdentity) {

@@ -127,7 +127,7 @@ bool bitIdentical(const std::vector<float> &A, const std::vector<float> &B) {
 void checkRaggedAgreement(Boundary B, const std::vector<std::int64_t> &Ext,
                           std::int64_t Tile) {
   Fixture F = makeFixture(B, Ext);
-  std::string What = std::string("boundary=") + B.name() + " tile=" +
+  std::string What = "boundary=" + ir::toString(B) + " tile=" +
                      std::to_string(Tile);
 
   rewrite::LoweringOptions Plain;

@@ -279,6 +279,30 @@ bool applyAnalysis(const Args &A, Compiled &C,
   return true;
 }
 
+/// The grid a command runs at: --extents when given, else the
+/// benchmark's measure extents. Prints an error and returns false when
+/// the count does not match the benchmark's dimensionality.
+bool resolveExtents(const Args &A, const Benchmark &B, Extents &E) {
+  E = A.ExtentsOverride.empty() ? B.MeasureExtents : A.ExtentsOverride;
+  if (E.size() == B.Dims)
+    return true;
+  std::fprintf(stderr, "error: %s needs %u extents\n", B.Name.c_str(),
+               B.Dims);
+  return false;
+}
+
+/// Max |err| of \p Out against the benchmark's independent golden
+/// implementation.
+double maxErrVsGolden(const Benchmark &B,
+                      const std::vector<std::vector<float>> &Inputs,
+                      const Extents &E, const std::vector<float> &Out) {
+  std::vector<float> Want = B.Golden(Inputs, E);
+  double MaxErr = 0;
+  for (std::size_t X = 0; X != Want.size(); ++X)
+    MaxErr = std::max(MaxErr, double(std::abs(Out[X] - Want[X])));
+  return MaxErr;
+}
+
 std::string extentsString(const Extents &E) {
   std::string S;
   for (std::size_t D = 0; D != E.size(); ++D)
@@ -315,10 +339,7 @@ int profileCompiled(const Args &A, const Benchmark &B,
   Run.P.Variant = Variant;
   Run.P.Grid = extentsString(E);
 
-  std::vector<float> Want = B.Golden(Inputs, E);
-  double MaxErr = 0;
-  for (std::size_t X = 0; X != Want.size(); ++X)
-    MaxErr = std::max(MaxErr, double(std::abs(Run.Output[X] - Want[X])));
+  double MaxErr = maxErrVsGolden(B, Inputs, E, Run.Output);
 
   std::printf("%s", Run.P.toText().c_str());
   std::printf("max |err| vs golden  %.3g\n", MaxErr);
@@ -340,13 +361,9 @@ int profileCompiled(const Args &A, const Benchmark &B,
 int cmdProfile(const Args &A) {
   const Benchmark &B = findBenchmark(A.Bench);
   BenchmarkInstance I = B.Build();
-  Extents E = A.ExtentsOverride.empty() ? B.MeasureExtents
-                                        : A.ExtentsOverride;
-  if (E.size() != B.Dims) {
-    std::fprintf(stderr, "error: %s needs %u extents\n", B.Name.c_str(),
-                 B.Dims);
+  Extents E;
+  if (!resolveExtents(A, B, E))
     return 1;
-  }
   // Lower at the concrete extents so the clamped tiling scheme can
   // clamp per-dimension tiles to short extents.
   rewrite::LoweringOptions LO = A.Options;
@@ -378,10 +395,7 @@ int cmdRunNative(const Args &A, const Benchmark &B,
     return 1;
   }
 
-  std::vector<float> Want = B.Golden(Inputs, E);
-  double MaxErr = 0;
-  for (std::size_t X = 0; X != Want.size(); ++X)
-    MaxErr = std::max(MaxErr, double(std::abs(R.Output[X] - Want[X])));
+  double MaxErr = maxErrVsGolden(B, Inputs, E, R.Output);
 
   std::printf("variant           %s\n", A.Options.describe().c_str());
   std::printf("backend           native (%u thread%s, %u warmup + %u "
@@ -408,13 +422,9 @@ int cmdRunNative(const Args &A, const Benchmark &B,
 int cmdRun(const Args &A) {
   const Benchmark &B = findBenchmark(A.Bench);
   BenchmarkInstance I = B.Build();
-  Extents E = A.ExtentsOverride.empty() ? B.MeasureExtents
-                                        : A.ExtentsOverride;
-  if (E.size() != B.Dims) {
-    std::fprintf(stderr, "error: %s needs %u extents\n", B.Name.c_str(),
-                 B.Dims);
+  Extents E;
+  if (!resolveExtents(A, B, E))
     return 1;
-  }
   // Lower at the concrete extents (see cmdProfile).
   rewrite::LoweringOptions LO = A.Options;
   LO.OutputExtents.assign(E.begin(), E.end());
@@ -429,10 +439,7 @@ int cmdRun(const Args &A) {
   RunResult R = runCompiled(C, Inputs, Env, ocl::CacheConfig(), A.Jobs);
 
   // Validate against the independent golden implementation.
-  std::vector<float> Want = B.Golden(Inputs, E);
-  double MaxErr = 0;
-  for (std::size_t X = 0; X != Want.size(); ++X)
-    MaxErr = std::max(MaxErr, double(std::abs(R.Output[X] - Want[X])));
+  double MaxErr = maxErrVsGolden(B, Inputs, E, R.Output);
 
   std::printf("variant           %s\n", A.Options.describe().c_str());
   std::printf("grid              ");
@@ -580,24 +587,16 @@ int main(int Argc, char **Argv) {
     // With --extents the emission is concrete end to end: the lowering
     // clamps per-dimension tiles to short extents and the bounds
     // checker sees the same sizes. Without it, emission is symbolic.
+    Extents E;
+    if (!A.ExtentsOverride.empty() && !resolveExtents(A, B, E))
+      return Done(1);
     rewrite::LoweringOptions LO = A.Options;
-    if (!A.ExtentsOverride.empty() && A.ExtentsOverride.size() == B.Dims)
-      LO.OutputExtents.assign(A.ExtentsOverride.begin(),
-                              A.ExtentsOverride.end());
-    ir::Program Low = lowerOrDie(B, I, LO);
-    Compiled C = compileProgram(Low, B.Name);
+    LO.OutputExtents.assign(E.begin(), E.end());
+    Compiled C = compileProgram(lowerOrDie(B, I, LO), B.Name);
     std::unordered_map<unsigned, std::int64_t> Env;
-    const std::unordered_map<unsigned, std::int64_t> *Sizes = nullptr;
-    if (!A.ExtentsOverride.empty()) {
-      if (A.ExtentsOverride.size() != B.Dims) {
-        std::fprintf(stderr, "error: %s needs %u extents\n",
-                     B.Name.c_str(), B.Dims);
-        return Done(1);
-      }
-      Env = makeSizeEnv(I, A.ExtentsOverride);
-      Sizes = &Env;
-    }
-    if (!applyAnalysis(A, C, Sizes))
+    if (!E.empty())
+      Env = makeSizeEnv(I, E);
+    if (!applyAnalysis(A, C, E.empty() ? nullptr : &Env))
       return Done(1);
     if (A.Backend == "native")
       std::printf("%s", native::emitC(C.K).c_str());
@@ -609,13 +608,9 @@ int main(int Argc, char **Argv) {
   if (A.Command == "analyze") {
     const Benchmark &B = findBenchmark(A.Bench);
     BenchmarkInstance I = B.Build();
-    Extents E = A.ExtentsOverride.empty() ? B.MeasureExtents
-                                          : A.ExtentsOverride;
-    if (E.size() != B.Dims) {
-      std::fprintf(stderr, "error: %s needs %u extents\n", B.Name.c_str(),
-                   B.Dims);
+    Extents E;
+    if (!resolveExtents(A, B, E))
       return Done(1);
-    }
     // Lower at the grid the report evaluates (see cmdProfile).
     rewrite::LoweringOptions LO = A.Options;
     LO.OutputExtents.assign(E.begin(), E.end());
