@@ -23,14 +23,19 @@
 ///    statement, which is the simulator's (and, under the pragma
 ///    placement below, OpenMP's) implicit barrier.
 ///
-/// Parallelism: the outermost Glb/Wrg loops get
-/// `#pragma omp parallel for` and every register and local/private
-/// buffer used under such a loop is declared inside its body, making
-/// it iteration-private — the moral equivalent of OpenCL private
-/// variables and per-work-group local memory. When a register or
-/// local/private buffer is used outside any such loop (or across two
-/// of them) the emitter falls back to a fully sequential program,
-/// which is always correct.
+/// Parallelism: each outermost Glb/Wrg loop is a parallel root and
+/// gets `#pragma omp parallel for`, collapsing its perfect nest of
+/// parallel loops (`collapse(k)`) so the whole work-group grid runs in
+/// parallel, as on an OpenCL NDRange. The nest descends while a
+/// level's body is exactly one Glb/Wrg loop that is neither a SIMD
+/// loop (below) nor unrolled and whose count mentions no variable of
+/// the levels above it. Every register and local/private buffer used
+/// under a root is declared in the body of its innermost collapsed
+/// level, making it private to one work-group — the moral equivalent
+/// of OpenCL private variables and per-work-group local memory. When
+/// a register or local/private buffer is used outside any root (or
+/// across two of them) the emitter falls back to a fully sequential
+/// program, which is always correct.
 ///
 /// Vectorization: a work-item loop (Glb/Wrg/Lcl, never Seq) whose body
 /// is stores only, none to a buffer that body also loads, has

@@ -111,14 +111,16 @@ private:
 };
 
 /// Where registers and local/private buffers get declared: inside the
-/// parallel root that (exclusively) uses them, or at function scope
+/// parallel root that (exclusively) uses them, in the body of its
+/// innermost collapsed level (collapsedNest), or at function scope
 /// with parallelism disabled when any use escapes that discipline.
 /// The sequential plan (parallelism off) declares everything at
 /// function scope, which is where OpenCL wants local memory.
 struct ParPlan {
   bool Parallel = false; ///< pragmas on the roots, decls privatized
   std::set<const Stmt *> Roots; ///< outermost Glb/Wrg loops
-  /// Registers / non-global buffers to declare in each root's body.
+  /// Registers / non-global buffers each root declares per work-group,
+  /// in the body of its innermost collapsed level.
   std::unordered_map<const Stmt *, std::vector<int>> RootRegs;
   std::unordered_map<const Stmt *, std::vector<int>> RootBufs;
   /// Declared at function scope (sequential fallback, or unused).
@@ -254,6 +256,28 @@ bool isSimdLoop(const Stmt &S) {
   return true;
 }
 
+/// The perfect nest a parallel root collapses into one OpenMP
+/// iteration space, outermost first: the root, then each next level
+/// while the current level's body is exactly one Glb/Wrg loop that is
+/// neither a SIMD loop (it keeps its own pragma) nor unrolled, and
+/// whose count mentions no variable of the nest above it (OpenMP's
+/// rectangular collapse). The whole work-group grid then runs in
+/// parallel, as on an OpenCL NDRange, even where the outer dimension
+/// is shorter than the thread count.
+std::vector<const Stmt *> collapsedNest(const Stmt &Root) {
+  std::vector<const Stmt *> Nest{&Root};
+  for (const Stmt *Cur = &Root; !Cur->Unroll && Cur->Body.size() == 1;) {
+    const Stmt &Next = *Cur->Body[0];
+    if (!isParallelLoop(Next) || Next.Unroll || isSimdLoop(Next))
+      break;
+    for (const Stmt *L : Nest)
+      if (mentionsVar(Next.Count, L->LoopVar->getVarId()))
+        return Nest;
+    Nest.push_back(Cur = &Next);
+  }
+  return Nest;
+}
+
 bool holdsBarrier(const Stmt &S) {
   for (const StmtPtr &C : S.Body)
     if (C->K == Stmt::Kind::Barrier)
@@ -315,7 +339,7 @@ private:
   }
   void printPrelude();
   void printEntry();
-  void printLoopHeader(const Stmt &S, bool IsRoot);
+  void printLoopHeader(const Stmt &S, std::size_t Collapse);
   void printDecl(int BufId);
 
   // The shared walk.
@@ -395,13 +419,17 @@ void Printer::printEntry() {
     line("(void)lift_prof;");
 }
 
-void Printer::printLoopHeader(const Stmt &S, bool IsRoot) {
+/// \p Collapse is the depth of the nest a parallel root collapses, and
+/// 0 for every other loop.
+void Printer::printLoopHeader(const Stmt &S, std::size_t Collapse) {
   const std::string V = Names.var(S.LoopVar->getVarId());
   std::string Init = "0", Step = "++" + V;
   if (IsC) {
     bool Simd = isSimdLoop(S);
-    if (IsRoot)
+    if (Collapse)
       line(std::string("#pragma omp parallel for") + (Simd ? " simd" : "") +
+           (Collapse > 1 ? " collapse(" + std::to_string(Collapse) + ")"
+                         : "") +
            " schedule(static) num_threads(lift_threads)");
     else if (Simd)
       line("#pragma omp simd");
@@ -595,9 +623,16 @@ void Printer::printStmt(const Stmt &S) {
     line("const double lift_t0 = lift_prof_now();");
   }
 
+  // A parallel root prints its collapsed nest as one block of headers
+  // and declares its private state per work-group, in the innermost
+  // level's body.
   bool IsRoot = Plan.Parallel && Plan.Roots.count(&S);
-  printLoopHeader(S, IsRoot);
-  ++Indent;
+  std::vector<const Stmt *> Nest =
+      IsRoot ? collapsedNest(S) : std::vector<const Stmt *>{&S};
+  for (const Stmt *L : Nest) {
+    printLoopHeader(*L, L == &S && IsRoot ? Nest.size() : 0);
+    ++Indent;
+  }
   if (IsRoot) {
     auto BI = Plan.RootBufs.find(&S);
     if (BI != Plan.RootBufs.end())
@@ -608,13 +643,15 @@ void Printer::printStmt(const Stmt &S) {
       for (int Id : RI->second)
         printRegDecl(Id);
   }
-  printStmts(S.Body);
-  // An OpenCL work-group that runs more than one tile must not start
-  // the next tile's local write while this tile is still being read.
-  if (!IsC && S.LK == LoopKind::Wrg && holdsBarrier(S))
-    line(barrierLine());
-  --Indent;
-  line("}");
+  printStmts(Nest.back()->Body);
+  for (auto L = Nest.rbegin(); L != Nest.rend(); ++L) {
+    // An OpenCL work-group that runs more than one tile must not start
+    // the next tile's local write while this tile is still being read.
+    if (!IsC && (*L)->LK == LoopKind::Wrg && holdsBarrier(**L))
+      line(barrierLine());
+    --Indent;
+    line("}");
+  }
 
   if (Region != RegionIdx.end()) {
     line("lift_prof[" + std::to_string(Region->second.first) +

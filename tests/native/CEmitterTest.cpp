@@ -4,11 +4,11 @@
 //
 // Exercises the emitter on hand-built kernels where each property is
 // isolated: loop structure and iteration counts, OpenMP pragma
-// placement (thread roots, the SIMD legality rule) and the sequential
-// fallback, boundary-clamp index rendering through the floor-division
-// helpers, local-memory tile declarations and their per-thread
-// privatization, and the exact float-literal formatting the
-// bit-identity contract depends on.
+// placement (thread roots, the collapsed work-group nest, the SIMD
+// legality rule) and the sequential fallback, boundary-clamp index
+// rendering through the floor-division helpers, local-memory tile
+// declarations and their per-work-group privatization, and the exact
+// float-literal formatting the bit-identity contract depends on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -118,9 +118,10 @@ TEST(CEmitter, OpenMpPragmaOnOutermostGlbLoopOnly) {
 }
 
 TEST(CEmitter, NestedGlbLoopGetsNoPragma) {
-  // Only the outermost Glb/Wrg loop is a parallel root; the inner one
-  // stays sequential inside each thread (matching the simulator's
-  // sequential per-iteration semantics).
+  // Only the outermost Glb/Wrg loop is a parallel root and carries
+  // `omp parallel`. The inner one runs inside the root's threads: here
+  // in vector lanes, as a SIMD loop; in other nests collapsed into the
+  // root's iteration space.
   Kernel K;
   AExpr N = var("n", Range(1, 1 << 30));
   K.Name = "nested";
@@ -156,6 +157,112 @@ TEST(CEmitter, NestedGlbStoreLoopGetsOmpSimd) {
       << Src;
   EXPECT_EQ(lineAbove(Src, "for (long long j = 0;"), "#pragma omp simd")
       << Src;
+}
+
+TEST(CEmitter, PerfectGlbNestCollapsesAboveTheSimdLoop) {
+  // i and j are both parallel and j's body is one loop, so the root
+  // collapses (i, j) into one iteration space; k stores only, so it
+  // keeps its own SIMD pragma and is not swallowed by the collapse.
+  Kernel K = storeKernel([](const AExpr &N) {
+    AExpr I = var("i"), J = var("j"), L = var("k");
+    AExpr At = add(add(I, J), L);
+    return std::vector<StmtPtr>{sLoop(
+        LoopKind::Glb, 0, I, N,
+        {sLoop(LoopKind::Glb, 1, J, N,
+               {sLoop(LoopKind::Glb, 2, L, N,
+                      {sStore(1, At, kLoad(0, At))})})})};
+  });
+  std::string Src = emitDefault(K);
+  EXPECT_EQ(lineAbove(Src, "for (long long i = 0;"),
+            "#pragma omp parallel for collapse(2) schedule(static) "
+            "num_threads(lift_threads)")
+      << Src;
+  EXPECT_EQ(lineAbove(Src, "for (long long j = 0;"), "for (long long i = 0; "
+                                                      "i < n; ++i) {")
+      << "no pragma or statement may sit between collapsed loops:\n"
+      << Src;
+  EXPECT_EQ(lineAbove(Src, "for (long long k = 0;"), "#pragma omp simd")
+      << Src;
+}
+
+TEST(CEmitter, WrgNestCollapsesAndDeclaresTheTilePerWorkGroup) {
+  // The tiled shape: two Wrg loops over a work-group grid whose body
+  // stages a local tile, then reads it back. Both Wrg levels collapse;
+  // the tile and the register are declared after the last collapsed
+  // header, so every work-group gets fresh ones.
+  Kernel K = storeKernel([](const AExpr &N) {
+    AExpr I = var("i"), J = var("j"), L = var("l"), M = var("m");
+    AExpr Base = mul(add(I, J), cst(4));
+    return std::vector<StmtPtr>{sLoop(
+        LoopKind::Wrg, 1, I, N,
+        {sLoop(LoopKind::Wrg, 0, J, N,
+               {sLoop(LoopKind::Lcl, 0, L, cst(4),
+                      {sStore(2, L, kLoad(0, add(Base, L)))}),
+                sBarrier(),
+                sLoop(LoopKind::Lcl, 0, M, cst(4),
+                      {sAssign(0, kLoad(2, M)),
+                       sStore(1, add(Base, M), kReadVar(0))})})})};
+  });
+  K.Buffers.push_back({2, "tile", ir::ScalarKind::Float, MemSpace::Local,
+                       cst(4), false, false});
+  std::string Src = emitDefault(K);
+  EXPECT_EQ(lineAbove(Src, "for (long long i = 0;"),
+            "#pragma omp parallel for collapse(2) schedule(static) "
+            "num_threads(lift_threads)")
+      << Src;
+  EXPECT_EQ(lineAbove(Src, "float tile[4] = {0};"),
+            "for (long long j = 0; j < n; ++j) {")
+      << Src;
+  EXPECT_EQ(lineAbove(Src, "float acc = 0;"), "float tile[4] = {0};")
+      << Src;
+}
+
+TEST(CEmitter, CollapseStopsAtNonRectangularOrUnrolledLevels) {
+  // The inner level's body assigns a register, so it is no SIMD loop
+  // and only its count or its Unroll flag can stop the collapse.
+  using Inner = std::function<StmtPtr(const AExpr &I, const AExpr &N)>;
+  auto Nest = [](const Inner &Build) {
+    return storeKernel([&](const AExpr &N) {
+      AExpr I = var("i");
+      return std::vector<StmtPtr>{
+          sLoop(LoopKind::Glb, 0, I, N, {Build(I, N)})};
+    });
+  };
+  auto Body = [](const AExpr &At) {
+    return std::vector<StmtPtr>{sAssign(0, kLoad(0, At)),
+                                sStore(1, At, kReadVar(0))};
+  };
+  const std::pair<const char *, Inner> Stopped[] = {
+      {"a count that mentions the outer variable",
+       [&](const AExpr &I, const AExpr &) {
+         AExpr J = var("j");
+         return sLoop(LoopKind::Glb, 1, J, add(I, cst(1)), Body(J));
+       }},
+      {"an unrolled inner level",
+       [&](const AExpr &I, const AExpr &) {
+         AExpr J = var("j");
+         return sLoop(LoopKind::Glb, 1, J, cst(4), Body(add(I, J)),
+                      /*Unroll=*/true);
+       }},
+  };
+  for (const auto &[What, Build] : Stopped) {
+    std::string Src = emitDefault(Nest(Build));
+    EXPECT_EQ(lineAbove(Src, "for (long long i = 0;"),
+              "#pragma omp parallel for schedule(static) "
+              "num_threads(lift_threads)")
+        << What << " must not be collapsed:\n"
+        << Src;
+    EXPECT_EQ(lineAbove(Src, "float acc = 0;"),
+              "for (long long i = 0; i < n; ++i) {")
+        << What << " keeps the declarations in the root:\n"
+        << Src;
+  }
+  // The same nest over a rectangular, rolled inner level collapses.
+  std::string Src = emitDefault(Nest([&](const AExpr &I, const AExpr &N) {
+    AExpr J = var("j");
+    return sLoop(LoopKind::Glb, 1, J, N, Body(add(I, J)));
+  }));
+  EXPECT_NE(Src.find("collapse(2)"), std::string::npos) << Src;
 }
 
 TEST(CEmitter, SimdOnlyOnIndependentWorkItemLoops) {
@@ -318,8 +425,8 @@ TEST(CEmitter, FloatLiteralsRoundTrip) {
 TEST(CEmitter, LocalTileEmission) {
   // The paper's tiled+local Stencil2D: the staged tile becomes a
   // plain C array with a constant extent, zero-initialized, declared
-  // inside the parallel root (one tile per OpenMP thread), and the
-  // work-group barrier is elided to a comment.
+  // inside the parallel root's collapsed nest (one tile per
+  // work-group), and the work-group barrier is elided to a comment.
   using namespace lift::stencil;
   const Benchmark &B = findBenchmark("Stencil2D");
   BenchmarkInstance I = B.Build();

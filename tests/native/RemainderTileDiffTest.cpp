@@ -14,12 +14,14 @@
 //     opencl_host_shim.h and run one work-item at a time,
 //
 // for every boundary kind (clamp / mirror / wrap / constant). A
-// constant of 1/3 needs every digit of its float literal. A final
-// case covers the short-axis shape (extent < tile, Hotspot3D's 4-deep
-// z axis) where the per-dimension clamp shrinks the tile to the axis.
+// constant of 1/3 needs every digit of its float literal. Two cases
+// cover short axes: extent < tile (Hotspot3D's 4-deep z axis), where
+// the per-dimension clamp shrinks the tile to the axis, and a grid
+// with fewer outer work-groups than threads.
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/InteriorSpec.h"
 #include "codegen/Runner.h"
 #include "native/NativeRunner.h"
 #include "ocl/Emitter.h"
@@ -211,6 +213,33 @@ TEST(RemainderTileDiff, ShortAxisTileWiderThanExtent) {
 // per-dimension clamped slide in all three dimensions at once.
 TEST(RemainderTileDiff, ThreeDimensionalPrimeGrid) {
   checkRaggedAgreement(Boundary::clamp(), {7, 13, 19}, 8);
+}
+
+// More threads than outer work-groups. On 4x64x64 the 16-tile clamps
+// to the 4-deep axis, so the tiled kernel's root loop runs once, and
+// the interior split's edge planes of the untiled kernel are
+// one-iteration roots too. Only the collapsed work-group nest spreads
+// them over the 3 threads, and that must not move a bit.
+TEST(RemainderTileDiff, ShortOuterGridMoreThreadsThanWorkGroups) {
+  const std::vector<std::int64_t> Ext = {4, 64, 64};
+  checkRaggedAgreement(Boundary::clamp(), Ext, 16);
+  if (!haveToolchain())
+    return;
+  Fixture F = makeFixture(Boundary::clamp(), Ext);
+  ir::Program Low = rewrite::lowerStencil(F.P, rewrite::LoweringOptions());
+  ASSERT_TRUE(bool(Low));
+  codegen::Compiled C = codegen::compileProgram(Low, "short_outer");
+  std::vector<float> Sim = codegen::runCompiled(C, F.Inputs, F.Sizes).Output;
+  codegen::Compiled Spec = C;
+  Spec.K = analysis::specializeInterior(C.K);
+  native::NativeKernelPtr Kern = native::compileKernel(Spec.K);
+  ASSERT_NE(Kern->source().find("collapse("), std::string::npos)
+      << Kern->source();
+  native::NativeRunResult NR =
+      native::runNative(Spec, *Kern, F.Inputs, F.Sizes, /*Threads=*/3);
+  EXPECT_TRUE(bitIdentical(NR.Output, Sim))
+      << "specialized native kernel diverged from the simulator\n"
+      << Kern->source();
 }
 
 } // namespace

@@ -36,7 +36,7 @@ void Jacobi3D7pt(void **lift_bufs, const long long *lift_sizes, int lift_threads
   const long long d2 = lift_sizes[2];
   (void)lift_threads;
   (void)lift_prof;
-  #pragma omp parallel for schedule(static) num_threads(lift_threads)
+  #pragma omp parallel for collapse(2) schedule(static) num_threads(lift_threads)
   for (long long i0 = 0; i0 < d0; ++i0) {
     for (long long i1 = 0; i1 < d1; ++i1) {
       #pragma omp simd

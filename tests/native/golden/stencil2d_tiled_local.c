@@ -36,10 +36,10 @@ void Stencil2D(void **lift_bufs, const long long *lift_sizes, int lift_threads, 
   const long long d1 = lift_sizes[1];
   (void)lift_threads;
   (void)lift_prof;
-  #pragma omp parallel for schedule(static) num_threads(lift_threads)
+  #pragma omp parallel for collapse(2) schedule(static) num_threads(lift_threads)
   for (long long i0 = 0; i0 < (1 + lift_fdiv((-1 + d0), 16)); ++i0) {
-    float lcl0[324] = {0};
     for (long long i1 = 0; i1 < (1 + lift_fdiv((-1 + d1), 16)); ++i1) {
+      float lcl0[324] = {0};
       for (long long i2 = 0; i2 < 18; ++i2) {
         #pragma omp simd
         for (long long i3 = 0; i3 < 18; ++i3) {
