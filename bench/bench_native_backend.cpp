@@ -160,8 +160,11 @@ int main(int argc, char **argv) {
       std::vector<float> Want = B.Golden(Inputs, Grid);
 
       // Untiled lowering only: the specializer leaves barrier-staged
-      // tiled kernels untouched by design.
-      ir::Program Low = rewrite::lowerStencil(P.Instance.P, {});
+      // tiled kernels untouched by design. Lowered for the grid it runs
+      // at, so both kernels fold the extents into their C.
+      rewrite::LoweringOptions LO;
+      LO.OutputExtents.assign(Grid.begin(), Grid.end());
+      ir::Program Low = rewrite::lowerStencil(P.Instance.P, LO);
       codegen::Compiled Generic = codegen::compileProgram(Low, B.Name);
       analysis::SpecStats SS;
       codegen::Compiled Spec = Generic;

@@ -51,6 +51,11 @@ public:
     genToView(P->getBody(), vMemory(OutId, OutTy));
 
     collectSizeArgs();
+    for (SizeArg &SA : K.SizeArgs) {
+      auto It = P->SizeBindings.find(SA.VarId);
+      if (It != P->SizeBindings.end())
+        SA.Bound = It->second;
+    }
     Result.K = std::move(K);
     return Result;
   }
@@ -529,10 +534,10 @@ private:
     for (const Stmt *L : Loops)
       if (L->LoopVar->getVarId() == Id)
         return;
-    for (const auto &[ExistingId, Name] : K.SizeArgs)
-      if (ExistingId == Id)
+    for (const SizeArg &SA : K.SizeArgs)
+      if (SA.VarId == Id)
         return;
-    K.SizeArgs.emplace_back(Id, A->getVarName());
+    K.SizeArgs.push_back({Id, A->getVarName()});
   }
 
   void collectSizeArgs() {

@@ -127,8 +127,9 @@ Rule buggyPadMergeRule() {
 
 /// Per-dimension output extents at the concrete sizes; the layout
 /// chain only affects the outermost dimension and only Pad ops change
-/// its length. Empty when tiling is not applicable to the spec.
-std::vector<std::int64_t> tiledOutputExtents(const ProgramSpec &S) {
+/// its length. Empty when the spec is not a step-1 stencil (the shapes
+/// tiling applies to), whose lowerings then stay symbolic.
+std::vector<std::int64_t> outputExtents(const ProgramSpec &S) {
   if (S.Tmpl != Template::Stencil && S.Tmpl != Template::ZipStencil)
     return {};
   if (S.WinStep != 1)
@@ -358,9 +359,15 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
     }
   }
 
-  // (c)+(d)+(f) Untiled lowering through every lowering oracle.
+  // (c)+(d)+(f) Untiled lowering through every lowering oracle. Where
+  // the output extents are known, both lowerings are for this run's
+  // grid, as every production caller lowers: the native oracle then
+  // runs C with the grid folded into it.
+  std::vector<std::int64_t> OutExt = outputExtents(S);
+  LoweringOptions UO;
+  UO.OutputExtents = OutExt;
   std::string WhyNot;
-  Program Low = lowerStencil(B->P, LoweringOptions(), &WhyNot);
+  Program Low = lowerStencil(B->P, UO, &WhyNot);
   if (!Low)
     return Finish(discarded("untiled lowering does not apply: " + WhyNot));
   Compiled C = compileProgram(Low, "fuzz");
@@ -379,9 +386,8 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
   // (e) Tiled lowering, whenever a tile fits (exact fit NOT required:
   // the clamped lowering handles remainder tails).
   if (O.TryTiled) {
-    std::vector<std::int64_t> OutExt = tiledOutputExtents(S);
     if (std::int64_t V = pickTileOutputs(OutExt)) {
-      LoweringOptions TO;
+      LoweringOptions TO = UO;
       TO.Tile = true;
       TO.TileOutputs = V;
       bool Remainder = false;

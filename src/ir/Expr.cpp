@@ -469,7 +469,9 @@ Program lift::ir::cloneProgram(const Program &P) {
     NewInputs.push_back(std::move(NP));
   }
   ExprPtr NewBody = cloneRec(P->getBody(), PM);
-  return makeProgram(std::move(NewInputs), std::move(NewBody));
+  Program Copy = makeProgram(std::move(NewInputs), std::move(NewBody));
+  Copy->SizeBindings = P->SizeBindings;
+  return Copy;
 }
 
 //===----------------------------------------------------------------------===//

@@ -198,6 +198,13 @@ public:
   const ExprPtr &getBody() const { return Body; }
   AddrSpace getAddrSpace() const { return Space; }
 
+  /// Program roots only: the value of each size variable (by ArithExpr
+  /// var id) at the grid the program was lowered for. Set by
+  /// rewrite::lowerStencil when it is given the output extents; empty
+  /// for a symbolic program. Code generation copies it into the
+  /// kernel's size arguments (ocl::SizeArg::Bound).
+  ArithExpr::Env SizeBindings;
+
   static bool classof(const Expr *E) { return E->getKind() == Kind::Lambda; }
 
 private:
@@ -414,7 +421,8 @@ Program makeProgram(std::vector<ParamPtr> Inputs, ExprPtr Body);
 /// inputs) are preserved.
 ExprPtr deepClone(const ExprPtr &E);
 
-/// Deep-copies a program including its input parameters.
+/// Deep-copies a program including its input parameters and size
+/// bindings.
 Program cloneProgram(const Program &P);
 
 /// Deep-copies \p E replacing occurrences of the given parameters by

@@ -399,17 +399,36 @@ struct BoundRun {
   }
 };
 
-/// Allocates global buffers (zero-initialized exactly like the
-/// simulator's fresh storage), binds inputs with the simulator
-/// runner's conventions (ParallelExecutor::bindInput) and resolves
-/// size arguments.
+/// Resolves size arguments, allocates global buffers (zero-initialized
+/// exactly like the simulator's fresh storage) and binds inputs with
+/// the simulator runner's conventions (ParallelExecutor::bindInput).
+/// Throws NativeError when the run does not fit the kernel. Sizes are
+/// checked first: a kernel built for one grid refuses another even
+/// when its inputs have the same element counts.
 BoundRun bindRun(const codegen::Compiled &C,
                  const std::vector<std::vector<float>> &Inputs,
                  const SizeEnv &Sizes) {
-  if (Inputs.size() != C.InputBufferIds.size())
-    fatalError("runNative: input count mismatch");
   const Kernel &K = C.K;
+  if (Inputs.size() != C.InputBufferIds.size())
+    throw NativeError("runNative: input count mismatch (got " +
+                      std::to_string(Inputs.size()) + ", want " +
+                      std::to_string(C.InputBufferIds.size()) + ")");
   BoundRun R;
+  for (const SizeArg &SA : K.SizeArgs) {
+    auto It = Sizes.find(SA.VarId);
+    if (It == Sizes.end())
+      throw NativeError("runNative: unbound size variable " + SA.Name);
+    if (SA.Bound && *SA.Bound != It->second)
+      throw NativeError("runNative: kernel " + K.Name + " was built for " +
+                        SA.Name + " = " + std::to_string(*SA.Bound) +
+                        ", not " + std::to_string(It->second));
+    R.SizeVals.push_back((long long)It->second);
+  }
+  // The entry dereferences lift_sizes[0] layout only up to SizeArgs
+  // entries; keep the pointer valid even for zero size args.
+  if (R.SizeVals.empty())
+    R.SizeVals.push_back(0);
+
   R.FloatStore.resize(K.Buffers.size());
   R.IntStore.resize(K.Buffers.size());
   for (const BufferDecl &B : K.Buffers) {
@@ -417,7 +436,7 @@ BoundRun bindRun(const codegen::Compiled &C,
       continue;
     std::int64_t N = B.NumElems->evaluate(Sizes);
     if (N < 0)
-      fatalError("runNative: negative buffer extent for " + B.Name);
+      throw NativeError("runNative: negative buffer extent for " + B.Name);
     std::size_t Idx = std::size_t(B.Id);
     if (B.ElemKind == ir::ScalarKind::Float) {
       R.FloatStore[Idx].assign(std::size_t(N), 0.0f);
@@ -433,28 +452,21 @@ BoundRun bindRun(const codegen::Compiled &C,
     std::size_t Idx = std::size_t(B.Id);
     if (B.ElemKind == ir::ScalarKind::Float) {
       if (Inputs[I].size() != R.FloatStore[Idx].size())
-        fatalError("runNative: size mismatch for buffer " + B.Name +
-                   " (got " + std::to_string(Inputs[I].size()) + ", want " +
-                   std::to_string(R.FloatStore[Idx].size()) + ")");
+        throw NativeError("runNative: size mismatch for buffer " + B.Name +
+                          " (got " + std::to_string(Inputs[I].size()) +
+                          ", want " +
+                          std::to_string(R.FloatStore[Idx].size()) + ")");
       R.FloatStore[Idx] = Inputs[I];
     } else {
       if (Inputs[I].size() != R.IntStore[Idx].size())
-        fatalError("runNative: size mismatch for int buffer " + B.Name);
+        throw NativeError("runNative: size mismatch for int buffer " +
+                          B.Name + " (got " + std::to_string(Inputs[I].size()) +
+                          ", want " + std::to_string(R.IntStore[Idx].size()) +
+                          ")");
       for (std::size_t J = 0; J != Inputs[I].size(); ++J)
         R.IntStore[Idx][J] = std::int32_t(Inputs[I][J]);
     }
   }
-
-  for (const auto &SA : K.SizeArgs) {
-    auto It = Sizes.find(SA.first);
-    if (It == Sizes.end())
-      fatalError("runNative: unbound size variable " + SA.second);
-    R.SizeVals.push_back((long long)It->second);
-  }
-  // The entry dereferences lift_sizes[0] layout only up to SizeArgs
-  // entries; keep the pointer valid even for zero size args.
-  if (R.SizeVals.empty())
-    R.SizeVals.push_back(0);
   return R;
 }
 

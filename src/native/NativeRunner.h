@@ -18,8 +18,9 @@
 /// Everything that can fail for environmental reasons (no compiler,
 /// compile error, missing symbol) throws a subclass of
 /// lift::RecoverableError carrying the compiler diagnostics, so
-/// drivers can degrade gracefully; invariant violations (mismatched
-/// buffer counts, unbound sizes) stay fatal like everywhere else.
+/// drivers can degrade gracefully. A run that does not fit its kernel
+/// (wrong input count or length, an unbound size, a grid other than
+/// the one the kernel was lowered for) throws NativeError as well.
 ///
 /// Temp hygiene: each compilation gets a fresh mkdtemp directory under
 /// $TMPDIR (default /tmp) which is removed on *every* path — success,
@@ -219,7 +220,9 @@ struct NativeRunResult {
 /// whatever it is). Executes \p Warmup + \p Repeats times on the same
 /// buffers and reports the fastest repeat; timed sections are
 /// serialized process-wide so concurrent measurements cannot
-/// contaminate each other.
+/// contaminate each other. Throws NativeError when \p Inputs or
+/// \p Sizes do not fit the kernel, including a size other than the one
+/// the kernel was lowered for (ocl::SizeArg::Bound).
 NativeRunResult runNative(const codegen::Compiled &C,
                           const NativeKernel &Kern,
                           const std::vector<std::vector<float>> &Inputs,

@@ -300,8 +300,8 @@ public:
       Names.setBuffer(B.Id, Names.claim(B.Name));
     for (const RegisterDecl &R : K.Registers)
       Names.setRegister(R.Id, Names.claim(R.Name));
-    for (const auto &SA : K.SizeArgs)
-      Names.setVar(SA.first, Names.claim(SA.second));
+    for (const SizeArg &SA : K.SizeArgs)
+      Names.setVar(SA.VarId, Names.claim(SA.Name));
     // The specializer's clones of one loop share its variable, so the
     // first loop over each variable names it.
     walkKernel(K.Body, [&](const Stmt &S, const WalkContext &) {
@@ -393,8 +393,8 @@ void Printer::printEntry() {
       if (B.Space == MemSpace::Global)
         Params += (Params.empty() ? "global " : ", global ") +
                   scalarType(B.ElemKind) + "* restrict " + Names.buffer(B.Id);
-    for (const auto &SA : K.SizeArgs)
-      Params += (Params.empty() ? "int " : ", int ") + Names.var(SA.first);
+    for (const SizeArg &SA : K.SizeArgs)
+      Params += (Params.empty() ? "int " : ", int ") + Names.var(SA.VarId);
     Out += "kernel void " + EntryName + "(" + Params + ") {\n";
     Indent = 1;
     return;
@@ -411,9 +411,16 @@ void Printer::printEntry() {
          scalarType(B.ElemKind) + " *)lift_bufs[" + std::to_string(Slot++) +
          "];");
   }
-  for (std::size_t I = 0; I != K.SizeArgs.size(); ++I)
-    line("const long long " + Names.var(K.SizeArgs[I].first) +
-         " = lift_sizes[" + std::to_string(I) + "];");
+  // A size bound at lowering is a constant the C compiler folds into
+  // strides, clamps and trip counts; its lift_sizes slot stays in the
+  // ABI but is not read.
+  for (std::size_t I = 0; I != K.SizeArgs.size(); ++I) {
+    const SizeArg &SA = K.SizeArgs[I];
+    line("const long long " + Names.var(SA.VarId) + " = " +
+         (SA.Bound ? std::to_string(*SA.Bound)
+                   : "lift_sizes[" + std::to_string(I) + "]") +
+         ";");
+  }
   line("(void)lift_threads;");
   if (!Profile)
     line("(void)lift_prof;");

@@ -23,6 +23,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -143,6 +144,20 @@ StmtPtr sLoop(LoopKind LK, int Dim, AExpr LoopVar, AExpr Count,
               std::vector<StmtPtr> Body, bool Unroll = false);
 StmtPtr sBarrier();
 
+/// A size variable the kernel reads: emitted as an int kernel argument
+/// in OpenCL and read from `lift_sizes` by the native entry.
+struct SizeArg {
+  unsigned VarId = 0;
+  std::string Name;
+  /// The value at the grid the kernel was lowered for, when known
+  /// (ir::LambdaExpr::SizeBindings). The C dialect prints it as a
+  /// constant and the native runner refuses to run at any other value.
+  /// The OpenCL text, the simulator and the analyses ignore it: they
+  /// stay symbolic, so a kernel lowered at one grid can be modeled at
+  /// another.
+  std::optional<std::int64_t> Bound = std::nullopt;
+};
+
 /// A complete kernel: declarations plus a statement list. The NDRange
 /// shape is implicit in the loop structure (Glb/Wrg/Lcl loop counts);
 /// the launch configuration (work-group sizes) is supplied separately
@@ -152,9 +167,8 @@ struct Kernel {
   std::vector<BufferDecl> Buffers;
   std::vector<RegisterDecl> Registers;
   std::vector<StmtPtr> Body;
-  /// Size variables (ArithExpr var ids and names) that must be bound at
-  /// launch; emitted as int kernel arguments.
-  std::vector<std::pair<unsigned, std::string>> SizeArgs;
+  /// Size variables that must be bound at launch, in argument order.
+  std::vector<SizeArg> SizeArgs;
   /// User functions referenced by the body (for emission).
   std::vector<ir::UserFunPtr> UserFuns;
 

@@ -211,6 +211,50 @@ Program lowerFail(std::string *WhyNot, const std::string &Reason) {
   return nullptr;
 }
 
+/// Solves the symbolic output extents \p OutExt (outermost first) for
+/// their size variables at the grid \p Grid the caller will run at: a
+/// dimension of the form `v` or `v + c` binds v to Grid[I] - c, and
+/// any other symbolic form leaves its variables to run time. Returns a
+/// diagnostic when a constant dimension differs from its grid extent
+/// or a variable would take two values or one outside its declared
+/// range; the empty string otherwise.
+std::string bindGrid(const std::vector<AExpr> &OutExt,
+                     const std::vector<std::int64_t> &Grid,
+                     ArithExpr::Env &Bindings) {
+  for (std::size_t I = 0; I != OutExt.size(); ++I) {
+    const AExpr &D = OutExt[I];
+    std::string At = "OutputExtents[" + std::to_string(I) +
+                     "] = " + std::to_string(Grid[I]);
+    if (D->getKind() == ArithExpr::Kind::Cst) {
+      if (D->getCst() != Grid[I])
+        return At + " disagrees with the stencil's constant output extent " +
+               std::to_string(D->getCst());
+      continue;
+    }
+    AExpr V = D;
+    std::int64_t Offset = 0;
+    const std::vector<AExpr> &Ops = D->getOperands();
+    if (D->getKind() == ArithExpr::Kind::Add && Ops.size() == 2)
+      for (std::size_t K = 0; K != 2; ++K)
+        if (Ops[K]->getKind() == ArithExpr::Kind::Cst) {
+          V = Ops[1 - K];
+          Offset = Ops[K]->getCst();
+        }
+    if (V->getKind() != ArithExpr::Kind::Var)
+      continue;
+    std::int64_t Val = Grid[I] - Offset;
+    std::string Binding = V->getVarName() + " = " + std::to_string(Val);
+    const Range &R = V->getVarRange();
+    if ((R.Min && Val < *R.Min) || (R.Max && Val > *R.Max))
+      return At + " needs " + Binding + ", outside its declared range";
+    auto [It, Inserted] = Bindings.emplace(V->getVarId(), Val);
+    if (!Inserted && It->second != Val)
+      return At + " needs " + Binding + ", but another dimension needs " +
+             std::to_string(It->second);
+  }
+  return "";
+}
+
 /// Decides between the clamped (remainder-legal) and exact tiling
 /// schemes and validates the tile shape against the per-dimension
 /// output extents. Returns true when the clamped scheme applies: at
@@ -292,44 +336,49 @@ Program lowerStencilImpl(const Program &P, const LoweringOptions &O,
   // become lowered nests materialized into global temporaries.
   M->Input = lowerEmbeddedNests(M->Input);
 
-  ExprPtr Lowered;
-  if (O.Tile) {
-    AExpr V = cst(O.TileOutputs);
-
-    // Per-dimension output extents (outermost first). The clamped
-    // tiling scheme's joins need them, and they carry the validity
-    // checks below. Typing a throwaway program annotates Body.
+  // Per-dimension output extents (outermost first). The clamped tiling
+  // scheme's joins need them, they carry the tiling validity checks,
+  // and they are what a grid binds. Typing a throwaway program
+  // annotates Body.
+  std::vector<AExpr> OutExt;
+  if (O.Tile || !O.OutputExtents.empty()) {
     {
       Program Typed = makeProgram(Copy->getParams(), Body);
       std::string TypeErr;
       if (!tryInferTypes(Typed, &TypeErr))
         return lowerFail(WhyNot, "cannot type the stencil body: " + TypeErr);
     }
-    std::vector<AExpr> OutExt;
-    {
-      TypePtr T = Body->getType();
-      for (unsigned I = 0; I != N; ++I) {
-        if (!T || T->getKind() != Type::Kind::Array)
-          return lowerFail(WhyNot, "stencil output is not an n-d array");
-        OutExt.push_back(T->getSize());
-        T = T->getElem();
-      }
+    TypePtr T = Body->getType();
+    for (unsigned I = 0; I != N; ++I) {
+      if (!T || T->getKind() != Type::Kind::Array)
+        return lowerFail(WhyNot, "stencil output is not an n-d array");
+      OutExt.push_back(T->getSize());
+      T = T->getElem();
     }
-    // Caller-supplied concrete extents refine symbolic dimensions so
-    // the per-dimension tile clamp and the ragged reassembly know the
-    // real grid. The caller promises to run the lowered program at
-    // exactly these output extents.
-    if (!O.OutputExtents.empty()) {
-      if (O.OutputExtents.size() != N)
-        return lowerFail(WhyNot,
-                         "OutputExtents has " +
-                             std::to_string(O.OutputExtents.size()) +
-                             " entries for a " + std::to_string(N) +
-                             "-d stencil");
-      for (unsigned I = 0; I != N; ++I)
-        if (OutExt[I]->getKind() != ArithExpr::Kind::Cst)
-          OutExt[I] = cst(O.OutputExtents[I]);
-    }
+  }
+  // The caller promises to run the lowered program at exactly these
+  // output extents, so the program is lowered for that grid: the size
+  // variables they determine are bound on the result, and symbolic
+  // dimensions become constants for the per-dimension tile clamp and
+  // the ragged reassembly.
+  ArithExpr::Env Bindings;
+  if (!O.OutputExtents.empty()) {
+    if (O.OutputExtents.size() != N)
+      return lowerFail(WhyNot,
+                       "OutputExtents has " +
+                           std::to_string(O.OutputExtents.size()) +
+                           " entries for a " + std::to_string(N) +
+                           "-d stencil");
+    std::string GridErr = bindGrid(OutExt, O.OutputExtents, Bindings);
+    if (!GridErr.empty())
+      return lowerFail(WhyNot, GridErr);
+    for (unsigned I = 0; I != N; ++I)
+      OutExt[I] = cst(O.OutputExtents[I]);
+  }
+
+  ExprPtr Lowered;
+  if (O.Tile) {
+    AExpr V = cst(O.TileOutputs);
 
     // Single-grid shape: mapNd(f, slideNd(size, step, inner)).
     if (std::optional<SlideNdMatch> S = matchSlideNd(M->Input)) {
@@ -492,6 +541,7 @@ Program lowerStencilImpl(const Program &P, const LoweringOptions &O,
     Result = makeProgram(Result->getParams(), NewBody);
     inferTypes(Result);
   }
+  Result->SizeBindings = std::move(Bindings);
   return Result;
 }
 

@@ -52,13 +52,19 @@ struct LoweringOptions {
   std::int64_t TileCoarsen = 1;
 
   /// Concrete per-dimension *output* extents (outermost first) the
-  /// lowered program will run at, when the caller knows them. Refines
-  /// symbolic output dimensions so the clamped tiling scheme can clamp
-  /// the per-dimension tile to a short extent (e.g. a 16-output tile
-  /// on a 4-deep dimension becomes one 4-output tile) — without this,
-  /// tiled lowerings of symbolic programs carry the validity
-  /// precondition extent >= TileOutputs. Empty: keep symbolic extents.
-  /// Does not participate in describe().
+  /// lowered program will run at, when the caller knows them. The
+  /// result is then a program for that grid: every size variable an
+  /// output dimension of the form `v` or `v + c` determines is recorded
+  /// in ir::LambdaExpr::SizeBindings, so its native C folds the value
+  /// and refuses to run at any other. Refines symbolic output
+  /// dimensions so the clamped tiling scheme can clamp the
+  /// per-dimension tile to a short extent (e.g. a 16-output tile on a
+  /// 4-deep dimension becomes one 4-output tile) — without this, tiled
+  /// lowerings of symbolic programs carry the validity precondition
+  /// extent >= TileOutputs. Lowering fails when an entry disagrees
+  /// with a constant output dimension or two entries bind one variable
+  /// to different values. Empty: keep symbolic extents. Does not
+  /// participate in describe().
   std::vector<std::int64_t> OutputExtents;
 
   /// e.g. "tiled16-local-unroll" / "global-coarsen4".

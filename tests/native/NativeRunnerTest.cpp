@@ -249,6 +249,59 @@ TEST(NativeRunner, CacheKeepsSourceVariantsApartUnderOneHash) {
 }
 
 //===----------------------------------------------------------------------===//
+// Grid-bound kernels
+//===----------------------------------------------------------------------===//
+
+TEST(NativeRunner, KernelLoweredForAGridRefusesEveryOtherGrid) {
+  // A lowering given OutputExtents is a kernel for that grid: its C
+  // reads no size at run time, and a run at another grid, even one of
+  // the same element count whose inputs would bind, is a recoverable
+  // refusal rather than an abort or a wrong answer.
+  REQUIRE_TOOLCHAIN();
+  const Benchmark &B = findBenchmark("Jacobi2D5pt");
+  BenchmarkInstance I = B.Build();
+  const Extents Grid = {64, 64};
+  for (bool Tiled : {false, true}) {
+    rewrite::LoweringOptions O;
+    O.Tile = Tiled;
+    O.TileOutputs = 16;
+    O.UseLocalMem = Tiled;
+    O.OutputExtents = Grid;
+    std::string WhyNot;
+    ir::Program Low = rewrite::lowerStencil(I.P, O, &WhyNot);
+    ASSERT_TRUE(bool(Low)) << WhyNot;
+    codegen::Compiled C = codegen::compileProgram(Low, B.Name);
+    NativeKernelPtr Kern = compileKernel(C.K);
+    EXPECT_EQ(Kern->source().find("lift_sizes["), std::string::npos)
+        << O.describe() << " still reads a size at run time";
+
+    for (const Extents &Other : {Extents{32, 32}, Extents{32, 128}})
+      EXPECT_THROW(runNative(C, *Kern, makeBenchmarkInputs(B, Other),
+                             makeSizeEnv(I, Other)),
+                   NativeError)
+          << O.describe() << " ran at " << Other[0] << "x" << Other[1];
+
+    // The refusals leave the process and the kernel usable.
+    std::vector<std::vector<float>> In = makeBenchmarkInputs(B, Grid);
+    ocl::SizeEnv Sizes = makeSizeEnv(I, Grid);
+    EXPECT_TRUE(bitIdentical(runNative(C, *Kern, In, Sizes, 3).Output,
+                             codegen::runCompiled(C, In, Sizes).Output))
+        << O.describe();
+  }
+}
+
+TEST(NativeRunner, InputsThatDoNotFitAreRecoverable) {
+  REQUIRE_TOOLCHAIN();
+  Built B = buildBench("Stencil2D", /*Tiled=*/false);
+  NativeKernelPtr Kern = compileKernel(B.C.K);
+  EXPECT_THROW(runNative(B.C, *Kern, {}, B.Sizes), NativeError);
+  std::vector<std::vector<float>> Short = B.Inputs;
+  Short[0].pop_back();
+  EXPECT_THROW(runNative(B.C, *Kern, Short, B.Sizes), NativeError);
+  EXPECT_THROW(runNative(B.C, *Kern, B.Inputs, {}), NativeError);
+}
+
+//===----------------------------------------------------------------------===//
 // Error paths (all RecoverableError subclasses; never asserts)
 //===----------------------------------------------------------------------===//
 

@@ -288,6 +288,66 @@ TEST(Lowering, ThreeIterations2D) {
     EXPECT_FLOAT_EQ(R.Output[I], ExpectedFlat[I]) << "at " << I;
 }
 
+TEST(Lowering, OutputExtentsBindTheSizeVariables) {
+  // A lowering for a grid records the value of each size variable an
+  // output dimension determines: `n` for a padded stencil, and `m`
+  // through `m - 2` for an unpadded one. Without extents it records
+  // nothing and stays symbolic.
+  for (bool Tile : {false, true}) {
+    LoweringOptions O = opt(Tile, 4, Tile, false, 1);
+    AExpr N = sizeVar("n");
+    Program Padded = sumStencilProgram(2, N);
+    Program Symbolic = lowerStencil(Padded, O);
+    ASSERT_NE(Symbolic, nullptr);
+    EXPECT_TRUE(Symbolic->SizeBindings.empty());
+
+    O.OutputExtents = {12, 12};
+    Program Low = lowerStencil(Padded, O);
+    ASSERT_NE(Low, nullptr) << O.describe();
+    EXPECT_EQ(Low->SizeBindings, (ArithExpr::Env{{N->getVarId(), 12}}));
+    Compiled C = compileProgram(Low, "bound");
+    ASSERT_EQ(C.K.SizeArgs.size(), 1u);
+    EXPECT_EQ(C.K.SizeArgs[0].Bound, std::optional<std::int64_t>(12));
+
+    AExpr M = sizeVar("m");
+    ParamPtr A = param("A", arrayT(arrayT(floatT(), M), M));
+    Program Unpadded = makeProgram(
+        {A}, mapNd(2, sumNeighborhood(2), slideNd(2, cst(3), cst(1), A)));
+    O.OutputExtents = {10, 10};
+    Low = lowerStencil(Unpadded, O);
+    ASSERT_NE(Low, nullptr) << O.describe();
+    EXPECT_EQ(Low->SizeBindings, (ArithExpr::Env{{M->getVarId(), 12}}));
+  }
+}
+
+TEST(Lowering, OutputExtentsThatDisagreeAreRefused) {
+  // A constant output dimension that differs from its requested extent,
+  // and two extents that bind one size variable to different values,
+  // name no grid the program can run at: the lowering refuses with a
+  // reason instead of ignoring the extent.
+  for (bool Tile : {false, true}) {
+    LoweringOptions O = opt(Tile, 4, false, false, 1);
+    O.OutputExtents = {8, 9};
+    std::string WhyNot;
+    EXPECT_EQ(lowerStencil(sumStencilProgram(2, cst(8)), O, &WhyNot), nullptr);
+    EXPECT_NE(WhyNot.find("OutputExtents[1] = 9 disagrees with the stencil's "
+                          "constant output extent 8"),
+              std::string::npos)
+        << WhyNot;
+
+    WhyNot.clear();
+    EXPECT_EQ(lowerStencil(sumStencilProgram(2, sizeVar("n")), O, &WhyNot),
+              nullptr);
+    EXPECT_NE(WhyNot.find("OutputExtents[1] = 9 needs n = 9, but another "
+                          "dimension needs 8"),
+              std::string::npos)
+        << WhyNot;
+
+    O.OutputExtents = {8, 8};
+    EXPECT_NE(lowerStencil(sumStencilProgram(2, cst(8)), O), nullptr);
+  }
+}
+
 TEST(Lowering, DescribeNames) {
   EXPECT_EQ(opt(true, 16, true, true, 1).describe(), "tiled16-local-unroll");
   EXPECT_EQ(opt(false, 0, false, false, 4).describe(), "global-coarsen4");

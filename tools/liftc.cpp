@@ -74,7 +74,8 @@ int usage() {
       "  real; 'run' then reports wall-clock time (--warmup W untimed +\n"
       "  --repeats R timed executions, fastest wins; --jobs = OpenMP\n"
       "  threads), and 'tune' ranks candidates by measured seconds\n"
-      "  instead of the device model\n"
+      "  instead of the device model. Native C lowered for a grid (run,\n"
+      "  tune, profile; emit with --extents) has it as constants\n"
       "analysis (emit/run): --specialize splits each grid loop into\n"
 "  left-edge / clamp-free-interior / right-edge loops before emitting\n"
 "  or running; --check-bounds statically proves every buffer access\n"
