@@ -55,6 +55,9 @@ public:
       auto It = P->SizeBindings.find(SA.VarId);
       if (It != P->SizeBindings.end())
         SA.Bound = It->second;
+      auto MinIt = P->SizeMinimums.find(SA.VarId);
+      if (MinIt != P->SizeMinimums.end())
+        SA.Min = MinIt->second;
     }
     Result.K = std::move(K);
     return Result;

@@ -471,6 +471,7 @@ Program lift::ir::cloneProgram(const Program &P) {
   ExprPtr NewBody = cloneRec(P->getBody(), PM);
   Program Copy = makeProgram(std::move(NewInputs), std::move(NewBody));
   Copy->SizeBindings = P->SizeBindings;
+  Copy->SizeMinimums = P->SizeMinimums;
   return Copy;
 }
 

@@ -205,6 +205,14 @@ public:
   /// kernel's size arguments (ocl::SizeArg::Bound).
   ArithExpr::Env SizeBindings;
 
+  /// Program roots only: the least value of each size variable (by
+  /// ArithExpr var id) at which the program is valid. Set by
+  /// rewrite::lowerStencil for a clamped tiling that keeps an output
+  /// dimension `v + c` symbolic: that dimension must hold a whole tile,
+  /// so v >= TileOutputs - c. Code generation copies it into the
+  /// kernel's size arguments (ocl::SizeArg::Min).
+  ArithExpr::Env SizeMinimums;
+
   static bool classof(const Expr *E) { return E->getKind() == Kind::Lambda; }
 
 private:

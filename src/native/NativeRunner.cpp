@@ -422,6 +422,10 @@ BoundRun bindRun(const codegen::Compiled &C,
       throw NativeError("runNative: kernel " + K.Name + " was built for " +
                         SA.Name + " = " + std::to_string(*SA.Bound) +
                         ", not " + std::to_string(It->second));
+    if (SA.Min && It->second < *SA.Min)
+      throw NativeError("runNative: kernel " + K.Name + " needs " + SA.Name +
+                        " >= " + std::to_string(*SA.Min) + ", not " +
+                        std::to_string(It->second));
     R.SizeVals.push_back((long long)It->second);
   }
   // The entry dereferences lift_sizes[0] layout only up to SizeArgs

@@ -156,6 +156,11 @@ struct SizeArg {
   /// stay symbolic, so a kernel lowered at one grid can be modeled at
   /// another.
   std::optional<std::int64_t> Bound = std::nullopt;
+  /// The least value the kernel is valid for, when it has one
+  /// (ir::LambdaExpr::SizeMinimums): the static bounds checker assumes
+  /// it, and the simulator and the native runner refuse a smaller
+  /// value. The emitted text does not change.
+  std::optional<std::int64_t> Min = std::nullopt;
 };
 
 /// A complete kernel: declarations plus a statement list. The NDRange

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <limits>
 
@@ -24,6 +25,11 @@ using namespace lift::ocl;
 static constexpr std::int64_t UnboundSlot =
     std::numeric_limits<std::int64_t>::min();
 
+/// SlotDepths entries for a slot no loop binds, and for one bound by
+/// loops at two different nesting depths.
+static constexpr int NoDepth = -1;
+static constexpr int MixedDepth = -2;
+
 //===----------------------------------------------------------------------===//
 // Plan compilation
 //===----------------------------------------------------------------------===//
@@ -35,7 +41,17 @@ int ParallelExecutor::slotFor(unsigned VarId) {
   int Id = int(SlotNames.size());
   SlotIds.emplace(VarId, Id);
   SlotNames.push_back(std::string());
+  SlotDepths.push_back(NoDepth);
   return Id;
+}
+
+/// Makes \p Prog a Binary operand: a constant program folds into the
+/// node, so evaluation makes no call for it.
+void ParallelExecutor::setOperand(int Prog, int &Ref,
+                                  std::int64_t &Val) const {
+  const IndexProgram &P = Progs[std::size_t(Prog)];
+  Ref = P.IsConst ? -1 : Prog;
+  Val = P.IsConst ? P.ConstVal : 0;
 }
 
 int ParallelExecutor::compileBinary(IndexProgram::BinOp Op, const AExpr &A,
@@ -76,8 +92,8 @@ int ParallelExecutor::compileBinary(IndexProgram::BinOp Op, const AExpr &A,
   } else {
     P.F = IndexProgram::Form::Binary;
     P.Op = Op;
-    P.A = PA;
-    P.B = PB;
+    setOperand(PA, P.A, P.AVal);
+    setOperand(PB, P.B, P.BVal);
   }
   int Id = int(Progs.size());
   Progs.push_back(std::move(P));
@@ -145,8 +161,8 @@ void ParallelExecutor::toAffine(
       IndexProgram P;
       P.F = IndexProgram::Form::Binary;
       P.Op = IndexProgram::BinOp::Mul;
-      P.A = Prog;
-      P.B = compileIndex(*Symbolic[I]);
+      setOperand(Prog, P.A, P.AVal);
+      setOperand(compileIndex(*Symbolic[I]), P.B, P.BVal);
       Prog = int(Progs.size());
       Progs.push_back(std::move(P));
     }
@@ -230,7 +246,7 @@ int ParallelExecutor::compileExpr(const KExpr &E) {
     P.VarId = E.VarId;
     break;
   case KExpr::Kind::Load:
-    P.BufferId = E.BufferId;
+    P.Buf = bufRef(E.BufferId);
     P.Prog = compileIndex(E.Index);
     break;
   case KExpr::Kind::CallUF:
@@ -252,12 +268,19 @@ int ParallelExecutor::compileExpr(const KExpr &E) {
   return Id;
 }
 
-ParallelExecutor::PStmt ParallelExecutor::compileStmt(const Stmt &S) {
+void ParallelExecutor::noteSlotDepth(int Slot, int Depth) {
+  int &D = SlotDepths[std::size_t(Slot)];
+  D = D == NoDepth || D == Depth ? Depth : MixedDepth;
+}
+
+/// Compiles \p S, which runs inside \p Depth enclosing loops.
+ParallelExecutor::PStmt ParallelExecutor::compileStmt(const Stmt &S,
+                                                      int Depth) {
   PStmt P;
   P.Kind = S.K;
   switch (S.K) {
   case Stmt::Kind::Store:
-    P.BufferId = S.BufferId;
+    P.Buf = bufRef(S.BufferId);
     P.Prog = compileIndex(S.Index);
     P.Value = compileExpr(*S.Value);
     break;
@@ -270,11 +293,12 @@ ParallelExecutor::PStmt ParallelExecutor::compileStmt(const Stmt &S) {
   case Stmt::Kind::Loop: {
     int Slot = slotFor(S.LoopVar->getVarId());
     SlotNames[std::size_t(Slot)] = S.LoopVar->getVarName();
+    noteSlotDepth(Slot, Depth);
     P.Slot = Slot;
     P.CountProg = compileIndex(S.Count);
     P.Unroll = S.Unroll;
     for (const StmtPtr &C : S.Body)
-      P.Body.push_back(compileStmt(*C));
+      P.Body.push_back(compileStmt(*C, Depth + 1));
     break;
   }
   }
@@ -288,7 +312,7 @@ void ParallelExecutor::compileTopLevel(const std::vector<StmtPtr> &Stmts) {
                     (S.LK == LoopKind::Wrg || S.LK == LoopKind::Glb);
     if (!Parallel) {
       TopStmt T;
-      T.S = compileStmt(S);
+      T.S = compileStmt(S, 0);
       TopLevel.push_back(std::move(T));
       continue;
     }
@@ -304,6 +328,7 @@ void ParallelExecutor::compileTopLevel(const std::vector<StmtPtr> &Stmts) {
         break; // only possible at the first level (outer counts checked)
       int Slot = slotFor(Cur->LoopVar->getVarId());
       SlotNames[std::size_t(Slot)] = Cur->LoopVar->getVarName();
+      noteSlotDepth(Slot, int(T.Levels.size()));
       T.Levels.push_back(
           {Slot, Progs[std::size_t(CountProg)].ConstVal, Cur->Unroll});
       const Stmt *Next =
@@ -323,13 +348,48 @@ void ParallelExecutor::compileTopLevel(const std::vector<StmtPtr> &Stmts) {
       // Symbolic top-level parallel count (not produced by our code
       // generator); fall back to sequential execution.
       T.IsRegion = false;
-      T.S = compileStmt(S);
+      T.S = compileStmt(S, 0);
       TopLevel.push_back(std::move(T));
       continue;
     }
     for (const StmtPtr &C : Cur->Body)
-      T.Inner.push_back(compileStmt(*C));
+      T.Inner.push_back(compileStmt(*C, int(T.Levels.size())));
     TopLevel.push_back(std::move(T));
+  }
+}
+
+/// Sets each program's DepSlot: the deepest slot among its slot terms
+/// and its sub-programs' DepSlots. A program stays unmemoized (-1) when
+/// it is constant, or when one of its slots is bound at no depth or at
+/// two, or two of its slots share the deepest depth: its value could
+/// then change without that slot being stamped.
+void ParallelExecutor::assignDepSlots() {
+  for (IndexProgram &P : Progs) {
+    if (P.IsConst)
+      continue;
+    int Best = -1;
+    bool Ok = true;
+    auto Use = [&](int Slot) {
+      int D = Slot < 0 ? NoDepth : SlotDepths[std::size_t(Slot)];
+      if (D < 0)
+        Ok = false;
+      else if (Best < 0 || D > SlotDepths[std::size_t(Best)])
+        Best = Slot;
+      else if (Slot != Best && D == SlotDepths[std::size_t(Best)])
+        Ok = false;
+    };
+    // Sub-programs precede their users in Progs, so theirs are set.
+    auto UseProg = [&](int Sub) {
+      if (Sub >= 0 && !Progs[std::size_t(Sub)].IsConst)
+        Use(Progs[std::size_t(Sub)].DepSlot);
+    };
+    for (const auto &T : P.SlotTerms)
+      Use(T.second);
+    for (const auto &T : P.SubTerms)
+      UseProg(T.second);
+    UseProg(P.A);
+    UseProg(P.B);
+    P.DepSlot = Ok ? Best : -1;
   }
 }
 
@@ -342,6 +402,13 @@ ParallelExecutor::ParallelExecutor(const Kernel &K, const SizeEnv &Sizes,
     : K(K), Cache(Cache), Jobs(Jobs) {
   for (const auto &KV : Sizes)
     SizeConsts.emplace(KV.first, KV.second);
+  for (const SizeArg &SA : K.SizeArgs) {
+    auto It = Sizes.find(SA.VarId);
+    if (SA.Min && It != Sizes.end() && It->second < *SA.Min)
+      fatalError("kernel " + K.Name + " needs " + SA.Name +
+                 " >= " + std::to_string(*SA.Min) + ", not " +
+                 std::to_string(It->second));
+  }
 
   // Buffer layout: every buffer, whatever its space, advances the same
   // virtual address cursor, and gets a disjoint line-aligned range so
@@ -351,8 +418,6 @@ ParallelExecutor::ParallelExecutor(const Kernel &K, const SizeEnv &Sizes,
   std::int64_t NextBase = 0;
   for (const BufferDecl &Decl : K.Buffers) {
     BufferStorage &B = Buffers[std::size_t(Decl.Id)];
-    B.Kind = Decl.ElemKind;
-    B.Space = Decl.Space;
     std::int64_t N = Decl.NumElems->evaluate(Sizes);
     if (N < 0)
       fatalError("negative buffer size for " + Decl.Name);
@@ -361,12 +426,7 @@ ParallelExecutor::ParallelExecutor(const Kernel &K, const SizeEnv &Sizes,
     NextBase += (Bytes + Cache.LineBytes - 1) / Cache.LineBytes *
                     Cache.LineBytes +
                 Cache.LineBytes;
-    BufferStorage &Store =
-        Decl.Space == MemSpace::Global ? B : Main.PrivBufs[std::size_t(Decl.Id)];
-    if (Decl.Space != MemSpace::Global) {
-      Store.Kind = Decl.ElemKind;
-      Store.Space = Decl.Space;
-    }
+    BufferStorage &Store = storageFor(bufRef(Decl.Id), Main);
     if (Decl.ElemKind == ScalarKind::Float)
       Store.F.assign(std::size_t(N), 0.0f);
     else
@@ -381,15 +441,21 @@ ParallelExecutor::ParallelExecutor(const Kernel &K, const SizeEnv &Sizes,
   CacheSets = std::max<std::int64_t>(
       1, Cache.TotalBytes / (Cache.LineBytes * Cache.Ways));
   CacheTags.assign(std::size_t(CacheSets * Cache.Ways), -1);
+  if (Cache.LineBytes > 0 && std::has_single_bit(unsigned(Cache.LineBytes)))
+    LineShift = std::countr_zero(unsigned(Cache.LineBytes));
 
   compileTopLevel(K.Body);
+  assignDepSlots();
   Main.Slots.assign(SlotNames.size(), UnboundSlot);
+  Main.Memo.assign(Progs.size(), MemoEntry());
+  Main.SlotStamp.assign(SlotNames.size(), 1);
   Main.CacheLive = true;
 }
 
 void ParallelExecutor::bindInput(int BufferId, const std::vector<float> &Data) {
-  BufferStorage &B = storageFor(BufferId, Main);
-  if (B.Kind == ScalarKind::Float) {
+  BufRef Ref = bufRef(BufferId);
+  BufferStorage &B = storageFor(Ref, Main);
+  if (Ref.Kind == ScalarKind::Float) {
     if (Data.size() != B.F.size())
       fatalError("bindInput: size mismatch for buffer " +
                  K.buffer(BufferId).Name + " (got " +
@@ -405,11 +471,11 @@ void ParallelExecutor::bindInput(int BufferId, const std::vector<float> &Data) {
 }
 
 std::vector<float> ParallelExecutor::bufferContents(int BufferId) const {
-  const BufferStorage &B =
-      Buffers[std::size_t(BufferId)].Space == MemSpace::Global
-          ? Buffers[std::size_t(BufferId)]
-          : Main.PrivBufs[std::size_t(BufferId)];
-  if (B.Kind == ScalarKind::Float)
+  BufRef Ref = bufRef(BufferId);
+  const BufferStorage &B = Ref.Space == MemSpace::Global
+                               ? Buffers[std::size_t(BufferId)]
+                               : Main.PrivBufs[std::size_t(BufferId)];
+  if (Ref.Kind == ScalarKind::Float)
     return B.F;
   std::vector<float> Out(B.I.size());
   for (std::size_t I = 0; I != B.I.size(); ++I)
@@ -421,8 +487,23 @@ std::vector<float> ParallelExecutor::bufferContents(int BufferId) const {
 // Execution
 //===----------------------------------------------------------------------===//
 
+/// The value of program \p ProgId in \p S's current binding: the
+/// memoized value when the program's DepSlot has not been stamped
+/// since it was computed, else a fresh evaluation.
 std::int64_t ParallelExecutor::evalProgram(int ProgId, ShardState &S) {
   const IndexProgram &P = Progs[std::size_t(ProgId)];
+  if (P.DepSlot < 0)
+    return P.IsConst ? P.ConstVal : computeProgram(P, S);
+  MemoEntry &M = S.Memo[std::size_t(ProgId)];
+  if (M.At >= S.SlotStamp[std::size_t(P.DepSlot)])
+    return M.Val;
+  std::int64_t V = computeProgram(P, S);
+  M = {V, S.Clock};
+  return V;
+}
+
+std::int64_t ParallelExecutor::computeProgram(const IndexProgram &P,
+                                              ShardState &S) {
   switch (P.F) {
   case IndexProgram::Form::Const:
     return P.ConstVal;
@@ -440,8 +521,8 @@ std::int64_t ParallelExecutor::evalProgram(int ProgId, ShardState &S) {
     return V;
   }
   case IndexProgram::Form::Binary: {
-    std::int64_t VA = evalProgram(P.A, S);
-    std::int64_t VB = evalProgram(P.B, S);
+    std::int64_t VA = P.A < 0 ? P.AVal : evalProgram(P.A, S);
+    std::int64_t VB = P.B < 0 ? P.BVal : evalProgram(P.B, S);
     switch (P.Op) {
     case IndexProgram::BinOp::Div:
       if (VB == 0)
@@ -464,15 +545,28 @@ std::int64_t ParallelExecutor::evalProgram(int ProgId, ShardState &S) {
   unreachable("covered switch");
 }
 
+/// Binds (or, with UnboundSlot, unbinds) a loop slot and stamps it, so
+/// every memoized program depending on it is evaluated afresh.
+void ParallelExecutor::bindSlot(ShardState &S, int Slot, std::int64_t V) {
+  S.Slots[std::size_t(Slot)] = V;
+  S.SlotStamp[std::size_t(Slot)] = ++S.Clock;
+}
+
+ParallelExecutor::BufRef ParallelExecutor::bufRef(int BufferId) const {
+  const BufferDecl &D = K.buffer(BufferId);
+  return {BufferId, D.Space, D.ElemKind};
+}
+
 ParallelExecutor::BufferStorage &
-ParallelExecutor::storageFor(int BufferId, ShardState &S) {
-  BufferStorage &Shared = Buffers[std::size_t(BufferId)];
-  if (Shared.Space == MemSpace::Global)
-    return Shared;
-  return S.PrivBufs[std::size_t(BufferId)];
+ParallelExecutor::storageFor(const BufRef &Buf, ShardState &S) {
+  return Buf.Space == MemSpace::Global ? Buffers[std::size_t(Buf.Id)]
+                                       : S.PrivBufs[std::size_t(Buf.Id)];
 }
 
 void ParallelExecutor::touchLine(std::int64_t Line, ShardState &S) {
+  if (Line == S.LastLine)
+    return;
+  S.LastLine = Line;
   if (!S.CacheLive) {
     S.Trace.push_back(Line);
     return;
@@ -494,18 +588,19 @@ void ParallelExecutor::touchLine(std::int64_t Line, ShardState &S) {
   Ways[0] = Line;
 }
 
-Scalar ParallelExecutor::loadFrom(int BufferId, std::int64_t Index,
+Scalar ParallelExecutor::loadFrom(const BufRef &Buf, std::int64_t Index,
                                   ShardState &S) {
-  BufferStorage &B = storageFor(BufferId, S);
-  std::size_t N = B.Kind == ScalarKind::Float ? B.F.size() : B.I.size();
+  BufferStorage &B = storageFor(Buf, S);
+  std::size_t N = Buf.Kind == ScalarKind::Float ? B.F.size() : B.I.size();
   if (Index < 0 || std::size_t(Index) >= N)
-    fatalError("simulated load out of bounds: " + K.buffer(BufferId).Name +
+    fatalError("simulated load out of bounds: " + K.buffer(Buf.Id).Name +
                "[" + std::to_string(Index) + "] of " + std::to_string(N));
-  switch (B.Space) {
+  switch (Buf.Space) {
   case MemSpace::Global: {
     ++S.Counters.GlobalLoads;
-    std::int64_t Addr = Buffers[std::size_t(BufferId)].VirtualBase + Index * 4;
-    touchLine(Addr / Cache.LineBytes, S);
+    std::int64_t Addr = B.VirtualBase + Index * 4;
+    touchLine(LineShift >= 0 ? Addr >> LineShift : Addr / Cache.LineBytes,
+              S);
     break;
   }
   case MemSpace::Local:
@@ -515,19 +610,19 @@ Scalar ParallelExecutor::loadFrom(int BufferId, std::int64_t Index,
     ++S.Counters.PrivateAccesses;
     break;
   }
-  if (B.Kind == ScalarKind::Float)
+  if (Buf.Kind == ScalarKind::Float)
     return Scalar(B.F[std::size_t(Index)]);
   return Scalar(B.I[std::size_t(Index)]);
 }
 
-void ParallelExecutor::storeTo(int BufferId, std::int64_t Index, Scalar V,
-                               ShardState &S) {
-  BufferStorage &B = storageFor(BufferId, S);
-  std::size_t N = B.Kind == ScalarKind::Float ? B.F.size() : B.I.size();
+void ParallelExecutor::storeTo(const BufRef &Buf, std::int64_t Index,
+                               Scalar V, ShardState &S) {
+  BufferStorage &B = storageFor(Buf, S);
+  std::size_t N = Buf.Kind == ScalarKind::Float ? B.F.size() : B.I.size();
   if (Index < 0 || std::size_t(Index) >= N)
-    fatalError("simulated store out of bounds: " + K.buffer(BufferId).Name +
+    fatalError("simulated store out of bounds: " + K.buffer(Buf.Id).Name +
                "[" + std::to_string(Index) + "] of " + std::to_string(N));
-  switch (B.Space) {
+  switch (Buf.Space) {
   case MemSpace::Global:
     ++S.Counters.GlobalStores;
     break;
@@ -538,12 +633,12 @@ void ParallelExecutor::storeTo(int BufferId, std::int64_t Index, Scalar V,
     ++S.Counters.PrivateAccesses;
     break;
   }
-  if (B.Space == MemSpace::Global) {
+  if (Buf.Space == MemSpace::Global) {
     // Global buffers are shared across shards. Clamped (remainder)
     // tilings store overlap positions from two adjacent work-groups —
     // with identical values by construction — so the write-write race
     // is benign; relaxed atomics keep it defined behavior.
-    if (B.Kind == ScalarKind::Float) {
+    if (Buf.Kind == ScalarKind::Float) {
       std::atomic_ref<float>(B.F[std::size_t(Index)])
           .store(V.asFloat(), std::memory_order_relaxed);
       return;
@@ -552,7 +647,7 @@ void ParallelExecutor::storeTo(int BufferId, std::int64_t Index, Scalar V,
         .store(V.asInt(), std::memory_order_relaxed);
     return;
   }
-  if (B.Kind == ScalarKind::Float) {
+  if (Buf.Kind == ScalarKind::Float) {
     B.F[std::size_t(Index)] = V.asFloat();
     return;
   }
@@ -569,7 +664,7 @@ Scalar ParallelExecutor::evalExpr(int ExprId, ShardState &S, unsigned Depth) {
   case KExpr::Kind::ReadVar:
     return S.Registers[std::size_t(E.VarId)];
   case KExpr::Kind::Load:
-    return loadFrom(E.BufferId, evalProgram(E.Prog, S), S);
+    return loadFrom(E.Buf, evalProgram(E.Prog, S), S);
   case KExpr::Kind::CallUF: {
     if (S.ArgScratch.size() <= Depth)
       S.ArgScratch.resize(Depth + 1);
@@ -608,7 +703,7 @@ void ParallelExecutor::execStmt(const PStmt &St, ShardState &S) {
   switch (St.Kind) {
   case Stmt::Kind::Store: {
     Scalar V = evalExpr(St.Value, S, 0);
-    storeTo(St.BufferId, evalProgram(St.Prog, S), V, S);
+    storeTo(St.Buf, evalProgram(St.Prog, S), V, S);
     return;
   }
   case Stmt::Kind::AssignVar:
@@ -620,10 +715,10 @@ void ParallelExecutor::execStmt(const PStmt &St, ShardState &S) {
   case Stmt::Kind::Loop: {
     std::int64_t Extent = evalProgram(St.CountProg, S);
     for (std::int64_t I = 0; I != Extent; ++I) {
-      S.Slots[std::size_t(St.Slot)] = I;
+      bindSlot(S, St.Slot, I);
       execStmts(St.Body, S);
     }
-    S.Slots[std::size_t(St.Slot)] = UnboundSlot;
+    bindSlot(S, St.Slot, UnboundSlot);
     S.Counters.LoopIterations += St.Unroll ? 1 : std::uint64_t(Extent);
     return;
   }
@@ -637,6 +732,8 @@ ParallelExecutor::ShardState ParallelExecutor::makeShard() const {
   S.Registers = Main.Registers;
   S.PrivBufs = Main.PrivBufs;
   S.CacheLive = false;
+  S.Memo.assign(Progs.size(), MemoEntry());
+  S.SlotStamp.assign(SlotNames.size(), 1);
   return S;
 }
 
@@ -687,9 +784,18 @@ void ParallelExecutor::runRegion(const TopStmt &Region) {
           std::int64_t Lo = ChunkLo(C), Hi = ChunkLo(C + 1);
           ChunkSpan.arg("items", Hi - Lo);
           for (std::int64_t I = Lo; I != Hi; ++I) {
-            for (std::size_t L = 0; L != Region.Levels.size(); ++L)
-              S.Slots[std::size_t(Region.Levels[L].Slot)] =
-                  (I / Strides[L]) % Region.Levels[L].Extent;
+            // Rebind from the outermost level whose value changed: an
+            // inner level is stamped whenever an outer one is, which
+            // is what keeps the index-program memo exact.
+            bool Moved = false;
+            for (std::size_t L = 0; L != Region.Levels.size(); ++L) {
+              int Slot = Region.Levels[L].Slot;
+              std::int64_t V = (I / Strides[L]) % Region.Levels[L].Extent;
+              if (Moved || S.Slots[std::size_t(Slot)] != V) {
+                bindSlot(S, Slot, V);
+                Moved = true;
+              }
+            }
             execStmts(Region.Inner, S);
           }
         },

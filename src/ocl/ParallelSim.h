@@ -15,9 +15,28 @@
 /// time in std::unordered_map environment lookups and per-call argument
 /// vector allocation. The plan replaces the environment with a dense
 /// slot array (size variables constant-folded at compile time, loop
-/// variables assigned fixed slots), flattens every symbolic index
-/// expression into a postfix program evaluated on a reusable stack, and
-/// reuses per-depth argument scratch buffers for user-function calls.
+/// variables assigned fixed slots), compiles every symbolic index
+/// expression into a small program — a constant, an affine sum of slots
+/// and sub-programs, or a binary floor div/mod/min/max/product node —
+/// and reuses per-depth argument scratch buffers for user-function
+/// calls.
+///
+/// Why index programs are memoized: a clamped stencil index is a tree
+/// of sub-programs, most of which (row and plane clamps, the clamps the
+/// loads of one statement share) do not change in the inner loop. Each
+/// program records, at plan-compile time, the innermost loop slot it
+/// depends on (its DepSlot). Each shard (and the sequential main state)
+/// stamps a slot with a fresh clock value whenever the slot is bound,
+/// rebound or unbound, and keeps each program's last value with the
+/// clock it was computed at; a program is re-evaluated only when its
+/// DepSlot was stamped since. That is exact because every slot a
+/// program depends on belongs to a loop enclosing the DepSlot's loop,
+/// so an outer slot never changes without the DepSlot being stamped
+/// after it (a flattened parallel region rebinds every level inside the
+/// outermost one that changed); programs whose slots do not nest that
+/// way are never memoized. Evaluation stays lazy (nothing is computed
+/// that the program order would not compute), and the unbound-variable
+/// abort still fires: leaving a loop stamps its slot.
 ///
 /// Why sharding is exact: iterations of Wrg/Glb loops are independent
 /// work-groups/work-items by construction of the Lift code generator
@@ -88,7 +107,9 @@ private:
   ///    the dominant form: flat row-major indices are affine in the
   ///    loop variables with clamp() sub-terms for boundary handling;
   ///  * Binary — floor div/mod, min, max (or a product of two symbolic
-  ///    factors) over two sub-programs.
+  ///    factors) over two operands, each a sub-program or a constant
+  ///    folded into the node.
+  /// Sub-programs always have smaller ids than the programs using them.
   struct IndexProgram {
     enum class Form : std::uint8_t { Const, Affine, Binary };
     enum class BinOp : std::uint8_t { Div, Mod, Min, Max, Mul };
@@ -99,7 +120,22 @@ private:
     std::vector<std::pair<std::int64_t, int>> SlotTerms; ///< (coeff, slot)
     std::vector<std::pair<std::int64_t, int>> SubTerms;  ///< (coeff, prog)
     BinOp Op = BinOp::Div; ///< Binary
-    int A = -1, B = -1;    ///< Binary operand programs
+    /// Binary operand programs; -1 means the operand is the constant
+    /// in AVal / BVal.
+    int A = -1, B = -1;
+    std::int64_t AVal = 0, BVal = 0;
+    /// The innermost loop slot the value depends on (through its slot
+    /// terms and sub-programs); -1 when the program is not memoized
+    /// (constant, or its slots do not nest at unique depths).
+    int DepSlot = -1;
+  };
+
+  /// A load's or store's buffer, resolved at plan time: its id, the
+  /// space that picks its storage and counters, and its element kind.
+  struct BufRef {
+    int Id = -1;
+    MemSpace Space = MemSpace::Global;
+    ir::ScalarKind Kind = ir::ScalarKind::Float;
   };
 
   /// Compiled KExpr node (indices into the Exprs arena).
@@ -108,7 +144,7 @@ private:
     ir::Scalar Const;
     int Prog = -1; ///< IndexVal / Load index program
     int VarId = -1;
-    int BufferId = -1;
+    BufRef Buf; ///< Load
     const ir::UserFun *UF = nullptr;
     std::uint64_t FlopCost = 0;
     std::vector<int> Args;
@@ -122,7 +158,7 @@ private:
   /// Compiled statement tree.
   struct PStmt {
     Stmt::Kind Kind = Stmt::Kind::Store;
-    int BufferId = -1;
+    BufRef Buf;    ///< Store
     int Prog = -1; ///< Store index program
     int VarId = -1;
     int Value = -1; ///< PExpr id
@@ -153,12 +189,19 @@ private:
   // Runtime state
   //===--------------------------------------------------------------------===//
 
+  /// A buffer's elements (F or I by its element kind) and, in the
+  /// shared Buffers entry, its virtual base address.
   struct BufferStorage {
-    ir::ScalarKind Kind = ir::ScalarKind::Float;
-    MemSpace Space = MemSpace::Global;
     std::vector<float> F;
     std::vector<std::int32_t> I;
     std::int64_t VirtualBase = 0;
+  };
+
+  /// One memoized index-program value and the shard clock at which it
+  /// was computed (0: never).
+  struct MemoEntry {
+    std::int64_t Val = 0;
+    std::uint64_t At = 0;
   };
 
   /// Execution state of one shard (or of the sequential main thread,
@@ -172,7 +215,16 @@ private:
     ExecCounters Counters;
     bool CacheLive = false;
     std::vector<std::int64_t> Trace; ///< global-load lines (when !CacheLive)
+    /// The last global-load line this shard touched (-1: none). A
+    /// repeat touch is a hit on its set's most recent way and changes
+    /// no LRU state, so it is skipped.
+    std::int64_t LastLine = -1;
     std::vector<std::vector<ir::Scalar>> ArgScratch; ///< per UF call depth
+    /// Index-program memo, per program id, and the clock at which each
+    /// slot was last bound or unbound (see evalProgram).
+    std::vector<MemoEntry> Memo;
+    std::vector<std::uint64_t> SlotStamp;
+    std::uint64_t Clock = 1;
   };
 
   //===--------------------------------------------------------------------===//
@@ -185,21 +237,28 @@ private:
   void toAffine(const AExpr &E, std::int64_t Scale, std::int64_t &Base,
                 std::unordered_map<int, std::int64_t> &Coeffs,
                 std::vector<std::pair<std::int64_t, int>> &SubTerms);
+  void setOperand(int Prog, int &Ref, std::int64_t &Val) const;
   int compileExpr(const KExpr &E);
-  PStmt compileStmt(const Stmt &S);
+  void noteSlotDepth(int Slot, int Depth);
+  PStmt compileStmt(const Stmt &S, int Depth);
   void compileTopLevel(const std::vector<StmtPtr> &Stmts);
+  void assignDepSlots();
 
   //===--------------------------------------------------------------------===//
   // Execution
   //===--------------------------------------------------------------------===//
 
   std::int64_t evalProgram(int ProgId, ShardState &S);
+  std::int64_t computeProgram(const IndexProgram &P, ShardState &S);
+  static void bindSlot(ShardState &S, int Slot, std::int64_t V);
   ir::Scalar evalExpr(int ExprId, ShardState &S, unsigned Depth);
   void execStmts(const std::vector<PStmt> &Stmts, ShardState &S);
   void execStmt(const PStmt &St, ShardState &S);
-  ir::Scalar loadFrom(int BufferId, std::int64_t Index, ShardState &S);
-  void storeTo(int BufferId, std::int64_t Index, ir::Scalar V, ShardState &S);
-  BufferStorage &storageFor(int BufferId, ShardState &S);
+  ir::Scalar loadFrom(const BufRef &Buf, std::int64_t Index, ShardState &S);
+  void storeTo(const BufRef &Buf, std::int64_t Index, ir::Scalar V,
+               ShardState &S);
+  BufRef bufRef(int BufferId) const;
+  BufferStorage &storageFor(const BufRef &Buf, ShardState &S);
   void touchLine(std::int64_t Line, ShardState &S);
   void runRegion(const TopStmt &Region);
   ShardState makeShard() const;
@@ -214,6 +273,10 @@ private:
   std::unordered_map<unsigned, std::int64_t> SizeConsts;
   std::unordered_map<unsigned, int> SlotIds;
   std::vector<std::string> SlotNames; ///< for unbound-variable errors
+  /// Per slot: the loop nesting depth binding it (region levels count
+  /// from 0), NoDepth when no loop binds it, MixedDepth when loops at
+  /// two depths do.
+  std::vector<int> SlotDepths;
   std::vector<PExpr> Exprs;
   std::vector<TopStmt> TopLevel;
 
@@ -227,6 +290,9 @@ private:
   // LRU order within a set (front = most recent).
   std::vector<std::int64_t> CacheTags;
   std::int64_t CacheSets = 0;
+  /// log2(Cache.LineBytes) when it is a power of two (-1 otherwise), so
+  /// a load's line number is a shift, not a division.
+  int LineShift = -1;
 };
 
 } // namespace ocl

@@ -211,6 +211,21 @@ Program lowerFail(std::string *WhyNot, const std::string &Reason) {
   return nullptr;
 }
 
+/// Matches an output dimension of the form `v` or `v + c` (v a
+/// variable, c a constant), setting \p V and \p Offset = c.
+bool matchVarPlusConst(const AExpr &D, AExpr &V, std::int64_t &Offset) {
+  V = D;
+  Offset = 0;
+  const std::vector<AExpr> &Ops = D->getOperands();
+  if (D->getKind() == ArithExpr::Kind::Add && Ops.size() == 2)
+    for (std::size_t K = 0; K != 2; ++K)
+      if (Ops[K]->getKind() == ArithExpr::Kind::Cst) {
+        V = Ops[1 - K];
+        Offset = Ops[K]->getCst();
+      }
+  return V->getKind() == ArithExpr::Kind::Var;
+}
+
 /// Solves the symbolic output extents \p OutExt (outermost first) for
 /// their size variables at the grid \p Grid the caller will run at: a
 /// dimension of the form `v` or `v + c` binds v to Grid[I] - c, and
@@ -231,16 +246,9 @@ std::string bindGrid(const std::vector<AExpr> &OutExt,
                std::to_string(D->getCst());
       continue;
     }
-    AExpr V = D;
-    std::int64_t Offset = 0;
-    const std::vector<AExpr> &Ops = D->getOperands();
-    if (D->getKind() == ArithExpr::Kind::Add && Ops.size() == 2)
-      for (std::size_t K = 0; K != 2; ++K)
-        if (Ops[K]->getKind() == ArithExpr::Kind::Cst) {
-          V = Ops[1 - K];
-          Offset = Ops[K]->getCst();
-        }
-    if (V->getKind() != ArithExpr::Kind::Var)
+    AExpr V;
+    std::int64_t Offset;
+    if (!matchVarPlusConst(D, V, Offset))
       continue;
     std::int64_t Val = Grid[I] - Offset;
     std::string Binding = V->getVarName() + " = " + std::to_string(Val);
@@ -314,6 +322,24 @@ std::vector<AExpr> clampTileSteps(unsigned N, const AExpr &V,
   return Steps;
 }
 
+/// States the clamped scheme's validity precondition on \p Minimums: a
+/// symbolic output dimension keeps the full tile advance, so it must
+/// hold at least \p TileOutputs points (v >= TileOutputs - c for a
+/// dimension `v + c`). Other symbolic forms stay unstated.
+void noteTileMinimums(const std::vector<AExpr> &OutExt,
+                      std::int64_t TileOutputs, ArithExpr::Env &Minimums) {
+  for (const AExpr &D : OutExt) {
+    AExpr V;
+    std::int64_t Offset;
+    if (D->getKind() == ArithExpr::Kind::Cst ||
+        !matchVarPlusConst(D, V, Offset))
+      continue;
+    std::int64_t &Min =
+        Minimums.emplace(V->getVarId(), TileOutputs - Offset).first->second;
+    Min = std::max(Min, TileOutputs - Offset);
+  }
+}
+
 /// The actual lowering; the public entry point wraps it with a trace
 /// span and success/failure counters.
 Program lowerStencilImpl(const Program &P, const LoweringOptions &O,
@@ -376,6 +402,7 @@ Program lowerStencilImpl(const Program &P, const LoweringOptions &O,
       OutExt[I] = cst(O.OutputExtents[I]);
   }
 
+  ArithExpr::Env Minimums;
   ExprPtr Lowered;
   if (O.Tile) {
     AExpr V = cst(O.TileOutputs);
@@ -402,6 +429,7 @@ Program lowerStencilImpl(const Program &P, const LoweringOptions &O,
         for (unsigned I = 0; I != N; ++I)
           USizes.push_back(add(VSteps[I], sub(S->Size, S->Step)));
         Tiles = slideClampNd(N, USizes, VSteps, S->Inner);
+        noteTileMinimums(OutExt, O.TileOutputs, Minimums);
       } else {
         Tiles = slideNd(N, U, V, S->Inner);
       }
@@ -470,6 +498,8 @@ Program lowerStencilImpl(const Program &P, const LoweringOptions &O,
       std::vector<AExpr> VSteps =
           Clamp ? clampTileSteps(N, V, O.TileOutputs, OutExt)
                 : std::vector<AExpr>{};
+      if (Clamp)
+        noteTileMinimums(OutExt, O.TileOutputs, Minimums);
 
       std::vector<bool> IsSlided;
       std::vector<ExprPtr> TiledComps;
@@ -542,6 +572,7 @@ Program lowerStencilImpl(const Program &P, const LoweringOptions &O,
     inferTypes(Result);
   }
   Result->SizeBindings = std::move(Bindings);
+  Result->SizeMinimums = std::move(Minimums);
   return Result;
 }
 

@@ -61,10 +61,10 @@ struct LoweringOptions {
   /// per-dimension tile to a short extent (e.g. a 16-output tile on a
   /// 4-deep dimension becomes one 4-output tile) — without this, tiled
   /// lowerings of symbolic programs carry the validity precondition
-  /// extent >= TileOutputs. Lowering fails when an entry disagrees
-  /// with a constant output dimension or two entries bind one variable
-  /// to different values. Empty: keep symbolic extents. Does not
-  /// participate in describe().
+  /// extent >= TileOutputs, recorded in ir::LambdaExpr::SizeMinimums.
+  /// Lowering fails when an entry disagrees with a constant output
+  /// dimension or two entries bind one variable to different values.
+  /// Empty: keep symbolic extents. Does not participate in describe().
   std::vector<std::int64_t> OutputExtents;
 
   /// e.g. "tiled16-local-unroll" / "global-coarsen4".

@@ -352,6 +352,7 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
   ExecCounters Scaled = scaleCounters(Counters, CountScale);
 
   R.T = estimateTime(Dev, Scaled, ND, C.Launch);
+  R.Counters = Counters;
   R.Valid = true;
   R.GElemsPerSec = double(totalElems(P.Target)) / R.T.Total / 1e9;
 

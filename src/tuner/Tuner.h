@@ -119,6 +119,10 @@ struct Evaluated {
   /// throughput at measurement size. Zero under Objective::Modeled.
   double MeasuredSeconds = 0.0;
   double MeasuredGElemsPerSec = 0.0;
+  /// Valid only: the simulator's event counters on the measurement
+  /// grid, before scaling to the target (a memo-served candidate
+  /// carries the shared simulation's counters).
+  ocl::ExecCounters Counters;
 };
 
 /// Why candidates were rejected before (or during) lowering, counted

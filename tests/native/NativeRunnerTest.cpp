@@ -26,6 +26,7 @@
 #include <cstring>
 #include <dirent.h>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <sys/stat.h>
@@ -288,6 +289,55 @@ TEST(NativeRunner, KernelLoweredForAGridRefusesEveryOtherGrid) {
                              codegen::runCompiled(C, In, Sizes).Output))
         << O.describe();
   }
+}
+
+/// Stencil2D lowered with symbolic extents and 16-output local tiles.
+struct SymbolicTiled {
+  const Benchmark &B = findBenchmark("Stencil2D");
+  BenchmarkInstance I = B.Build();
+  codegen::Compiled C;
+
+  SymbolicTiled() {
+    rewrite::LoweringOptions O;
+    O.Tile = true;
+    O.TileOutputs = 16;
+    O.UseLocalMem = true;
+    ir::Program Low = rewrite::lowerStencil(I.P, O);
+    if (!Low)
+      throw std::runtime_error("lowering failed");
+    C = codegen::compileProgram(Low, B.Name);
+  }
+  std::vector<std::vector<float>> inputs(const Extents &E) const {
+    return makeBenchmarkInputs(B, E);
+  }
+  ocl::SizeEnv sizes(const Extents &E) const { return makeSizeEnv(I, E); }
+};
+
+TEST(NativeRunner, SymbolicTiledKernelRefusesGridsBelowItsTile) {
+  // A symbolic clamped tiling is only valid when every tiled extent
+  // holds a whole tile, so the kernel states d0, d1 >= 16: an 8x8 run
+  // is a recoverable refusal, and 16x16 runs bit-identically to the
+  // simulator.
+  REQUIRE_TOOLCHAIN();
+  SymbolicTiled T;
+  ASSERT_FALSE(T.C.K.SizeArgs.empty());
+  for (const ocl::SizeArg &SA : T.C.K.SizeArgs)
+    EXPECT_EQ(SA.Min, std::optional<std::int64_t>(16)) << SA.Name;
+  NativeKernelPtr Kern = compileKernel(T.C.K);
+  const Extents Small = {8, 8}, Grid = {16, 16};
+  EXPECT_THROW(runNative(T.C, *Kern, T.inputs(Small), T.sizes(Small)),
+               NativeError);
+  EXPECT_TRUE(bitIdentical(
+      runNative(T.C, *Kern, T.inputs(Grid), T.sizes(Grid), 3).Output,
+      codegen::runCompiled(T.C, T.inputs(Grid), T.sizes(Grid)).Output));
+}
+
+TEST(NativeRunnerDeathTest, SimulatorRefusesSymbolicTiledKernelBelowItsTile) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  SymbolicTiled T;
+  const Extents Small = {8, 8};
+  EXPECT_DEATH(codegen::runCompiled(T.C, T.inputs(Small), T.sizes(Small)),
+               "needs d[01] >= 16, not 8");
 }
 
 TEST(NativeRunner, InputsThatDoNotFitAreRecoverable) {

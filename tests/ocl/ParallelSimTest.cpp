@@ -4,16 +4,17 @@
 //
 // The NDRange simulator promises counters and outputs that do not
 // depend on the thread count (see ParallelSim.h for the merge
-// contract). These tests hold it to that on a 2D and a 3D stencil,
+// contract). These tests hold it to that on 2D and 3D stencils,
 // untiled and tiled+staged, at jobs 1, 2 and 8: every counter field
 // must equal a frozen reference, and every output element must equal
 // the reference interpreter's bit for bit.
 //
-// The frozen counters were recorded from an earlier, sequential
-// tree-walking implementation of the simulator (it evaluated the
-// kernel AST directly, with no compiled plan and no sharding), so they
-// pin the cache model and the event accounting, not just
-// self-consistency across thread counts.
+// The first five frozen counters were recorded from an earlier,
+// sequential tree-walking implementation of the simulator (it
+// evaluated the kernel AST directly, with no compiled plan and no
+// sharding), the rest from the compiled simulator before it memoized
+// index programs, so they pin the cache model and the event
+// accounting, not just self-consistency across thread counts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -145,6 +146,54 @@ TEST(ParallelSim, ZipInputStencilMatchesSequential) {
   checkAgainstReference(
       "Hotspot2D", O,
       ExecCounters{98304, 16384, 1024, 0, 0, 0, 245760, 16384, 17480, 0, 0});
+}
+
+// The shapes below exercise the simulator's index-program memo: a
+// constant-pad Select, a tile clamped on a short axis, a sequential
+// loop inside the parallel region, an unrolled reduction and two input
+// grids. Their counters were recorded before the memo existed.
+
+TEST(ParallelSim, AcousticConstantPadSelectsMatchSequential) {
+  rewrite::LoweringOptions O;
+  checkAgainstReference("Acoustic", O,
+                        ExecCounters{360192, 46080, 2880, 0, 0, 0, 1059840,
+                                     92160, 47060, 0, 961920});
+}
+
+TEST(ParallelSim, Hotspot3DShortAxisTileMatchesSequential) {
+  // Lowered for the 4x64x64 measurement grid, so the 16-output tile is
+  // clamped to one 4-deep tile on the outermost axis.
+  rewrite::LoweringOptions O;
+  O.Tile = true;
+  O.TileOutputs = 16;
+  O.UseLocalMem = true;
+  O.OutputExtents = {4, 64, 64};
+  checkAgainstReference("Hotspot3D", O,
+                        ExecCounters{47488, 16384, 1024, 114688, 31104, 0,
+                                     358784, 47488, 50421, 16, 0});
+}
+
+TEST(ParallelSim, Jacobi2DCoarsenedSeqLoopMatchesSequential) {
+  rewrite::LoweringOptions O;
+  O.Coarsen = 4;
+  checkAgainstReference(
+      "Jacobi2D5pt", O,
+      ExecCounters{81920, 16384, 512, 0, 0, 0, 163840, 16384, 20608, 0, 0});
+}
+
+TEST(ParallelSim, Jacobi2D9ptUnrolledReduceMatchesSequential) {
+  rewrite::LoweringOptions O;
+  O.UnrollReduce = true;
+  checkAgainstReference("Jacobi2D9pt", O,
+                        ExecCounters{147456, 16384, 512, 0, 0, 0, 163840,
+                                     163840, 32896, 0, 0});
+}
+
+TEST(ParallelSim, SRAD2TwoGridsMatchSequential) {
+  rewrite::LoweringOptions O;
+  checkAgainstReference(
+      "SRAD2", O,
+      ExecCounters{18816, 3136, 196, 0, 0, 0, 37632, 3136, 3192, 0, 0});
 }
 
 } // namespace

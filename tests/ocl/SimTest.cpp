@@ -4,10 +4,10 @@
 //
 // Tests the simulator directly on hand-built kernel ASTs: functional
 // semantics of loops/stores/registers/barriers, the cache model's
-// response to streaming vs strided access, and NDRange analysis. The
-// expected counters are worked out by hand, and every execution test
-// runs at jobs 1 and jobs 4, so sharding and trace replay must
-// reproduce them exactly.
+// response to streaming vs strided access, the index-program memo
+// across loop nests, and NDRange analysis. The expected counters are
+// worked out by hand, and every execution test runs at jobs 1 and
+// jobs 4, so sharding and trace replay must reproduce them exactly.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,25 +28,29 @@ namespace {
 /// and the outermost parallel loop sharded over four pool workers.
 constexpr unsigned JobCounts[] = {1, 4};
 
-/// Builds a kernel copying in[i] -> out[i] over a Glb(0) loop with the
-/// given index transform applied on the load side.
-Kernel makeCopyKernel(const AExpr &N, const AExpr &LoopVar,
-                      const AExpr &LoadIndex) {
-  Kernel K;
+/// Declares buffers in0 (input) and out (output), both of \p N
+/// elements, on \p K.
+void addInOut(Kernel &K, const AExpr &N) {
   BufferDecl In;
   In.Id = 0;
   In.Name = "in0";
-  In.Space = MemSpace::Global;
   In.NumElems = N;
   In.IsInput = true;
   K.Buffers.push_back(In);
   BufferDecl Out;
   Out.Id = 1;
   Out.Name = "out";
-  Out.Space = MemSpace::Global;
   Out.NumElems = N;
   Out.IsOutput = true;
   K.Buffers.push_back(Out);
+}
+
+/// Builds a kernel copying in[i] -> out[i] over a Glb(0) loop with the
+/// given index transform applied on the load side.
+Kernel makeCopyKernel(const AExpr &N, const AExpr &LoopVar,
+                      const AExpr &LoadIndex) {
+  Kernel K;
+  addInOut(K, N);
   K.Body.push_back(sLoop(LoopKind::Glb, 0, LoopVar, N,
                          {sStore(1, LoopVar, kLoad(0, LoadIndex))}));
   K.SizeArgs.emplace_back(N->getVarId(), "n");
@@ -193,18 +197,7 @@ TEST(Sim, SelectEvaluatesOnlyChosenSide) {
   AExpr N = var("n", Range(1, 1 << 30));
   AExpr I = var("i", Range(0, 1 << 30));
   Kernel K;
-  BufferDecl In;
-  In.Id = 0;
-  In.Name = "in0";
-  In.NumElems = N;
-  In.IsInput = true;
-  K.Buffers.push_back(In);
-  BufferDecl Out;
-  Out.Id = 1;
-  Out.Name = "out";
-  Out.NumElems = N;
-  Out.IsOutput = true;
-  K.Buffers.push_back(Out);
+  addInOut(K, N);
   // out[i] = (i - 1 in [0, n)) ? in[i - 1] : 42
   AExpr Shift = sub(I, cst(1));
   KExprPtr Guarded = kSelect({BoundsCheck{Shift, cst(0), N}},
@@ -267,6 +260,102 @@ TEST(Sim, UnrolledLoopChargesNoPerIterationOverhead) {
     Ex.run();
     EXPECT_EQ(Ex.counters().LoopIterations, 1u); // setup only
     EXPECT_EQ(Ex.counters().GlobalStores, 7u);   // body still ran 7 times
+  }
+}
+
+TEST(SimDeathTest, MemoizedIndexAbortsAfterItsLoop) {
+  // out[4i + j] = in0[4i + j] inside the j loop, then a store through
+  // the same index program after it: j is unbound there, so the
+  // program must be evaluated afresh and abort, not served from the
+  // value memoized at j = 3.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  AExpr N = var("n", Range(1, 1 << 30));
+  AExpr I = var("i", Range(0, 1 << 30));
+  AExpr J = var("j", Range(0, 1 << 30));
+  AExpr Idx = add(mul(I, cst(4)), J);
+  Kernel K;
+  addInOut(K, mul(N, cst(4)));
+  K.Body.push_back(sLoop(
+      LoopKind::Glb, 0, I, N,
+      {sLoop(LoopKind::Seq, 0, J, cst(4), {sStore(1, Idx, kLoad(0, Idx))}),
+       sStore(1, Idx, kConst(Scalar(0.0f)))}));
+  SizeEnv Sizes{{N->getVarId(), 3}};
+  for (unsigned Jobs : JobCounts) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    EXPECT_DEATH(
+        {
+          ParallelExecutor Ex(K, Sizes, CacheConfig(), Jobs);
+          Ex.run();
+        },
+        "unbound variable 'j'");
+  }
+}
+
+TEST(Sim, OneIndexProgramAtTwoDepths) {
+  // P = (3i + j) mod 3n is one program, used in the j loop's body and
+  // again inside the nested k loop:
+  //   for i: for j < 3: { out[P] = in0[P];
+  //                       for k < 2: out2[2P + k] = in0[P]; }
+  // It must follow j at both depths (memoized across k, not across j
+  // or i).
+  AExpr N = var("n", Range(1, 1 << 30));
+  AExpr I = var("i", Range(0, 1 << 30));
+  AExpr J = var("j", Range(0, 1 << 30));
+  AExpr Kv = var("k", Range(0, 1 << 30));
+  AExpr P = floorMod(add(mul(I, cst(3)), J), mul(N, cst(3)));
+  Kernel K;
+  addInOut(K, mul(N, cst(3)));
+  BufferDecl Out2;
+  Out2.Id = 2;
+  Out2.Name = "out2";
+  Out2.NumElems = mul(N, cst(6));
+  K.Buffers.push_back(Out2);
+  K.Body.push_back(sLoop(
+      LoopKind::Glb, 0, I, N,
+      {sLoop(LoopKind::Seq, 0, J, cst(3),
+             {sStore(1, P, kLoad(0, P)),
+              sLoop(LoopKind::Seq, 0, Kv, cst(2),
+                    {sStore(2, add(mul(P, cst(2)), Kv), kLoad(0, P))})})}));
+  const std::int64_t Items = 5;
+  SizeEnv Sizes{{N->getVarId(), Items}};
+  std::vector<float> In, Want2;
+  for (std::int64_t X = 0; X != 3 * Items; ++X)
+    In.push_back(float(100 + X));
+  for (std::int64_t X = 0; X != 6 * Items; ++X)
+    Want2.push_back(In[std::size_t(X / 2)]);
+  for (unsigned Jobs : JobCounts) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    ParallelExecutor Ex(K, Sizes, CacheConfig(), Jobs);
+    Ex.bindInput(0, In);
+    Ex.run();
+    EXPECT_EQ(Ex.bufferContents(1), In);
+    EXPECT_EQ(Ex.bufferContents(2), Want2);
+    EXPECT_EQ(Ex.counters().GlobalLoads, std::uint64_t(9 * Items));
+    EXPECT_EQ(Ex.counters().GlobalStores, std::uint64_t(9 * Items));
+    EXPECT_EQ(Ex.counters().LoopIterations, std::uint64_t(10 * Items));
+  }
+}
+
+TEST(Sim, RegionLevelOfExtentOneFollowsItsOuterLevel) {
+  // A flattened Glb nest whose inner level has extent 1: that level
+  // keeps the value 0 while the outer one advances, and the index
+  // program j + i (innermost slot i) must still follow j.
+  AExpr N = var("n", Range(1, 1 << 30));
+  AExpr J = var("j", Range(0, 1 << 30));
+  AExpr I = var("i", Range(0, 1 << 30));
+  AExpr Idx = add(J, I);
+  Kernel K;
+  addInOut(K, N);
+  K.Body.push_back(sLoop(
+      LoopKind::Glb, 1, J, N,
+      {sLoop(LoopKind::Glb, 0, I, cst(1), {sStore(1, Idx, kLoad(0, Idx))})}));
+  SizeEnv Sizes{{N->getVarId(), 6}};
+  for (unsigned Jobs : JobCounts) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    ParallelExecutor Ex(K, Sizes, CacheConfig(), Jobs);
+    Ex.bindInput(0, {1, 2, 3, 4, 5, 6});
+    Ex.run();
+    EXPECT_EQ(Ex.bufferContents(1), (std::vector<float>{1, 2, 3, 4, 5, 6}));
   }
 }
 

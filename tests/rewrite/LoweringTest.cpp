@@ -320,6 +320,38 @@ TEST(Lowering, OutputExtentsBindTheSizeVariables) {
   }
 }
 
+TEST(Lowering, SymbolicTilingStatesItsMinimumExtents) {
+  // A symbolic clamped tiling keeps the full tile advance, so each
+  // tiled dimension must hold a whole tile: n >= 4 for a padded
+  // stencil, m - 2 >= 4 (m >= 6) for an unpadded one. Untiled and
+  // grid-bound lowerings state nothing.
+  AExpr N = sizeVar("n");
+  Program Padded = sumStencilProgram(2, N);
+  Program Tiled = lowerStencil(Padded, opt(true, 4, true, false, 1));
+  ASSERT_NE(Tiled, nullptr);
+  EXPECT_EQ(Tiled->SizeMinimums, (ArithExpr::Env{{N->getVarId(), 4}}));
+  Compiled C = compileProgram(Tiled, "tiled");
+  ASSERT_EQ(C.K.SizeArgs.size(), 1u);
+  EXPECT_EQ(C.K.SizeArgs[0].Min, std::optional<std::int64_t>(4));
+
+  AExpr M = sizeVar("m");
+  ParamPtr A = param("A", arrayT(arrayT(floatT(), M), M));
+  Program Unpadded = makeProgram(
+      {A}, mapNd(2, sumNeighborhood(2), slideNd(2, cst(3), cst(1), A)));
+  Program UnpaddedTiled = lowerStencil(Unpadded, opt(true, 4, false, false, 1));
+  ASSERT_NE(UnpaddedTiled, nullptr);
+  EXPECT_EQ(UnpaddedTiled->SizeMinimums, (ArithExpr::Env{{M->getVarId(), 6}}));
+
+  Program Untiled = lowerStencil(Padded, opt(false, 4, false, false, 1));
+  ASSERT_NE(Untiled, nullptr);
+  EXPECT_TRUE(Untiled->SizeMinimums.empty());
+  LoweringOptions O = opt(true, 4, true, false, 1);
+  O.OutputExtents = {12, 12};
+  Program Bound = lowerStencil(Padded, O);
+  ASSERT_NE(Bound, nullptr);
+  EXPECT_TRUE(Bound->SizeMinimums.empty());
+}
+
 TEST(Lowering, OutputExtentsThatDisagreeAreRefused) {
   // A constant output dimension that differs from its requested extent,
   // and two extents that bind one size variable to different values,
