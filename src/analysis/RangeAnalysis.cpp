@@ -620,38 +620,18 @@ std::optional<std::string> refuteSplitDivisibility(
 std::vector<BoundsViolation> checkKernelBounds(
     const ocl::Kernel &K,
     const std::unordered_map<unsigned, std::int64_t> *Sizes) {
-  // Bound sizes become constants. Symbolically, a size with a stated
-  // minimum (ocl::SizeArg::Min) becomes a same-named variable whose
-  // declared range starts there: the kernel is only valid at such
-  // sizes, and declared ranges are what every proof step can use.
+  // Bound sizes become constants. Symbolically, a size whose valid
+  // range the lowering narrowed (ocl::SizeArg::Valid) becomes a
+  // same-named variable declared with that range: the kernel is only
+  // valid there, and declared ranges are what every proof step can use.
   std::unordered_map<unsigned, AExpr> Subst;
   if (Sizes) {
     for (const auto &[Id, V] : *Sizes)
       Subst.emplace(Id, cst(V));
   } else {
-    std::unordered_map<unsigned, std::pair<unsigned, AExpr>> Vars;
-    for (const ocl::BufferDecl &B : K.Buffers)
-      countVars(B.NumElems, Vars);
-    ocl::walkKernel(
-        K.Body,
-        [&](const ocl::Stmt &S, const ocl::WalkContext &) {
-          if (S.Index)
-            countVars(S.Index, Vars);
-          if (S.Count)
-            countVars(S.Count, Vars);
-        },
-        [&](const ocl::KExpr &E, const ocl::WalkContext &) {
-          if (E.Index)
-            countVars(E.Index, Vars);
-        });
-    for (const ocl::SizeArg &SA : K.SizeArgs) {
-      auto It = Vars.find(SA.VarId);
-      if (!SA.Min || It == Vars.end())
-        continue;
-      Range R = It->second.second->getVarRange();
-      R.Min = std::max(R.Min.value_or(*SA.Min), *SA.Min);
-      Subst.emplace(SA.VarId, var(SA.Name, R));
-    }
+    for (const ocl::SizeArg &SA : K.SizeArgs)
+      if (SA.Valid)
+        Subst.emplace(SA.VarId, var(SA.Name, *SA.Valid));
   }
   auto Inst = [&](const AExpr &E) {
     return Subst.empty() ? E : substitute(E, Subst);

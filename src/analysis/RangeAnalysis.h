@@ -157,8 +157,8 @@ struct BoundsViolation {
 /// facts (each loop variable in [0, count-1]) and Select guard facts
 /// (a guarded branch only runs when its checks hold). With \p Sizes
 /// the kernel's size arguments are bound first, making every bound
-/// concrete; without, each size argument's stated minimum
-/// (ocl::SizeArg::Min) is assumed. Returns the unprovable accesses;
+/// concrete; without, each size argument's valid range
+/// (ocl::SizeArg::Valid) is assumed. Returns the unprovable accesses;
 /// empty means the kernel is statically memory-safe.
 std::vector<BoundsViolation> checkKernelBounds(
     const ocl::Kernel &K,

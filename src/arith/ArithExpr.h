@@ -58,6 +58,8 @@ struct Range {
 
   /// Returns true when the whole interval is <= \p V.
   bool atMost(std::int64_t V) const { return Max && *Max <= V; }
+
+  bool operator==(const Range &) const = default;
 };
 
 /// An immutable symbolic integer expression.

@@ -52,12 +52,9 @@ public:
 
     collectSizeArgs();
     for (SizeArg &SA : K.SizeArgs) {
-      auto It = P->SizeBindings.find(SA.VarId);
-      if (It != P->SizeBindings.end())
-        SA.Bound = It->second;
-      auto MinIt = P->SizeMinimums.find(SA.VarId);
-      if (MinIt != P->SizeMinimums.end())
-        SA.Min = MinIt->second;
+      auto It = P->SizeRanges.find(SA.VarId);
+      if (It != P->SizeRanges.end())
+        SA.Valid = It->second;
     }
     Result.K = std::move(K);
     return Result;

@@ -470,8 +470,7 @@ Program lift::ir::cloneProgram(const Program &P) {
   }
   ExprPtr NewBody = cloneRec(P->getBody(), PM);
   Program Copy = makeProgram(std::move(NewInputs), std::move(NewBody));
-  Copy->SizeBindings = P->SizeBindings;
-  Copy->SizeMinimums = P->SizeMinimums;
+  Copy->SizeRanges = P->SizeRanges;
   return Copy;
 }
 

@@ -198,20 +198,15 @@ public:
   const ExprPtr &getBody() const { return Body; }
   AddrSpace getAddrSpace() const { return Space; }
 
-  /// Program roots only: the value of each size variable (by ArithExpr
-  /// var id) at the grid the program was lowered for. Set by
-  /// rewrite::lowerStencil when it is given the output extents; empty
-  /// for a symbolic program. Code generation copies it into the
-  /// kernel's size arguments (ocl::SizeArg::Bound).
-  ArithExpr::Env SizeBindings;
-
-  /// Program roots only: the least value of each size variable (by
-  /// ArithExpr var id) at which the program is valid. Set by
-  /// rewrite::lowerStencil for a clamped tiling that keeps an output
-  /// dimension `v + c` symbolic: that dimension must hold a whole tile,
-  /// so v >= TileOutputs - c. Code generation copies it into the
-  /// kernel's size arguments (ocl::SizeArg::Min).
-  ArithExpr::Env SizeMinimums;
+  /// Program roots only: the values of each size variable (by
+  /// ArithExpr var id) the program is valid for, within its declared
+  /// range, where rewrite::lowerStencil narrowed them. Lowered for a
+  /// grid, a size its output extents determine is that single value;
+  /// a clamped tiling that keeps an output dimension `v + c` symbolic
+  /// needs the dimension to hold a whole tile, so v >= TileOutputs - c.
+  /// Code generation copies it into the kernel's size arguments
+  /// (ocl::SizeArg::Valid).
+  std::unordered_map<unsigned, Range> SizeRanges;
 
   static bool classof(const Expr *E) { return E->getKind() == Kind::Lambda; }
 

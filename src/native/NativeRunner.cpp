@@ -418,14 +418,9 @@ BoundRun bindRun(const codegen::Compiled &C,
     auto It = Sizes.find(SA.VarId);
     if (It == Sizes.end())
       throw NativeError("runNative: unbound size variable " + SA.Name);
-    if (SA.Bound && *SA.Bound != It->second)
-      throw NativeError("runNative: kernel " + K.Name + " was built for " +
-                        SA.Name + " = " + std::to_string(*SA.Bound) +
-                        ", not " + std::to_string(It->second));
-    if (SA.Min && It->second < *SA.Min)
-      throw NativeError("runNative: kernel " + K.Name + " needs " + SA.Name +
-                        " >= " + std::to_string(*SA.Min) + ", not " +
-                        std::to_string(It->second));
+    std::string Why = SA.refusal(K.Name, It->second);
+    if (!Why.empty())
+      throw NativeError("runNative: " + Why);
     R.SizeVals.push_back((long long)It->second);
   }
   // The entry dereferences lift_sizes[0] layout only up to SizeArgs

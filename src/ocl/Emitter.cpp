@@ -417,8 +417,8 @@ void Printer::printEntry() {
   for (std::size_t I = 0; I != K.SizeArgs.size(); ++I) {
     const SizeArg &SA = K.SizeArgs[I];
     line("const long long " + Names.var(SA.VarId) + " = " +
-         (SA.Bound ? std::to_string(*SA.Bound)
-                   : "lift_sizes[" + std::to_string(I) + "]") +
+         (SA.bound() ? std::to_string(*SA.bound())
+                     : "lift_sizes[" + std::to_string(I) + "]") +
          ";");
   }
   line("(void)lift_threads;");

@@ -39,6 +39,28 @@ const char *lift::ocl::loopKindName(LoopKind K) {
   unreachable("covered switch");
 }
 
+std::optional<std::int64_t> SizeArg::bound() const {
+  if (Valid && Valid->Min && Valid->Max && *Valid->Min == *Valid->Max)
+    return Valid->Min;
+  return std::nullopt;
+}
+
+std::string SizeArg::refusal(const std::string &KernelName,
+                             std::int64_t Value) const {
+  std::string Head = "kernel " + KernelName;
+  std::string Tail = ", not " + std::to_string(Value);
+  if (std::optional<std::int64_t> B = bound())
+    return *B == Value ? "" : Head + " was built for " + Name + " = " +
+                                  std::to_string(*B) + Tail;
+  if (Valid && Valid->Min && Value < *Valid->Min)
+    return Head + " needs " + Name + " >= " + std::to_string(*Valid->Min) +
+           Tail;
+  if (Valid && Valid->Max && Value > *Valid->Max)
+    return Head + " needs " + Name + " <= " + std::to_string(*Valid->Max) +
+           Tail;
+  return "";
+}
+
 KExprPtr lift::ocl::kConst(ir::Scalar V) {
   auto E = std::make_shared<KExpr>();
   E->K = KExpr::Kind::ConstScalar;

@@ -149,18 +149,19 @@ StmtPtr sBarrier();
 struct SizeArg {
   unsigned VarId = 0;
   std::string Name;
-  /// The value at the grid the kernel was lowered for, when known
-  /// (ir::LambdaExpr::SizeBindings). The C dialect prints it as a
-  /// constant and the native runner refuses to run at any other value.
-  /// The OpenCL text, the simulator and the analyses ignore it: they
-  /// stay symbolic, so a kernel lowered at one grid can be modeled at
-  /// another.
-  std::optional<std::int64_t> Bound = std::nullopt;
-  /// The least value the kernel is valid for, when it has one
-  /// (ir::LambdaExpr::SizeMinimums): the static bounds checker assumes
-  /// it, and the simulator and the native runner refuse a smaller
-  /// value. The emitted text does not change.
-  std::optional<std::int64_t> Min = std::nullopt;
+  /// The values the kernel is valid for, when the lowering narrowed
+  /// them (ir::LambdaExpr::SizeRanges). The symbolic bounds checker
+  /// assumes it, and the simulator and the native runner refuse a
+  /// value outside it. The C dialect prints a single value as a
+  /// constant; the OpenCL text does not change.
+  std::optional<Range> Valid = std::nullopt;
+
+  /// The one value Valid allows, if it allows exactly one.
+  std::optional<std::int64_t> bound() const;
+  /// Why kernel \p KernelName cannot run with this size at \p Value;
+  /// empty when it can.
+  std::string refusal(const std::string &KernelName,
+                      std::int64_t Value) const;
 };
 
 /// A complete kernel: declarations plus a statement list. The NDRange

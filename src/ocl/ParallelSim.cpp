@@ -400,14 +400,18 @@ void ParallelExecutor::assignDepSlots() {
 ParallelExecutor::ParallelExecutor(const Kernel &K, const SizeEnv &Sizes,
                                    const CacheConfig &Cache, unsigned Jobs)
     : K(K), Cache(Cache), Jobs(Jobs) {
+  if (Cache.LineBytes <= 0 || !std::has_single_bit(unsigned(Cache.LineBytes)))
+    fatalError("cache line of " + std::to_string(Cache.LineBytes) +
+               " bytes is not a power of two");
   for (const auto &KV : Sizes)
     SizeConsts.emplace(KV.first, KV.second);
   for (const SizeArg &SA : K.SizeArgs) {
     auto It = Sizes.find(SA.VarId);
-    if (SA.Min && It != Sizes.end() && It->second < *SA.Min)
-      fatalError("kernel " + K.Name + " needs " + SA.Name +
-                 " >= " + std::to_string(*SA.Min) + ", not " +
-                 std::to_string(It->second));
+    if (It == Sizes.end())
+      continue;
+    std::string Why = SA.refusal(K.Name, It->second);
+    if (!Why.empty())
+      fatalError(Why);
   }
 
   // Buffer layout: every buffer, whatever its space, advances the same
@@ -441,8 +445,7 @@ ParallelExecutor::ParallelExecutor(const Kernel &K, const SizeEnv &Sizes,
   CacheSets = std::max<std::int64_t>(
       1, Cache.TotalBytes / (Cache.LineBytes * Cache.Ways));
   CacheTags.assign(std::size_t(CacheSets * Cache.Ways), -1);
-  if (Cache.LineBytes > 0 && std::has_single_bit(unsigned(Cache.LineBytes)))
-    LineShift = std::countr_zero(unsigned(Cache.LineBytes));
+  LineShift = std::countr_zero(unsigned(Cache.LineBytes));
 
   compileTopLevel(K.Body);
   assignDepSlots();
@@ -599,8 +602,7 @@ Scalar ParallelExecutor::loadFrom(const BufRef &Buf, std::int64_t Index,
   case MemSpace::Global: {
     ++S.Counters.GlobalLoads;
     std::int64_t Addr = B.VirtualBase + Index * 4;
-    touchLine(LineShift >= 0 ? Addr >> LineShift : Addr / Cache.LineBytes,
-              S);
+    touchLine(Addr >> LineShift, S);
     break;
   }
   case MemSpace::Local:

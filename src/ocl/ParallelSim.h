@@ -290,9 +290,9 @@ private:
   // LRU order within a set (front = most recent).
   std::vector<std::int64_t> CacheTags;
   std::int64_t CacheSets = 0;
-  /// log2(Cache.LineBytes) when it is a power of two (-1 otherwise), so
-  /// a load's line number is a shift, not a division.
-  int LineShift = -1;
+  /// log2(Cache.LineBytes): the constructor refuses a line size that
+  /// is not a power of two, so a load's line number is a shift.
+  int LineShift = 0;
 };
 
 } // namespace ocl

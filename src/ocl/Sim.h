@@ -49,7 +49,7 @@ using SizeEnv = std::unordered_map<unsigned, std::int64_t>;
 /// Cache geometry used while executing (models the GPU's last-level
 /// cache in front of DRAM).
 struct CacheConfig {
-  int LineBytes = 128;
+  int LineBytes = 128; ///< a power of two
   std::int64_t TotalBytes = 1256 * 1024;
   /// Direct-mapped if 1; N-way set associative (LRU) otherwise.
   int Ways = 4;

@@ -228,14 +228,15 @@ bool matchVarPlusConst(const AExpr &D, AExpr &V, std::int64_t &Offset) {
 
 /// Solves the symbolic output extents \p OutExt (outermost first) for
 /// their size variables at the grid \p Grid the caller will run at: a
-/// dimension of the form `v` or `v + c` binds v to Grid[I] - c, and
-/// any other symbolic form leaves its variables to run time. Returns a
-/// diagnostic when a constant dimension differs from its grid extent
-/// or a variable would take two values or one outside its declared
-/// range; the empty string otherwise.
+/// dimension of the form `v` or `v + c` narrows v's range in \p Ranges
+/// to the single value Grid[I] - c, and any other symbolic form leaves
+/// its variables to run time. Returns a diagnostic when a constant
+/// dimension differs from its grid extent or a variable would take two
+/// values or one outside its declared range; the empty string
+/// otherwise.
 std::string bindGrid(const std::vector<AExpr> &OutExt,
                      const std::vector<std::int64_t> &Grid,
-                     ArithExpr::Env &Bindings) {
+                     std::unordered_map<unsigned, Range> &Ranges) {
   for (std::size_t I = 0; I != OutExt.size(); ++I) {
     const AExpr &D = OutExt[I];
     std::string At = "OutputExtents[" + std::to_string(I) +
@@ -255,10 +256,10 @@ std::string bindGrid(const std::vector<AExpr> &OutExt,
     const Range &R = V->getVarRange();
     if ((R.Min && Val < *R.Min) || (R.Max && Val > *R.Max))
       return At + " needs " + Binding + ", outside its declared range";
-    auto [It, Inserted] = Bindings.emplace(V->getVarId(), Val);
-    if (!Inserted && It->second != Val)
+    auto [It, Inserted] = Ranges.emplace(V->getVarId(), Range(Val, Val));
+    if (!Inserted && *It->second.Min != Val)
       return At + " needs " + Binding + ", but another dimension needs " +
-             std::to_string(It->second);
+             std::to_string(*It->second.Min);
   }
   return "";
 }
@@ -322,21 +323,22 @@ std::vector<AExpr> clampTileSteps(unsigned N, const AExpr &V,
   return Steps;
 }
 
-/// States the clamped scheme's validity precondition on \p Minimums: a
+/// States the clamped scheme's validity precondition in \p Ranges: a
 /// symbolic output dimension keeps the full tile advance, so it must
 /// hold at least \p TileOutputs points (v >= TileOutputs - c for a
 /// dimension `v + c`). Other symbolic forms stay unstated.
 void noteTileMinimums(const std::vector<AExpr> &OutExt,
-                      std::int64_t TileOutputs, ArithExpr::Env &Minimums) {
+                      std::int64_t TileOutputs,
+                      std::unordered_map<unsigned, Range> &Ranges) {
   for (const AExpr &D : OutExt) {
     AExpr V;
     std::int64_t Offset;
     if (D->getKind() == ArithExpr::Kind::Cst ||
         !matchVarPlusConst(D, V, Offset))
       continue;
-    std::int64_t &Min =
-        Minimums.emplace(V->getVarId(), TileOutputs - Offset).first->second;
-    Min = std::max(Min, TileOutputs - Offset);
+    Range &R = Ranges.emplace(V->getVarId(), V->getVarRange()).first->second;
+    R.Min = std::max(R.Min.value_or(TileOutputs - Offset),
+                     TileOutputs - Offset);
   }
 }
 
@@ -387,7 +389,7 @@ Program lowerStencilImpl(const Program &P, const LoweringOptions &O,
   // variables they determine are bound on the result, and symbolic
   // dimensions become constants for the per-dimension tile clamp and
   // the ragged reassembly.
-  ArithExpr::Env Bindings;
+  std::unordered_map<unsigned, Range> Ranges;
   if (!O.OutputExtents.empty()) {
     if (O.OutputExtents.size() != N)
       return lowerFail(WhyNot,
@@ -395,14 +397,13 @@ Program lowerStencilImpl(const Program &P, const LoweringOptions &O,
                            std::to_string(O.OutputExtents.size()) +
                            " entries for a " + std::to_string(N) +
                            "-d stencil");
-    std::string GridErr = bindGrid(OutExt, O.OutputExtents, Bindings);
+    std::string GridErr = bindGrid(OutExt, O.OutputExtents, Ranges);
     if (!GridErr.empty())
       return lowerFail(WhyNot, GridErr);
     for (unsigned I = 0; I != N; ++I)
       OutExt[I] = cst(O.OutputExtents[I]);
   }
 
-  ArithExpr::Env Minimums;
   ExprPtr Lowered;
   if (O.Tile) {
     AExpr V = cst(O.TileOutputs);
@@ -429,7 +430,7 @@ Program lowerStencilImpl(const Program &P, const LoweringOptions &O,
         for (unsigned I = 0; I != N; ++I)
           USizes.push_back(add(VSteps[I], sub(S->Size, S->Step)));
         Tiles = slideClampNd(N, USizes, VSteps, S->Inner);
-        noteTileMinimums(OutExt, O.TileOutputs, Minimums);
+        noteTileMinimums(OutExt, O.TileOutputs, Ranges);
       } else {
         Tiles = slideNd(N, U, V, S->Inner);
       }
@@ -499,7 +500,7 @@ Program lowerStencilImpl(const Program &P, const LoweringOptions &O,
           Clamp ? clampTileSteps(N, V, O.TileOutputs, OutExt)
                 : std::vector<AExpr>{};
       if (Clamp)
-        noteTileMinimums(OutExt, O.TileOutputs, Minimums);
+        noteTileMinimums(OutExt, O.TileOutputs, Ranges);
 
       std::vector<bool> IsSlided;
       std::vector<ExprPtr> TiledComps;
@@ -571,8 +572,7 @@ Program lowerStencilImpl(const Program &P, const LoweringOptions &O,
     Result = makeProgram(Result->getParams(), NewBody);
     inferTypes(Result);
   }
-  Result->SizeBindings = std::move(Bindings);
-  Result->SizeMinimums = std::move(Minimums);
+  Result->SizeRanges = std::move(Ranges);
   return Result;
 }
 

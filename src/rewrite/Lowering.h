@@ -54,14 +54,14 @@ struct LoweringOptions {
   /// Concrete per-dimension *output* extents (outermost first) the
   /// lowered program will run at, when the caller knows them. The
   /// result is then a program for that grid: every size variable an
-  /// output dimension of the form `v` or `v + c` determines is recorded
-  /// in ir::LambdaExpr::SizeBindings, so its native C folds the value
-  /// and refuses to run at any other. Refines symbolic output
+  /// output dimension of the form `v` or `v + c` determines is narrowed
+  /// to that value in ir::LambdaExpr::SizeRanges, so its native C folds
+  /// the value and refuses to run at any other. Refines symbolic output
   /// dimensions so the clamped tiling scheme can clamp the
   /// per-dimension tile to a short extent (e.g. a 16-output tile on a
   /// 4-deep dimension becomes one 4-output tile) — without this, tiled
   /// lowerings of symbolic programs carry the validity precondition
-  /// extent >= TileOutputs, recorded in ir::LambdaExpr::SizeMinimums.
+  /// extent >= TileOutputs, recorded in ir::LambdaExpr::SizeRanges.
   /// Lowering fails when an entry disagrees with a constant output
   /// dimension or two entries bind one variable to different values.
   /// Empty: keep symbolic extents. Does not participate in describe().

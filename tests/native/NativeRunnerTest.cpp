@@ -291,6 +291,23 @@ TEST(NativeRunner, KernelLoweredForAGridRefusesEveryOtherGrid) {
   }
 }
 
+TEST(NativeRunnerDeathTest, SimulatorRefusesGridBoundKernelAtAnotherGrid) {
+  // The simulator reads the same valid range as runNative: a kernel
+  // lowered for 64x64 aborts at 32x32.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Benchmark &B = findBenchmark("Jacobi2D5pt");
+  BenchmarkInstance I = B.Build();
+  rewrite::LoweringOptions O;
+  O.OutputExtents = {64, 64};
+  ir::Program Low = rewrite::lowerStencil(I.P, O);
+  ASSERT_TRUE(bool(Low));
+  codegen::Compiled C = codegen::compileProgram(Low, B.Name);
+  const Extents Other = {32, 32};
+  EXPECT_DEATH(codegen::runCompiled(C, makeBenchmarkInputs(B, Other),
+                                    makeSizeEnv(I, Other)),
+               "was built for d[01] = 64, not 32");
+}
+
 /// Stencil2D lowered with symbolic extents and 16-output local tiles.
 struct SymbolicTiled {
   const Benchmark &B = findBenchmark("Stencil2D");
@@ -321,8 +338,10 @@ TEST(NativeRunner, SymbolicTiledKernelRefusesGridsBelowItsTile) {
   REQUIRE_TOOLCHAIN();
   SymbolicTiled T;
   ASSERT_FALSE(T.C.K.SizeArgs.empty());
-  for (const ocl::SizeArg &SA : T.C.K.SizeArgs)
-    EXPECT_EQ(SA.Min, std::optional<std::int64_t>(16)) << SA.Name;
+  for (const ocl::SizeArg &SA : T.C.K.SizeArgs) {
+    ASSERT_TRUE(SA.Valid) << SA.Name;
+    EXPECT_EQ(SA.Valid->Min, std::optional<std::int64_t>(16)) << SA.Name;
+  }
   NativeKernelPtr Kern = compileKernel(T.C.K);
   const Extents Small = {8, 8}, Grid = {16, 16};
   EXPECT_THROW(runNative(T.C, *Kern, T.inputs(Small), T.sizes(Small)),

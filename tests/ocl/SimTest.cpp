@@ -291,6 +291,19 @@ TEST(SimDeathTest, MemoizedIndexAbortsAfterItsLoop) {
   }
 }
 
+TEST(SimDeathTest, RefusesLineSizeThatIsNotAPowerOfTwo) {
+  // A load's line number is a shift by log2(LineBytes).
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  AExpr N = var("n", Range(1, 1 << 30));
+  AExpr I = var("i", Range(0, 1 << 30));
+  Kernel K = makeCopyKernel(N, I, I);
+  SizeEnv Sizes{{N->getVarId(), 8}};
+  CacheConfig Cache;
+  Cache.LineBytes = 96;
+  EXPECT_DEATH(ParallelExecutor(K, Sizes, Cache, 1),
+               "cache line of 96 bytes is not a power of two");
+}
+
 TEST(Sim, OneIndexProgramAtTwoDepths) {
   // P = (3i + j) mod 3n is one program, used in the j loop's body and
   // again inside the nested k loop:

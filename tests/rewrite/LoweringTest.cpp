@@ -27,6 +27,8 @@ namespace {
 
 AExpr sizeVar(const char *Name) { return var(Name, Range(1, 1 << 30)); }
 
+using SizeRanges = std::unordered_map<unsigned, Range>;
+
 std::vector<float> testData(std::size_t N) {
   std::vector<float> V(N);
   for (std::size_t I = 0; I != N; ++I)
@@ -289,25 +291,27 @@ TEST(Lowering, ThreeIterations2D) {
 }
 
 TEST(Lowering, OutputExtentsBindTheSizeVariables) {
-  // A lowering for a grid records the value of each size variable an
-  // output dimension determines: `n` for a padded stencil, and `m`
-  // through `m - 2` for an unpadded one. Without extents it records
-  // nothing and stays symbolic.
+  // A lowering for a grid narrows each size variable an output
+  // dimension determines to its value: `n` for a padded stencil, and
+  // `m` through `m - 2` for an unpadded one. Without extents no size
+  // is bound and the program stays symbolic.
   for (bool Tile : {false, true}) {
     LoweringOptions O = opt(Tile, 4, Tile, false, 1);
     AExpr N = sizeVar("n");
     Program Padded = sumStencilProgram(2, N);
     Program Symbolic = lowerStencil(Padded, O);
     ASSERT_NE(Symbolic, nullptr);
-    EXPECT_TRUE(Symbolic->SizeBindings.empty());
+    Compiled SC = compileProgram(Symbolic, "symbolic");
+    ASSERT_EQ(SC.K.SizeArgs.size(), 1u);
+    EXPECT_EQ(SC.K.SizeArgs[0].bound(), std::nullopt);
 
     O.OutputExtents = {12, 12};
     Program Low = lowerStencil(Padded, O);
     ASSERT_NE(Low, nullptr) << O.describe();
-    EXPECT_EQ(Low->SizeBindings, (ArithExpr::Env{{N->getVarId(), 12}}));
+    EXPECT_EQ(Low->SizeRanges, (SizeRanges{{N->getVarId(), Range(12, 12)}}));
     Compiled C = compileProgram(Low, "bound");
     ASSERT_EQ(C.K.SizeArgs.size(), 1u);
-    EXPECT_EQ(C.K.SizeArgs[0].Bound, std::optional<std::int64_t>(12));
+    EXPECT_EQ(C.K.SizeArgs[0].bound(), std::optional<std::int64_t>(12));
 
     AExpr M = sizeVar("m");
     ParamPtr A = param("A", arrayT(arrayT(floatT(), M), M));
@@ -316,23 +320,25 @@ TEST(Lowering, OutputExtentsBindTheSizeVariables) {
     O.OutputExtents = {10, 10};
     Low = lowerStencil(Unpadded, O);
     ASSERT_NE(Low, nullptr) << O.describe();
-    EXPECT_EQ(Low->SizeBindings, (ArithExpr::Env{{M->getVarId(), 12}}));
+    EXPECT_EQ(Low->SizeRanges, (SizeRanges{{M->getVarId(), Range(12, 12)}}));
   }
 }
 
 TEST(Lowering, SymbolicTilingStatesItsMinimumExtents) {
   // A symbolic clamped tiling keeps the full tile advance, so each
   // tiled dimension must hold a whole tile: n >= 4 for a padded
-  // stencil, m - 2 >= 4 (m >= 6) for an unpadded one. Untiled and
-  // grid-bound lowerings state nothing.
+  // stencil, m - 2 >= 4 (m >= 6) for an unpadded one, each within its
+  // declared range. An untiled lowering states nothing, and a
+  // grid-bound one only the grid's value.
   AExpr N = sizeVar("n");
   Program Padded = sumStencilProgram(2, N);
   Program Tiled = lowerStencil(Padded, opt(true, 4, true, false, 1));
   ASSERT_NE(Tiled, nullptr);
-  EXPECT_EQ(Tiled->SizeMinimums, (ArithExpr::Env{{N->getVarId(), 4}}));
+  EXPECT_EQ(Tiled->SizeRanges,
+            (SizeRanges{{N->getVarId(), Range(4, 1 << 30)}}));
   Compiled C = compileProgram(Tiled, "tiled");
   ASSERT_EQ(C.K.SizeArgs.size(), 1u);
-  EXPECT_EQ(C.K.SizeArgs[0].Min, std::optional<std::int64_t>(4));
+  EXPECT_EQ(C.K.SizeArgs[0].Valid, std::optional<Range>(Range(4, 1 << 30)));
 
   AExpr M = sizeVar("m");
   ParamPtr A = param("A", arrayT(arrayT(floatT(), M), M));
@@ -340,16 +346,17 @@ TEST(Lowering, SymbolicTilingStatesItsMinimumExtents) {
       {A}, mapNd(2, sumNeighborhood(2), slideNd(2, cst(3), cst(1), A)));
   Program UnpaddedTiled = lowerStencil(Unpadded, opt(true, 4, false, false, 1));
   ASSERT_NE(UnpaddedTiled, nullptr);
-  EXPECT_EQ(UnpaddedTiled->SizeMinimums, (ArithExpr::Env{{M->getVarId(), 6}}));
+  EXPECT_EQ(UnpaddedTiled->SizeRanges,
+            (SizeRanges{{M->getVarId(), Range(6, 1 << 30)}}));
 
   Program Untiled = lowerStencil(Padded, opt(false, 4, false, false, 1));
   ASSERT_NE(Untiled, nullptr);
-  EXPECT_TRUE(Untiled->SizeMinimums.empty());
+  EXPECT_TRUE(Untiled->SizeRanges.empty());
   LoweringOptions O = opt(true, 4, true, false, 1);
   O.OutputExtents = {12, 12};
   Program Bound = lowerStencil(Padded, O);
   ASSERT_NE(Bound, nullptr);
-  EXPECT_TRUE(Bound->SizeMinimums.empty());
+  EXPECT_EQ(Bound->SizeRanges, (SizeRanges{{N->getVarId(), Range(12, 12)}}));
 }
 
 TEST(Lowering, OutputExtentsThatDisagreeAreRefused) {
