@@ -127,12 +127,12 @@ Rule buggyPadMergeRule() {
 
 /// Per-dimension output extents at the concrete sizes; the layout
 /// chain only affects the outermost dimension and only Pad ops change
-/// its length. Empty when the spec is not a step-1 stencil (the shapes
-/// tiling applies to), whose lowerings then stay symbolic.
+/// its length. Each dimension is a slide's window count, (n - size +
+/// step) / step as TypeInference states it. Empty when the spec is not
+/// a stencil (the shapes tiling applies to), whose lowerings then stay
+/// symbolic.
 std::vector<std::int64_t> outputExtents(const ProgramSpec &S) {
   if (S.Tmpl != Template::Stencil && S.Tmpl != Template::ZipStencil)
-    return {};
-  if (S.WinStep != 1)
     return {};
   std::vector<std::int64_t> Out;
   for (unsigned D = 0; D != S.Dims; ++D) {
@@ -142,23 +142,36 @@ std::vector<std::int64_t> outputExtents(const ProgramSpec &S) {
         if (Op.K == LayoutOp::Kind::Pad)
           Len += Op.A + Op.B;
     Len += S.PadL + S.PadR;
-    std::int64_t OutD = Len - S.WinSize + 1;
-    if (OutD < 1)
+    if (Len < S.WinSize)
       return {};
+    std::int64_t OutD = (Len - S.WinSize + S.WinStep) / S.WinStep;
     Out.push_back(OutD);
   }
   return Out;
 }
 
-/// Picks the tile size for the tiled oracle: the largest v <= 8 that
-/// *fits* every output dimension (v <= extent). Exact fits are no
-/// longer required — the clamped remainder-tile lowering handles any
-/// fitting v — so the picker prefers a v that leaves a remainder in
-/// some dimension, exercising the tail-tile path whenever the spec's
-/// extents allow it. Returns 0 when tiling is not applicable.
-std::int64_t pickTileOutputs(const std::vector<std::int64_t> &Out) {
+/// Picks the tile size for the tiled oracle. At window step 1: the
+/// largest v <= 8 that *fits* every output dimension (v <= extent).
+/// Exact fits are not required — the clamped remainder-tile lowering
+/// handles any fitting v — so the picker prefers a v that leaves a
+/// remainder in some dimension, exercising the tail-tile path whenever
+/// the spec's extents allow it. At step s != 1 only the exact-fit
+/// scheme applies: v = k * s with k <= 8 the largest tile of outputs
+/// that divides every output dimension. Returns 0 when tiling is not
+/// applicable.
+std::int64_t pickTileOutputs(const std::vector<std::int64_t> &Out,
+                             std::int64_t Step) {
   if (Out.empty())
     return 0;
+  if (Step != 1) {
+    for (std::int64_t K = 8;; --K) {
+      bool Divides = true;
+      for (std::int64_t O : Out)
+        Divides &= O % K == 0;
+      if (Divides)
+        return K * Step;
+    }
+  }
   std::int64_t Fallback = 0;
   for (std::int64_t V = 8; V >= 2; --V) {
     bool Fits = true;
@@ -383,16 +396,16 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
           checkLowering("untiled lowering", Low, C, RefFlat, *B, O))
     return Finish(*R);
 
-  // (e) Tiled lowering, whenever a tile fits (exact fit NOT required:
-  // the clamped lowering handles remainder tails).
+  // (e) Tiled lowering, whenever a tile fits (at window step 1 exact
+  // fit NOT required: the clamped lowering handles remainder tails).
   if (O.TryTiled) {
-    if (std::int64_t V = pickTileOutputs(OutExt)) {
+    if (std::int64_t V = pickTileOutputs(OutExt, S.WinStep)) {
       LoweringOptions TO = UO;
       TO.Tile = true;
       TO.TileOutputs = V;
       bool Remainder = false;
       for (std::int64_t OD : OutExt)
-        Remainder |= OD % V != 0;
+        Remainder |= OD % (V / S.WinStep) != 0;
       std::string TWhy;
       Program TLow = lowerStencil(B->P, TO, &TWhy);
       if (!TLow && TWhy.find("tile-indivisible") != std::string::npos) {
@@ -408,6 +421,8 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
           TiledRemainder = 1;
           obs::Registry::global().counter("fuzz.tiled.remainder").inc();
         }
+        if (S.WinStep != 1)
+          obs::Registry::global().counter("fuzz.tiled.strided").inc();
         Compiled TC = compileProgram(TLow, "fuzz_tiled");
         if (std::optional<DiffResult> R = checkLowering(
                 "tiled lowering (v=" + std::to_string(V) + ")", TLow, TC,

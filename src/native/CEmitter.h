@@ -54,10 +54,10 @@
 /// `lift_bufs` holds one pointer per *global* buffer in declaration
 /// order (float* or int32_t* according to the element kind);
 /// `lift_sizes` holds one value per Kernel::SizeArgs entry, in order,
-/// and is read only for sizes without a bound value: a size bound at
-/// lowering (ocl::SizeArg::Bound, a kernel lowered for a grid) is
-/// emitted as a constant, so the C compiler folds it into strides,
-/// clamps and trip counts, and its slot is ignored;
+/// and is read only for sizes without a bound value: a size whose
+/// valid range holds one value (ocl::SizeArg::bound(), a kernel lowered
+/// for a grid) is emitted as a constant, so the C compiler folds it
+/// into strides, clamps and trip counts, and its slot is ignored;
 /// `lift_prof` holds one double per profile region (profileRegions()).
 /// Buffer/size order is a pure function of the kernel structure, so
 /// alpha-equivalent kernels (equal structural hash) share one ABI.

@@ -221,8 +221,8 @@ struct NativeRunResult {
 /// buffers and reports the fastest repeat; timed sections are
 /// serialized process-wide so concurrent measurements cannot
 /// contaminate each other. Throws NativeError when \p Inputs or
-/// \p Sizes do not fit the kernel, including a size other than the one
-/// the kernel was lowered for (ocl::SizeArg::Bound).
+/// \p Sizes do not fit the kernel, including a size outside the values
+/// the kernel was lowered for (ocl::SizeArg::Valid).
 NativeRunResult runNative(const codegen::Compiled &C,
                           const NativeKernel &Kern,
                           const std::vector<std::vector<float>> &Inputs,

@@ -22,18 +22,11 @@ using lift::stencil::slideClampNd;
 using lift::stencil::slideNd;
 
 std::string LoweringOptions::describe() const {
-  std::string S;
-  if (Tile) {
-    S = "tiled" + std::to_string(TileOutputs);
-    if (UseLocalMem)
-      S += "-local";
-    if (TileCoarsen > 1)
-      S += "-coarsen" + std::to_string(TileCoarsen);
-  } else {
-    S = "global";
-    if (Coarsen > 1)
-      S += "-coarsen" + std::to_string(Coarsen);
-  }
+  std::string S = Tile ? "tiled" + std::to_string(TileOutputs) : "global";
+  if (Tile && UseLocalMem)
+    S += "-local";
+  if (Coarsen > 1)
+    S += "-coarsen" + std::to_string(Coarsen);
   if (UnrollReduce)
     S += "-unroll";
   return S;
@@ -47,10 +40,12 @@ LambdaPtr cloneLambda(const LambdaPtr &F) {
 }
 
 /// Builds an n-deep nest of the given map primitive over \p In,
-/// applying \p F at the innermost level. Depth d maps to OpenCL
+/// applying \p F at the innermost level: mapGlb for untiled kernels,
+/// mapWrg over tiles and mapLcl within one. Depth d maps to OpenCL
 /// dimension n-1-d so the innermost (contiguous) array dimension rides
 /// on id dimension 0 for coalescing. \p InnerCoarsen > 1 makes each
-/// innermost-dimension thread compute several points sequentially.
+/// innermost-dimension thread compute that many points sequentially:
+/// join(map(chunk => mapSeq(f, chunk), split(c, in))).
 ExprPtr buildMapNest(unsigned N, Prim MapKind, const LambdaPtr &F,
                      ExprPtr In, std::int64_t InnerCoarsen = 1,
                      unsigned Depth = 0) {
@@ -71,32 +66,6 @@ ExprPtr buildMapNest(unsigned N, Prim MapKind, const LambdaPtr &F,
                         Depth + 1);
   });
   return makeMapLike(MapKind, Dim, Level, std::move(In));
-}
-
-/// Innermost-dimension thread coarsening:
-/// join(mapGlb(0, chunk => mapSeq(f, chunk), split(c, in))).
-ExprPtr buildCoarsenedInner(const LambdaPtr &F, ExprPtr In,
-                            std::int64_t Coarsen) {
-  LambdaPtr PerChunk = lam("chunk", [&](ExprPtr Chunk) {
-    return mapSeq(cloneLambda(F), Chunk);
-  });
-  return join(mapGlb(0, PerChunk, split(cst(Coarsen), std::move(In))));
-}
-
-/// Untiled lowering of an n-dim map nest onto global ids, optionally
-/// coarsened along the innermost dimension.
-ExprPtr buildGlbNest(unsigned N, const LambdaPtr &F, ExprPtr In,
-                     std::int64_t Coarsen, unsigned Depth = 0) {
-  if (Depth == N - 1) {
-    if (Coarsen > 1)
-      return buildCoarsenedInner(F, std::move(In), Coarsen);
-    return mapGlb(0, F, std::move(In));
-  }
-  int Dim = int(N - 1 - Depth);
-  LambdaPtr Level = lam("lvl" + std::to_string(Depth), [&](ExprPtr X) {
-    return buildGlbNest(N, F, std::move(X), Coarsen, Depth + 1);
-  });
-  return makeMapLike(Prim::MapGlb, Dim, Level, std::move(In));
 }
 
 /// A cooperative copy of an n-dim tile into local memory: nested mapLcl
@@ -186,7 +155,7 @@ ExprPtr lowerEmbeddedNests(const ExprPtr &E) {
       std::optional<MapNdMatch> M = matchMapNd(E);
       if (M && M->Dims <= 3) {
         ExprPtr Input = lowerEmbeddedNests(M->Input);
-        return buildGlbNest(M->Dims, M->F, Input, /*Coarsen=*/1);
+        return buildMapNest(M->Dims, Prim::MapGlb, M->F, Input);
       }
     }
   }
@@ -406,155 +375,108 @@ Program lowerStencilImpl(const Program &P, const LoweringOptions &O,
 
   ExprPtr Lowered;
   if (O.Tile) {
-    AExpr V = cst(O.TileOutputs);
-
-    // Single-grid shape: mapNd(f, slideNd(size, step, inner)).
-    if (std::optional<SlideNdMatch> S = matchSlideNd(M->Input)) {
-      if (S->Dims != N)
-        return lowerFail(WhyNot,
-                         "slideNd dimensionality does not match the mapNd nest");
-      // Tile extent u = v + (size - step), the §4.1 validity constraint.
-      AExpr U = add(V, sub(S->Size, S->Step));
-      std::string TileErr;
-      bool Clamp =
-          checkTileFit(N, O.TileOutputs, S->Step, OutExt, &TileErr);
-      if (!TileErr.empty())
-        return lowerFail(WhyNot, TileErr);
-      ExprPtr Tiles;
-      if (Clamp) {
-        // Per-dimension tile advance (clamped to short extents) with
-        // the matching per-dimension window extent u_d = k_d + size-1.
-        std::vector<AExpr> VSteps =
-            clampTileSteps(N, V, O.TileOutputs, OutExt);
-        std::vector<AExpr> USizes;
-        for (unsigned I = 0; I != N; ++I)
-          USizes.push_back(add(VSteps[I], sub(S->Size, S->Step)));
-        Tiles = slideClampNd(N, USizes, VSteps, S->Inner);
-        noteTileMinimums(OutExt, O.TileOutputs, Ranges);
-      } else {
-        Tiles = slideNd(N, U, V, S->Inner);
-      }
-
-      LambdaPtr F = M->F;
-      auto SizeE = S->Size;
-      auto StepE = S->Step;
-      bool Local = O.UseLocalMem;
-      std::int64_t TC = O.TileCoarsen;
-      LambdaPtr PerTile = lam("tile", [&](ExprPtr Tile) {
-        ExprPtr Staged = Local ? buildLocalCopy(N, Tile) : Tile;
-        return buildMapNest(N, Prim::MapLcl, cloneLambda(F),
-                            slideNd(N, SizeE, StepE, std::move(Staged)),
-                            TC);
-      });
-      Lowered = untileNd(N, buildMapNest(N, Prim::MapWrg, PerTile, Tiles),
-                         Clamp ? OutExt : std::vector<AExpr>{});
-    } else if (std::optional<ZipNdMatch> Z = matchZipNd(M->Input, N)) {
-      // Multi-grid shape: mapNd(f, zipNd(comps)). Components that are
-      // themselves slideNd neighborhoods get overlapping tiles of
-      // extent u (optionally staged in local memory); point-wise
-      // components get tiles of k = v/step outputs. The per-tile zips
-      // line up because both produce k^n outputs per tile, and under
-      // the clamped scheme both tail starts shift by the same amount
-      // (input clamp n-u == step * output clamp m-k).
-      std::vector<std::optional<SlideNdMatch>> CompMatches;
-      AExpr SizeE, StepE;
-      for (const ExprPtr &Comp : Z->Comps) {
-        std::optional<SlideNdMatch> CS = matchSlideNd(Comp);
-        if (CS) {
-          if (CS->Dims != N)
-            return lowerFail(
-                WhyNot, "zip component slideNd dimensionality does not match "
-                        "the mapNd nest");
-          if (SizeE && (!exprEquals(SizeE, CS->Size) ||
-                        !exprEquals(StepE, CS->Step)))
-            return lowerFail(
-                WhyNot,
-                "mixed window geometries are unsupported: slide(" +
-                    SizeE->toString() + ", " + StepE->toString() +
-                    ") vs slide(" + CS->Size->toString() + ", " +
-                    CS->Step->toString() + ")");
-          SizeE = CS->Size;
-          StepE = CS->Step;
-        }
-        CompMatches.push_back(std::move(CS));
-      }
-      if (!SizeE)
-        return lowerFail(WhyNot,
-                         "tiling requested but no zip component is a slideNd "
-                         "neighborhood: nothing to tile");
-
-      std::string TileErr;
-      bool Clamp = checkTileFit(N, O.TileOutputs, StepE, OutExt, &TileErr);
-      if (!TileErr.empty())
-        return lowerFail(WhyNot, TileErr);
-      // Point-wise components advance on the output lattice.
-      AExpr K = V;
-      if (StepE->getKind() == ArithExpr::Kind::Cst &&
-          StepE->getCst() > 0 && O.TileOutputs % StepE->getCst() == 0)
-        K = cst(O.TileOutputs / StepE->getCst());
-      // Clamped scheme (window step 1, so K == V): per-dimension tile
-      // advance, clamped to short extents; both component kinds shift
-      // their tails by the same amount (input clamp n-u equals the
-      // output clamp m-k), so the per-tile zips stay aligned.
-      std::vector<AExpr> VSteps =
-          Clamp ? clampTileSteps(N, V, O.TileOutputs, OutExt)
-                : std::vector<AExpr>{};
-      if (Clamp)
-        noteTileMinimums(OutExt, O.TileOutputs, Ranges);
-
-      std::vector<bool> IsSlided;
-      std::vector<ExprPtr> TiledComps;
-      for (std::size_t I = 0, E2 = Z->Comps.size(); I != E2; ++I) {
-        if (CompMatches[I]) {
-          AExpr U = add(V, sub(SizeE, StepE));
-          if (Clamp) {
-            std::vector<AExpr> USizes;
-            for (unsigned D = 0; D != N; ++D)
-              USizes.push_back(add(VSteps[D], sub(SizeE, StepE)));
-            TiledComps.push_back(
-                slideClampNd(N, USizes, VSteps, CompMatches[I]->Inner));
-          } else {
-            TiledComps.push_back(slideNd(N, U, V, CompMatches[I]->Inner));
-          }
-          IsSlided.push_back(true);
-          continue;
-        }
-        TiledComps.push_back(Clamp
-                                 ? slideClampNd(N, VSteps, VSteps,
-                                                Z->Comps[I])
-                                 : slideNd(N, K, K, Z->Comps[I]));
-        IsSlided.push_back(false);
-      }
-
-      LambdaPtr F = M->F;
-      bool Local = O.UseLocalMem;
-      std::int64_t TC = O.TileCoarsen;
-      LambdaPtr PerTile = lam("tile", [&](ExprPtr Tile) {
-        std::vector<ExprPtr> Parts;
-        for (std::size_t I = 0, E2 = IsSlided.size(); I != E2; ++I) {
-          ExprPtr Part = get(int(I), Tile);
-          if (IsSlided[I]) {
-            if (Local)
-              Part = buildLocalCopy(N, std::move(Part));
-            Part = slideNd(N, SizeE, StepE, std::move(Part));
-          }
-          Parts.push_back(std::move(Part));
-        }
-        return buildMapNest(N, Prim::MapLcl, cloneLambda(F),
-                            lift::stencil::zipNd(N, std::move(Parts)), TC);
-      });
-      Lowered = untileNd(
-          N,
-          buildMapNest(N, Prim::MapWrg, PerTile,
-                       lift::stencil::zipNd(N, std::move(TiledComps))),
-          Clamp ? OutExt : std::vector<AExpr>{});
-    } else {
+    // Tiled shapes: mapNd(f, slideNd(size, step, inner)) over one grid,
+    // or mapNd(f, zipNd(comps)) over several. One grid is the
+    // one-component case, built without the get/zipNd wrappers.
+    // Components that are slideNd neighborhoods get overlapping tiles
+    // of extent u = v + size - step (the §4.1 validity constraint),
+    // optionally staged in local memory; point-wise components get
+    // tiles of k = v/step outputs. The per-tile zips line up because
+    // both produce k^n outputs per tile, and under the clamped scheme
+    // both tail starts shift by the same amount (input clamp n-u ==
+    // step * output clamp m-k).
+    std::optional<ZipNdMatch> Z;
+    if (!matchSlideNd(M->Input) && !(Z = matchZipNd(M->Input, N)))
       return lowerFail(WhyNot,
                        "tiling requested but the input is neither a slideNd "
                        "neighborhood nor a zipNd of grids");
+    std::vector<ExprPtr> Comps = Z ? Z->Comps : std::vector<ExprPtr>{M->Input};
+    auto ZipIfMany = [&](std::vector<ExprPtr> Parts) {
+      return Z ? lift::stencil::zipNd(N, std::move(Parts))
+               : std::move(Parts.front());
+    };
+
+    std::vector<std::optional<SlideNdMatch>> Slides;
+    AExpr SizeE, StepE;
+    for (const ExprPtr &Comp : Comps) {
+      std::optional<SlideNdMatch> CS = matchSlideNd(Comp);
+      if (CS) {
+        if (CS->Dims != N)
+          return lowerFail(WhyNot, std::string(Z ? "zip component " : "") +
+                                       "slideNd dimensionality does not "
+                                       "match the mapNd nest");
+        if (SizeE && (!exprEquals(SizeE, CS->Size) ||
+                      !exprEquals(StepE, CS->Step)))
+          return lowerFail(
+              WhyNot,
+              "mixed window geometries are unsupported: slide(" +
+                  SizeE->toString() + ", " + StepE->toString() +
+                  ") vs slide(" + CS->Size->toString() + ", " +
+                  CS->Step->toString() + ")");
+        SizeE = CS->Size;
+        StepE = CS->Step;
+      }
+      Slides.push_back(std::move(CS));
     }
+    if (!SizeE)
+      return lowerFail(WhyNot,
+                       "tiling requested but no zip component is a slideNd "
+                       "neighborhood: nothing to tile");
+
+    std::string TileErr;
+    bool Clamp = checkTileFit(N, O.TileOutputs, StepE, OutExt, &TileErr);
+    if (!TileErr.empty())
+      return lowerFail(WhyNot, TileErr);
+    AExpr V = cst(O.TileOutputs);
+    AExpr Overlap = sub(SizeE, StepE);
+    // Exact scheme: tiles of u inputs advancing by v, and point-wise
+    // components advancing on the output lattice by k = v/step.
+    AExpr U = add(V, Overlap);
+    AExpr K = V;
+    if (StepE->getKind() == ArithExpr::Kind::Cst && StepE->getCst() > 0 &&
+        O.TileOutputs % StepE->getCst() == 0)
+      K = cst(O.TileOutputs / StepE->getCst());
+    // Clamped scheme (window step 1, so k == v): a per-dimension tile
+    // advance, clamped to short extents, with the matching window
+    // extent u_d = k_d + size - 1.
+    std::vector<AExpr> VSteps, USizes;
+    if (Clamp) {
+      VSteps = clampTileSteps(N, V, O.TileOutputs, OutExt);
+      for (unsigned D = 0; D != N; ++D)
+        USizes.push_back(add(VSteps[D], Overlap));
+      noteTileMinimums(OutExt, O.TileOutputs, Ranges);
+    }
+    std::vector<ExprPtr> TiledComps;
+    for (std::size_t I = 0; I != Comps.size(); ++I) {
+      if (Slides[I])
+        TiledComps.push_back(
+            Clamp ? slideClampNd(N, USizes, VSteps, Slides[I]->Inner)
+                  : slideNd(N, U, V, Slides[I]->Inner));
+      else
+        TiledComps.push_back(Clamp ? slideClampNd(N, VSteps, VSteps, Comps[I])
+                                   : slideNd(N, K, K, Comps[I]));
+    }
+
+    LambdaPtr PerTile = lam("tile", [&](ExprPtr Tile) {
+      std::vector<ExprPtr> Parts;
+      for (std::size_t I = 0; I != Comps.size(); ++I) {
+        ExprPtr Part = Z ? get(int(I), Tile) : Tile;
+        if (Slides[I]) {
+          if (O.UseLocalMem)
+            Part = buildLocalCopy(N, std::move(Part));
+          Part = slideNd(N, SizeE, StepE, std::move(Part));
+        }
+        Parts.push_back(std::move(Part));
+      }
+      return buildMapNest(N, Prim::MapLcl, cloneLambda(M->F),
+                          ZipIfMany(std::move(Parts)), O.Coarsen);
+    });
+    Lowered = untileNd(N,
+                       buildMapNest(N, Prim::MapWrg, PerTile,
+                                    ZipIfMany(std::move(TiledComps))),
+                       Clamp ? OutExt : std::vector<AExpr>{});
   } else {
-    Lowered = buildGlbNest(N, M->F, M->Input, O.Coarsen);
+    Lowered = buildMapNest(N, Prim::MapGlb, M->F, M->Input, O.Coarsen);
   }
 
   // Sequentialize all remaining high-level compute: reductions and any

@@ -16,6 +16,11 @@
 ///  * sequential work per thread (split-join thread coarsening),
 ///  * reduction unrolling (paper §4.3).
 ///
+/// Every variant is one map nest placed at a level of the OpenCL
+/// hierarchy: mapGlb untiled, or mapWrg over tiles with a mapLcl nest
+/// per tile. A single grid is tiled as the one-component case of a
+/// zip of grids.
+///
 /// The auto-tuner (src/tuner) searches this space per device, exactly
 /// as the paper tunes each benchmark per platform.
 ///
@@ -42,14 +47,12 @@ struct LoweringOptions {
   bool UseLocalMem = false;
   /// Unroll constant-length reductions.
   bool UnrollReduce = false;
-  /// Elements each thread computes sequentially along the innermost
-  /// dimension (1 = one element per thread). Untiled variants only.
+  /// Outputs each thread computes sequentially along the innermost
+  /// dimension (1 = one output per thread). Untiled, it shrinks the
+  /// global NDRange; tiled, each thread walks Coarsen points of its
+  /// tile — how PPCG-style schedules with blocks smaller than tiles are
+  /// expressed.
   std::int64_t Coarsen = 1;
-  /// Sequential outputs per thread along the innermost dimension
-  /// *inside a tile* (tiled variants only). This is how PPCG-style
-  /// schedules with blocks smaller than tiles are expressed: each
-  /// thread walks TileCoarsen points of its tile.
-  std::int64_t TileCoarsen = 1;
 
   /// Concrete per-dimension *output* extents (outermost first) the
   /// lowered program will run at, when the caller knows them. The
@@ -67,7 +70,7 @@ struct LoweringOptions {
   /// Empty: keep symbolic extents. Does not participate in describe().
   std::vector<std::int64_t> OutputExtents;
 
-  /// e.g. "tiled16-local-unroll" / "global-coarsen4".
+  /// e.g. "tiled16-local-coarsen4-unroll" / "global-coarsen4".
   std::string describe() const;
 };
 

@@ -260,7 +260,7 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
                  std::to_string(TileK) + " outputs)";
       return R;
     }
-    if (O.TileCoarsen > 1 && O.TileOutputs % O.TileCoarsen != 0) {
+    if (O.Coarsen > 1 && O.TileOutputs % O.Coarsen != 0) {
       Why = &PruneStats::TileCoarsenMisaligned;
       return R;
     }
@@ -481,7 +481,7 @@ TuneResult lift::tuner::tuneStencil(const TuningProblem &P,
           C.Options.Tile = true;
           C.Options.TileOutputs = V;
           C.Options.UseLocalMem = Local;
-          C.Options.TileCoarsen = TC;
+          C.Options.Coarsen = TC;
           C.Options.UnrollReduce = Unroll;
           // Work-group geometry of tiled kernels comes from the tile
           // shape; the launch knob is unused.

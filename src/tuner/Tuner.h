@@ -57,7 +57,9 @@ struct TuningSpace {
   // Lift's space strictly contains PPCG's tiled schedules, so tuned
   // Lift can never lose to tuned PPCG — as in the paper.
   std::vector<std::int64_t> TileOutputs = {8, 16, 32, 64};
+  /// LoweringOptions::Coarsen values of the tiled candidates.
   std::vector<std::int64_t> TileCoarsenFactors = {1, 2, 4, 8, 16};
+  /// LoweringOptions::Coarsen values of the untiled candidates.
   std::vector<std::int64_t> CoarsenFactors = {1, 2, 4};
   std::vector<std::int64_t> WorkGroupSizes = {64, 128, 256};
 };
@@ -131,7 +133,7 @@ struct Evaluated {
 struct PruneStats {
   std::uint64_t TileStepMisaligned = 0;   ///< tile % window step != 0
   std::uint64_t TileIndivisible = 0;      ///< tile does not divide a grid
-  std::uint64_t TileCoarsenMisaligned = 0;///< tile % tile-coarsen != 0
+  std::uint64_t TileCoarsenMisaligned = 0;///< tiled: tile % coarsen != 0
   std::uint64_t LocalMemOverflow = 0;     ///< staged tile exceeds local mem
   std::uint64_t CoarsenIndivisible = 0;   ///< coarsening does not divide grid
   std::uint64_t LoweringFailed = 0;       ///< rewrite produced no program

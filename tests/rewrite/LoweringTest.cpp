@@ -97,14 +97,13 @@ TEST_P(LoweringProperty, MatchesInterpreter) {
 }
 
 LoweringOptions opt(bool Tile, std::int64_t TileOut, bool Local, bool Unroll,
-                    std::int64_t Coarsen, std::int64_t TileCoarsen = 1) {
+                    std::int64_t Coarsen) {
   LoweringOptions O;
   O.Tile = Tile;
   O.TileOutputs = TileOut;
   O.UseLocalMem = Local;
   O.UnrollReduce = Unroll;
   O.Coarsen = Coarsen;
-  O.TileCoarsen = TileCoarsen;
   return O;
 }
 
@@ -134,9 +133,9 @@ INSTANTIATE_TEST_SUITE_P(
         LoweringCase{2, 12, opt(true, 6, true, true, 1)},
         LoweringCase{2, 16, opt(true, 8, true, true, 1)},
         // PPCG-style: tiled + local with intra-tile thread coarsening.
-        LoweringCase{2, 16, opt(true, 8, true, false, 1, 4)},
-        LoweringCase{1, 16, opt(true, 8, true, false, 1, 2)},
-        LoweringCase{3, 8, opt(true, 4, true, false, 1, 2)}));
+        LoweringCase{2, 16, opt(true, 8, true, false, 4)},
+        LoweringCase{1, 16, opt(true, 8, true, false, 2)},
+        LoweringCase{3, 8, opt(true, 4, true, false, 2)}));
 
 TEST(Lowering, TiledUsesWorkgroupsAndLocalMem) {
   AExpr N = sizeVar("n");
@@ -385,6 +384,44 @@ TEST(Lowering, OutputExtentsThatDisagreeAreRefused) {
     O.OutputExtents = {8, 8};
     EXPECT_NE(lowerStencil(sumStencilProgram(2, cst(8)), O), nullptr);
   }
+}
+
+/// Whether \p E holds a mapSeq over \p Trips elements nested inside a
+/// mapLcl.
+bool hasSeqInsideLcl(const ExprPtr &E, std::int64_t Trips,
+                     bool InLcl = false) {
+  if (const auto *L = dynCast<LambdaExpr>(E))
+    return hasSeqInsideLcl(L->getBody(), Trips, InLcl);
+  const auto *C = dynCast<CallExpr>(E);
+  if (!C)
+    return false;
+  if (InLcl && C->getPrim() == Prim::MapSeq) {
+    TypePtr In = C->getArgs()[1]->getType();
+    if (In && In->getKind() == Type::Kind::Array &&
+        In->getSize()->getKind() == ArithExpr::Kind::Cst &&
+        In->getSize()->getCst() == Trips)
+      return true;
+  }
+  InLcl |= C->getPrim() == Prim::MapLcl;
+  for (const ExprPtr &A : C->getArgs())
+    if (hasSeqInsideLcl(A, Trips, InLcl))
+      return true;
+  return false;
+}
+
+TEST(Lowering, CoarsenAppliesToTiledLowerings) {
+  // One coarsening option for both forms: tiled, each mapLcl thread
+  // walks Coarsen outputs of its tile sequentially.
+  LoweringOptions O = opt(true, 16, false, false, 4);
+  EXPECT_EQ(O.describe(), "tiled16-coarsen4");
+  Program Low = lowerStencil(sumStencilProgram(2, sizeVar("n")), O);
+  ASSERT_NE(Low, nullptr);
+  EXPECT_TRUE(hasSeqInsideLcl(Low->getBody(), 4)) << toString(Low);
+
+  O.Coarsen = 1;
+  Program Plain = lowerStencil(sumStencilProgram(2, sizeVar("n")), O);
+  ASSERT_NE(Plain, nullptr);
+  EXPECT_FALSE(hasSeqInsideLcl(Plain->getBody(), 4)) << toString(Plain);
 }
 
 TEST(Lowering, DescribeNames) {

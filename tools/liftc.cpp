@@ -14,7 +14,6 @@
 //   liftc profile <benchmark> [variant options] [--extents a,b,c]
 //
 // Variant options: --tile <v> --local --unroll --coarsen <c>
-//                  --tile-coarsen <c>
 //
 // Observability (every command): --trace=<file> --metrics=<file>
 //                                --calibration=<file> --obs-report
@@ -40,6 +39,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,8 +67,9 @@ int usage() {
       "  profile <bench> [variant] [--extents a,b,c] [--json <file>]\n"
       "                                per-region timers + static work\n"
       "                                counts + roofline report (native)\n"
-      "variant: --tile <v> [--local] [--tile-coarsen <c>] | --coarsen <c>;"
-      " plus [--unroll]\n"
+      "variant: [--tile <v> [--local]] [--coarsen <c>] [--unroll];\n"
+      "  --coarsen: outputs per thread along the innermost dimension,\n"
+      "  over the whole grid or within each tile\n"
       "backend (emit/run/tune): --backend <sim|native>. native emits C,\n"
       "  compiles it with the host compiler, dlopens and executes for\n"
       "  real; 'run' then reports wall-clock time (--warmup W untimed +\n"
@@ -76,11 +77,12 @@ int usage() {
       "  threads), and 'tune' ranks candidates by measured seconds\n"
       "  instead of the device model. Native C lowered for a grid (run,\n"
       "  tune, profile; emit with --extents) has it as constants\n"
-      "analysis (emit/run): --specialize splits each grid loop into\n"
-"  left-edge / clamp-free-interior / right-edge loops before emitting\n"
-"  or running; --check-bounds statically proves every buffer access\n"
-"  in bounds (prints a violation report and exits 1 otherwise; 'run'\n"
-"  and --extents make the check concrete, plain 'emit' is symbolic)\n"
+      "analysis (emit/run/analyze/profile; tune --profile): --specialize\n"
+      "  splits each grid loop into left-edge / clamp-free-interior /\n"
+      "  right-edge loops before emitting or running; --check-bounds\n"
+      "  statically proves every buffer access in bounds (prints a\n"
+      "  violation report and exits 1 otherwise; a grid makes the check\n"
+      "  concrete, plain 'emit' is symbolic)\n"
       "profiling: 'profile' (or --profile on run/tune with the native\n"
       "  backend) recompiles the kernel with per-region monotonic timers\n"
       "  and reports seconds, bytes, FLOPs, GB/s, GFLOP/s and arithmetic\n"
@@ -171,9 +173,6 @@ bool parseArgs(int Argc, char **Argv, Args &A) {
       A.Options.UnrollReduce = true;
     } else if (Opt == "--coarsen") {
       if (!NextInt(A.Options.Coarsen))
-        return false;
-    } else if (Opt == "--tile-coarsen") {
-      if (!NextInt(A.Options.TileCoarsen))
         return false;
     } else if (Opt == "--specialize") {
       A.Specialize = true;
@@ -311,14 +310,41 @@ std::string extentsString(const Extents &E) {
   return S;
 }
 
+/// A benchmark variant lowered and compiled for one grid.
+struct GridKernel {
+  ir::Program Low;
+  Compiled C;
+  ocl::SizeEnv Env; ///< the grid's size bindings; empty when symbolic
+};
+
+/// The prelude of every command that emits, runs or reports a kernel:
+/// lowers \p O for the grid \p E (symbolic when \p E is empty), so the
+/// clamped tiling scheme can clamp per-dimension tiles to short
+/// extents, compiles it and applies --specialize / --check-bounds.
+/// Exits when the options do not apply; returns nullopt when the bounds
+/// check fails (its report already printed).
+std::optional<GridKernel> lowerForGrid(const Args &A, const Benchmark &B,
+                                       const BenchmarkInstance &I,
+                                       const LoweringOptions &O,
+                                       const Extents &E) {
+  LoweringOptions LO = O;
+  LO.OutputExtents.assign(E.begin(), E.end());
+  ir::Program Low = lowerOrDie(B, I, LO);
+  GridKernel G{Low, compileProgram(Low, B.Name), {}};
+  if (!E.empty())
+    G.Env = makeSizeEnv(I, E);
+  if (!applyAnalysis(A, G.C, E.empty() ? nullptr : &G.Env))
+    return std::nullopt;
+  return G;
+}
+
 /// Shared core of `liftc profile` and `--profile` on run/tune:
-/// recompiles \p C in profile mode, executes it, joins the region
+/// recompiles \p G in profile mode, executes it, joins the region
 /// timers with static work counts, validates against the golden
 /// implementation and renders the roofline report (text to stdout,
 /// JSON to --json when given, Chrome-trace spans into --trace).
-int profileCompiled(const Args &A, const Benchmark &B,
-                    const BenchmarkInstance &I, const ir::Program &Low,
-                    const Compiled &C, const Extents &E,
+int profileCompiled(const Args &A, const Benchmark &B, const GridKernel &G,
+                    const Extents &E,
                     const std::vector<std::vector<float>> &Inputs,
                     const std::string &Variant) {
   native::ProfiledKernelRun Run;
@@ -330,9 +356,8 @@ int profileCompiled(const Args &A, const Benchmark &B,
       Peaks = native::probeMachinePeaks();
       PeaksPtr = &Peaks;
     }
-    Run = native::profileKernel(C, ir::structuralHash(Low), Inputs,
-                                makeSizeEnv(I, E), A.Warmup, A.Repeats, {},
-                                PeaksPtr);
+    Run = native::profileKernel(G.C, ir::structuralHash(G.Low), Inputs,
+                                G.Env, A.Warmup, A.Repeats, {}, PeaksPtr);
   } catch (const native::NativeError &Ex) {
     std::fprintf(stderr, "error: profiling failed: %s\n", Ex.what());
     return 1;
@@ -365,32 +390,24 @@ int cmdProfile(const Args &A) {
   Extents E;
   if (!resolveExtents(A, B, E))
     return 1;
-  // Lower at the concrete extents so the clamped tiling scheme can
-  // clamp per-dimension tiles to short extents.
-  rewrite::LoweringOptions LO = A.Options;
-  LO.OutputExtents.assign(E.begin(), E.end());
-  ir::Program Low = lowerOrDie(B, I, LO);
-  Compiled C = compileProgram(Low, B.Name);
-  auto Env = makeSizeEnv(I, E);
-  if (!applyAnalysis(A, C, &Env))
+  std::optional<GridKernel> G = lowerForGrid(A, B, I, A.Options, E);
+  if (!G)
     return 1;
   std::vector<std::vector<float>> Inputs = makeBenchmarkInputs(B, E);
-  return profileCompiled(A, B, I, Low, C, E, Inputs,
-                         A.Options.describe());
+  return profileCompiled(A, B, *G, E, Inputs, A.Options.describe());
 }
 
 /// run --backend native: compile the emitted C, execute for real and
 /// report wall-clock time alongside the golden validation.
-int cmdRunNative(const Args &A, const Benchmark &B,
-                 const BenchmarkInstance &I, const ir::Program &Low,
-                 const Compiled &C, const Extents &E,
+int cmdRunNative(const Args &A, const Benchmark &B, const GridKernel &G,
+                 const Extents &E,
                  const std::vector<std::vector<float>> &Inputs) {
   native::NativeRunResult R;
   try {
     native::NativeKernelPtr Kern = native::KernelCache::global().getOrCompile(
-        ir::structuralHash(Low), C.K);
-    R = native::runNative(C, *Kern, Inputs, makeSizeEnv(I, E), A.Jobs,
-                          A.Warmup, A.Repeats);
+        ir::structuralHash(G.Low), G.C.K);
+    R = native::runNative(G.C, *Kern, Inputs, G.Env, A.Jobs, A.Warmup,
+                          A.Repeats);
   } catch (const native::NativeError &Ex) {
     std::fprintf(stderr, "error: native backend failed: %s\n", Ex.what());
     return 1;
@@ -402,10 +419,8 @@ int cmdRunNative(const Args &A, const Benchmark &B,
   std::printf("backend           native (%u thread%s, %u warmup + %u "
               "timed)\n",
               A.Jobs, A.Jobs == 1 ? "" : "s", A.Warmup, A.Repeats);
-  std::printf("grid              ");
-  for (std::size_t D = 0; D != E.size(); ++D)
-    std::printf("%s%lld", D ? "x" : "", (long long)E[D]);
-  std::printf(" (%lld points)\n", (long long)totalElems(E));
+  std::printf("grid              %s (%lld points)\n",
+              extentsString(E).c_str(), (long long)totalElems(E));
   std::printf("max |err| vs golden  %.3g\n", MaxErr);
   std::printf("wall time         %.3f ms (best of %u)\n", R.Seconds * 1e3,
               A.Repeats);
@@ -413,8 +428,7 @@ int cmdRunNative(const Args &A, const Benchmark &B,
               double(totalElems(E)) / R.Seconds / 1e9);
   int RC = MaxErr < 1e-3 ? 0 : 1;
   if (A.Profile) {
-    int PRC = profileCompiled(A, B, I, Low, C, E, Inputs,
-                              A.Options.describe());
+    int PRC = profileCompiled(A, B, G, E, Inputs, A.Options.describe());
     RC = RC ? RC : PRC;
   }
   return RC;
@@ -426,27 +440,20 @@ int cmdRun(const Args &A) {
   Extents E;
   if (!resolveExtents(A, B, E))
     return 1;
-  // Lower at the concrete extents (see cmdProfile).
-  rewrite::LoweringOptions LO = A.Options;
-  LO.OutputExtents.assign(E.begin(), E.end());
-  ir::Program Low = lowerOrDie(B, I, LO);
-  Compiled C = compileProgram(Low, B.Name);
-  auto Env = makeSizeEnv(I, E);
-  if (!applyAnalysis(A, C, &Env))
+  std::optional<GridKernel> G = lowerForGrid(A, B, I, A.Options, E);
+  if (!G)
     return 1;
   std::vector<std::vector<float>> Inputs = makeBenchmarkInputs(B, E);
   if (A.Backend == "native")
-    return cmdRunNative(A, B, I, Low, C, E, Inputs);
-  RunResult R = runCompiled(C, Inputs, Env, ocl::CacheConfig(), A.Jobs);
+    return cmdRunNative(A, B, *G, E, Inputs);
+  RunResult R = runCompiled(G->C, Inputs, G->Env, ocl::CacheConfig(), A.Jobs);
 
   // Validate against the independent golden implementation.
   double MaxErr = maxErrVsGolden(B, Inputs, E, R.Output);
 
   std::printf("variant           %s\n", A.Options.describe().c_str());
-  std::printf("grid              ");
-  for (std::size_t D = 0; D != E.size(); ++D)
-    std::printf("%s%lld", D ? "x" : "", (long long)E[D]);
-  std::printf(" (%lld points)\n", (long long)totalElems(E));
+  std::printf("grid              %s (%lld points)\n",
+              extentsString(E).c_str(), (long long)totalElems(E));
   std::printf("max |err| vs golden  %.3g\n", MaxErr);
   const ocl::ExecCounters &Ct = R.Counters;
   std::printf("global loads      %llu (line misses %llu)\n",
@@ -462,8 +469,7 @@ int cmdRun(const Args &A) {
   if (A.Profile) {
     // Profiling always runs through the native backend, regardless of
     // which backend executed the validation run above.
-    int PRC = profileCompiled(A, B, I, Low, C, E, Inputs,
-                              A.Options.describe());
+    int PRC = profileCompiled(A, B, *G, E, Inputs, A.Options.describe());
     RC = RC ? RC : PRC;
   }
   return RC;
@@ -506,45 +512,47 @@ int cmdTune(const Args &A) {
     }
   }
   tuner::TuneResult R = tuner::tuneStencil(P, Dev, tuner::liftSpace(), TO);
-  std::sort(R.All.begin(), R.All.end(),
-            [Measured](const tuner::Evaluated &X, const tuner::Evaluated &Y) {
-              return Measured
-                         ? X.MeasuredGElemsPerSec > Y.MeasuredGElemsPerSec
-                         : X.GElemsPerSec > Y.GElemsPerSec;
-            });
-  std::printf("tuning %s on %s (target ", B.Name.c_str(), Dev.Name.c_str());
-  for (std::size_t D = 0; D != P.Target.size(); ++D)
-    std::printf("%s%lld", D ? "x" : "", (long long)P.Target[D]);
+  // Stable, so equally fast rows keep enumeration order; the marked row
+  // is the tuner's own pick, the first of the fastest in that order.
+  std::stable_sort(
+      R.All.begin(), R.All.end(),
+      [Measured](const tuner::Evaluated &X, const tuner::Evaluated &Y) {
+        return Measured ? X.MeasuredGElemsPerSec > Y.MeasuredGElemsPerSec
+                        : X.GElemsPerSec > Y.GElemsPerSec;
+      });
+  const std::string BestName = R.Best.C.describe();
+  auto BestMark = [&BestName](const tuner::Evaluated &E) {
+    return E.C.describe() == BestName ? "   <-- best" : "";
+  };
+  std::printf("tuning %s on %s (target %s", B.Name.c_str(), Dev.Name.c_str(),
+              extentsString(P.Target).c_str());
   if (Measured) {
     std::printf(", objective: measured wall clock)\n%-30s %14s %12s\n",
                 "variant", "meas GElem/s", "model GElem/s");
     for (const tuner::Evaluated &E : R.All)
       std::printf("%-30s %14.3f %12.3f%s\n", E.C.describe().c_str(),
-                  E.MeasuredGElemsPerSec, E.GElemsPerSec,
-                  &E == &R.All.front() ? "   <-- best" : "");
+                  E.MeasuredGElemsPerSec, E.GElemsPerSec, BestMark(E));
   } else {
     std::printf(")\n%-30s %12s\n", "variant", "GElem/s");
     for (const tuner::Evaluated &E : R.All)
       std::printf("%-30s %12.3f%s\n", E.C.describe().c_str(), E.GElemsPerSec,
-                  &E == &R.All.front() ? "   <-- best" : "");
+                  BestMark(E));
   }
   std::printf("pruned %llu of %zu candidates (%s), %llu memo hits\n",
               (unsigned long long)R.Prunes.total(),
               R.All.size() + std::size_t(R.Prunes.total()),
               R.Prunes.describe().c_str(),
               (unsigned long long)R.MemoHits);
-  if (A.Profile && !R.All.empty()) {
+  if (A.Profile) {
     // Profile the winning candidate on the tuning target grid.
-    const tuner::Candidate &Best = R.All.front().C;
-    std::printf("\nprofiling best candidate %s\n", Best.describe().c_str());
-    rewrite::LoweringOptions LO = Best.Options;
-    LO.OutputExtents.assign(P.Target.begin(), P.Target.end());
-    ir::Program Low = lowerOrDie(B, P.Instance, LO);
-    Compiled C = compileProgram(Low, B.Name);
+    std::printf("\nprofiling best candidate %s\n", BestName.c_str());
+    std::optional<GridKernel> G =
+        lowerForGrid(A, B, P.Instance, R.Best.C.Options, P.Target);
+    if (!G)
+      return 1;
     std::vector<std::vector<float>> Inputs =
         makeBenchmarkInputs(B, P.Target);
-    return profileCompiled(A, B, P.Instance, Low, C, P.Target, Inputs,
-                           Best.describe());
+    return profileCompiled(A, B, *G, P.Target, Inputs, BestName);
   }
   return 0;
 }
@@ -591,18 +599,13 @@ int main(int Argc, char **Argv) {
     Extents E;
     if (!A.ExtentsOverride.empty() && !resolveExtents(A, B, E))
       return Done(1);
-    rewrite::LoweringOptions LO = A.Options;
-    LO.OutputExtents.assign(E.begin(), E.end());
-    Compiled C = compileProgram(lowerOrDie(B, I, LO), B.Name);
-    std::unordered_map<unsigned, std::int64_t> Env;
-    if (!E.empty())
-      Env = makeSizeEnv(I, E);
-    if (!applyAnalysis(A, C, E.empty() ? nullptr : &Env))
+    std::optional<GridKernel> G = lowerForGrid(A, B, I, A.Options, E);
+    if (!G)
       return Done(1);
     if (A.Backend == "native")
-      std::printf("%s", native::emitC(C.K).c_str());
+      std::printf("%s", native::emitC(G->C.K).c_str());
     else
-      std::printf("%s", ocl::emitOpenCL(C.K).c_str());
+      std::printf("%s", ocl::emitOpenCL(G->C.K).c_str());
     return Done(0);
   }
 
@@ -612,11 +615,11 @@ int main(int Argc, char **Argv) {
     Extents E;
     if (!resolveExtents(A, B, E))
       return Done(1);
-    // Lower at the grid the report evaluates (see cmdProfile).
-    rewrite::LoweringOptions LO = A.Options;
-    LO.OutputExtents.assign(E.begin(), E.end());
-    Compiled C = compileProgram(lowerOrDie(B, I, LO), B.Name);
-    AccessReport R = analyzeAccesses(C.K, makeSizeEnv(I, E));
+    // Lower at the grid the report evaluates.
+    std::optional<GridKernel> G = lowerForGrid(A, B, I, A.Options, E);
+    if (!G)
+      return Done(1);
+    AccessReport R = analyzeAccesses(G->C.K, G->Env);
     std::printf("%-6s %-8s %-12s %8s  %s\n", "kind", "buffer", "pattern",
                 "stride", "index");
     for (const AccessSite &S : R.Sites)
