@@ -8,7 +8,9 @@
 
 #include "stencil/StencilOps.h"
 #include "support/Support.h"
+#include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -215,16 +217,11 @@ BenchmarkInstance twoSlidedInstance(
 /// Clamped load from a flat row-major grid of up to 3 dims.
 float loadClamp(const std::vector<float> &G, const Extents &E,
                 std::int64_t I0, std::int64_t I1, std::int64_t I2 = 0) {
-  I0 = resolveBoundaryIndex(Boundary::Kind::Clamp, I0, E[0]);
-  I1 = E.size() > 1 ? resolveBoundaryIndex(Boundary::Kind::Clamp, I1, E[1])
-                    : 0;
-  I2 = E.size() > 2 ? resolveBoundaryIndex(Boundary::Kind::Clamp, I2, E[2])
-                    : 0;
-  std::int64_t Idx = I0;
+  std::int64_t Idx = std::clamp<std::int64_t>(I0, 0, E[0] - 1);
   if (E.size() > 1)
-    Idx = Idx * E[1] + I1;
+    Idx = Idx * E[1] + std::clamp<std::int64_t>(I1, 0, E[1] - 1);
   if (E.size() > 2)
-    Idx = Idx * E[2] + I2;
+    Idx = Idx * E[2] + std::clamp<std::int64_t>(I2, 0, E[2] - 1);
   return G[std::size_t(Idx)];
 }
 
@@ -245,6 +242,37 @@ float loadZero(const std::vector<float> &G, const Extents &E,
   return G[std::size_t(Idx)];
 }
 
+/// The loop nest of every golden: returns the flat row-major grid whose
+/// point (I, J, K) (K = 0 in 2-D) at flat index Idx is
+/// Point(Args, I, J, K, Idx). Each row of the innermost dimension is one
+/// parallelFor item on the shared pool, and Args is that row's scratch
+/// vector for user-function arguments. Every point is computed by one
+/// thread in a fixed order, so the bits do not depend on the worker
+/// count; called from inside a pool task, the loop runs inline.
+template <typename PointFn>
+std::vector<float> goldenPoints(const Extents &E, PointFn Point) {
+  assert((E.size() == 2 || E.size() == 3) && "goldens are 2-D or 3-D");
+  std::vector<float> Out(std::size_t(totalElems(E)));
+  if (Out.empty())
+    return Out;
+  std::int64_t Inner = E.back();
+  ThreadPool::shared().parallelFor(
+      Out.size() / std::size_t(Inner), [&](std::size_t R) {
+        std::vector<Scalar> Args;
+        std::int64_t Row = std::int64_t(R);
+        std::size_t Idx = R * std::size_t(Inner);
+        if (E.size() == 2) {
+          for (std::int64_t J = 0; J != Inner; ++J, ++Idx)
+            Out[Idx] = Point(Args, Row, J, 0, Idx);
+          return;
+        }
+        std::int64_t I = Row / E[1], J = Row % E[1];
+        for (std::int64_t K = 0; K != Inner; ++K, ++Idx)
+          Out[Idx] = Point(Args, I, J, K, Idx);
+      });
+  return Out;
+}
+
 /// Generic weighted-sum golden sharing the (offsets, weights) data with
 /// the built program — the formula exists exactly once.
 std::vector<float> goldenWeighted(
@@ -252,27 +280,26 @@ std::vector<float> goldenWeighted(
     const std::vector<std::vector<int>> &Offsets,
     const std::vector<float> &Weights,
     const std::vector<std::vector<float>> &Inputs, const Extents &E) {
+  // Each tap's offset from the output point, in window order.
+  struct Tap {
+    std::int64_t D0, D1, D2;
+    float W;
+  };
   std::int64_t R = (Window - 1) / 2;
+  std::vector<Tap> Taps;
+  for (std::size_t P = 0; P != Offsets.size(); ++P) {
+    const std::vector<int> &O = Offsets[P];
+    Taps.push_back({O[0] - R, Dims > 1 ? O[1] - R : 0,
+                    Dims > 2 ? O[2] - R : 0, Weights[P]});
+  }
   const std::vector<float> &G = Inputs[0];
-  std::vector<float> Out(std::size_t(totalElems(E)));
-  std::int64_t N0 = E[0];
-  std::int64_t N1 = Dims > 1 ? E[1] : 1;
-  std::int64_t N2 = Dims > 2 ? E[2] : 1;
-  std::size_t Idx = 0;
-  for (std::int64_t I = 0; I != N0; ++I)
-    for (std::int64_t J = 0; J != N1; ++J)
-      for (std::int64_t K = 0; K != N2; ++K) {
-        float Sum = 0.0f;
-        for (std::size_t P = 0; P != Offsets.size(); ++P) {
-          const std::vector<int> &O = Offsets[P];
-          std::int64_t A0 = I + O[0] - R;
-          std::int64_t A1 = Dims > 1 ? J + O[1] - R : 0;
-          std::int64_t A2 = Dims > 2 ? K + O[2] - R : 0;
-          Sum += Weights[P] * loadClamp(G, E, A0, A1, A2);
-        }
-        Out[Idx++] = Sum;
-      }
-  return Out;
+  return goldenPoints(E, [&](std::vector<Scalar> &, std::int64_t I,
+                             std::int64_t J, std::int64_t K, std::size_t) {
+    float Sum = 0.0f;
+    for (const Tap &T : Taps)
+      Sum += T.W * loadClamp(G, E, I + T.D0, J + T.D1, K + T.D2);
+    return Sum;
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -543,19 +570,15 @@ Benchmark gradientBenchmark() {
                               cross2D());
   };
   B.Golden = [](const std::vector<std::vector<float>> &In, const Extents &E) {
-    std::vector<float> Out(std::size_t(totalElems(E)));
-    std::size_t Idx = 0;
-    for (std::int64_t I = 0; I != E[0]; ++I)
-      for (std::int64_t J = 0; J != E[1]; ++J) {
-        float N = loadClamp(In[0], E, I - 1, J);
-        float W = loadClamp(In[0], E, I, J - 1);
-        float C = loadClamp(In[0], E, I, J);
-        float Ee = loadClamp(In[0], E, I, J + 1);
-        float S = loadClamp(In[0], E, I + 1, J);
-        Out[Idx++] =
-            C + std::sqrt((Ee - W) * (Ee - W) + (S - N) * (S - N));
-      }
-    return Out;
+    return goldenPoints(E, [&](std::vector<Scalar> &, std::int64_t I,
+                               std::int64_t J, std::int64_t, std::size_t) {
+      float N = loadClamp(In[0], E, I - 1, J);
+      float W = loadClamp(In[0], E, I, J - 1);
+      float C = loadClamp(In[0], E, I, J);
+      float Ee = loadClamp(In[0], E, I, J + 1);
+      float S = loadClamp(In[0], E, I + 1, J);
+      return C + std::sqrt((Ee - W) * (Ee - W) + (S - N) * (S - N));
+    });
   };
   return B;
 }
@@ -574,19 +597,16 @@ Benchmark srad1Benchmark() {
     return singleGridInstance(2, 3, Boundary::clamp(), srad1UF(), cross2D());
   };
   B.Golden = [](const std::vector<std::vector<float>> &In, const Extents &E) {
-    std::vector<float> Out(std::size_t(totalElems(E)));
-    std::size_t Idx = 0;
-    for (std::int64_t I = 0; I != E[0]; ++I)
-      for (std::int64_t J = 0; J != E[1]; ++J) {
-        std::vector<Scalar> Args = {
-            Scalar(loadClamp(In[0], E, I - 1, J)),
-            Scalar(loadClamp(In[0], E, I, J - 1)),
-            Scalar(loadClamp(In[0], E, I, J)),
-            Scalar(loadClamp(In[0], E, I, J + 1)),
-            Scalar(loadClamp(In[0], E, I + 1, J))};
-        Out[Idx++] = srad1UF()->evaluate(Args).F;
-      }
-    return Out;
+    const UserFun &UF = *srad1UF();
+    return goldenPoints(E, [&](std::vector<Scalar> &Args, std::int64_t I,
+                               std::int64_t J, std::int64_t, std::size_t) {
+      Args = {Scalar(loadClamp(In[0], E, I - 1, J)),
+              Scalar(loadClamp(In[0], E, I, J - 1)),
+              Scalar(loadClamp(In[0], E, I, J)),
+              Scalar(loadClamp(In[0], E, I, J + 1)),
+              Scalar(loadClamp(In[0], E, I + 1, J))};
+      return UF.evaluate(Args).F;
+    });
   };
   return B;
 }
@@ -608,20 +628,17 @@ Benchmark srad2Benchmark() {
                              Offsets);
   };
   B.Golden = [](const std::vector<std::vector<float>> &In, const Extents &E) {
-    std::vector<float> Out(std::size_t(totalElems(E)));
-    std::size_t Idx = 0;
-    for (std::int64_t I = 0; I != E[0]; ++I)
-      for (std::int64_t J = 0; J != E[1]; ++J) {
-        std::vector<Scalar> Args = {
-            Scalar(loadClamp(In[0], E, I, J)),
-            Scalar(loadClamp(In[0], E, I + 1, J)),
-            Scalar(loadClamp(In[0], E, I, J + 1)),
-            Scalar(loadClamp(In[1], E, I, J)),
-            Scalar(loadClamp(In[1], E, I + 1, J)),
-            Scalar(loadClamp(In[1], E, I, J + 1))};
-        Out[Idx++] = srad2UF()->evaluate(Args).F;
-      }
-    return Out;
+    const UserFun &UF = *srad2UF();
+    return goldenPoints(E, [&](std::vector<Scalar> &Args, std::int64_t I,
+                               std::int64_t J, std::int64_t, std::size_t) {
+      Args = {Scalar(loadClamp(In[0], E, I, J)),
+              Scalar(loadClamp(In[0], E, I + 1, J)),
+              Scalar(loadClamp(In[0], E, I, J + 1)),
+              Scalar(loadClamp(In[1], E, I, J)),
+              Scalar(loadClamp(In[1], E, I + 1, J)),
+              Scalar(loadClamp(In[1], E, I, J + 1))};
+      return UF.evaluate(Args).F;
+    });
   };
   return B;
 }
@@ -642,20 +659,17 @@ Benchmark hotspot2dBenchmark() {
                                     {{0, 1}, {1, 0}, {1, 1}, {1, 2}, {2, 1}});
   };
   B.Golden = [](const std::vector<std::vector<float>> &In, const Extents &E) {
-    std::vector<float> Out(std::size_t(totalElems(E)));
-    std::size_t Idx = 0;
-    for (std::int64_t I = 0; I != E[0]; ++I)
-      for (std::int64_t J = 0; J != E[1]; ++J) {
-        std::vector<Scalar> Args = {
-            Scalar(In[0][std::size_t(I * E[1] + J)]),
-            Scalar(loadClamp(In[1], E, I - 1, J)),
-            Scalar(loadClamp(In[1], E, I, J - 1)),
-            Scalar(loadClamp(In[1], E, I, J)),
-            Scalar(loadClamp(In[1], E, I, J + 1)),
-            Scalar(loadClamp(In[1], E, I + 1, J))};
-        Out[Idx++] = hotspot2dUF()->evaluate(Args).F;
-      }
-    return Out;
+    const UserFun &UF = *hotspot2dUF();
+    return goldenPoints(E, [&](std::vector<Scalar> &Args, std::int64_t I,
+                               std::int64_t J, std::int64_t, std::size_t Idx) {
+      Args = {Scalar(In[0][Idx]),
+              Scalar(loadClamp(In[1], E, I - 1, J)),
+              Scalar(loadClamp(In[1], E, I, J - 1)),
+              Scalar(loadClamp(In[1], E, I, J)),
+              Scalar(loadClamp(In[1], E, I, J + 1)),
+              Scalar(loadClamp(In[1], E, I + 1, J))};
+      return UF.evaluate(Args).F;
+    });
   };
   return B;
 }
@@ -678,13 +692,11 @@ Benchmark hotspot3dBenchmark() {
          {1, 1, 2}, {1, 2, 1}, {2, 1, 1}});
   };
   B.Golden = [](const std::vector<std::vector<float>> &In, const Extents &E) {
-    std::vector<float> Out(std::size_t(totalElems(E)));
-    std::size_t Idx = 0;
-    for (std::int64_t I = 0; I != E[0]; ++I)
-      for (std::int64_t J = 0; J != E[1]; ++J)
-        for (std::int64_t K = 0; K != E[2]; ++K) {
-          std::vector<Scalar> Args = {
-              Scalar(In[0][std::size_t((I * E[1] + J) * E[2] + K)]),
+    const UserFun &UF = *hotspot3dUF();
+    return goldenPoints(E, [&](std::vector<Scalar> &Args, std::int64_t I,
+                               std::int64_t J, std::int64_t K,
+                               std::size_t Idx) {
+      Args = {Scalar(In[0][Idx]),
               Scalar(loadClamp(In[1], E, I - 1, J, K)),
               Scalar(loadClamp(In[1], E, I, J - 1, K)),
               Scalar(loadClamp(In[1], E, I, J, K - 1)),
@@ -692,9 +704,8 @@ Benchmark hotspot3dBenchmark() {
               Scalar(loadClamp(In[1], E, I, J, K + 1)),
               Scalar(loadClamp(In[1], E, I, J + 1, K)),
               Scalar(loadClamp(In[1], E, I + 1, J, K))};
-          Out[Idx++] = hotspot3dUF()->evaluate(Args).F;
-        }
-    return Out;
+      return UF.evaluate(Args).F;
+    });
   };
   return B;
 }
@@ -744,16 +755,13 @@ Benchmark acousticBenchmark() {
         makeProgram({Prev, Cur}, mapNd(3, F, Zipped)), varIds(SV)};
   };
   B.Golden = [](const std::vector<std::vector<float>> &In, const Extents &E) {
-    std::vector<float> Out(std::size_t(totalElems(E)));
-    std::size_t Idx = 0;
-    for (std::int64_t I = 0; I != E[0]; ++I)
-      for (std::int64_t J = 0; J != E[1]; ++J)
-        for (std::int64_t K = 0; K != E[2]; ++K) {
-          std::int32_t NN =
-              (I > 0) + (I < E[0] - 1) + (J > 0) + (J < E[1] - 1) +
-              (K > 0) + (K < E[2] - 1);
-          std::vector<Scalar> Args = {
-              Scalar(In[0][std::size_t((I * E[1] + J) * E[2] + K)]),
+    const UserFun &UF = *acousticUF();
+    return goldenPoints(E, [&](std::vector<Scalar> &Args, std::int64_t I,
+                               std::int64_t J, std::int64_t K,
+                               std::size_t Idx) {
+      std::int32_t NN = (I > 0) + (I < E[0] - 1) + (J > 0) +
+                        (J < E[1] - 1) + (K > 0) + (K < E[2] - 1);
+      Args = {Scalar(In[0][Idx]),
               Scalar(loadZero(In[1], E, I - 1, J, K)),
               Scalar(loadZero(In[1], E, I, J - 1, K)),
               Scalar(loadZero(In[1], E, I, J, K - 1)),
@@ -762,9 +770,8 @@ Benchmark acousticBenchmark() {
               Scalar(loadZero(In[1], E, I, J + 1, K)),
               Scalar(loadZero(In[1], E, I + 1, J, K)),
               Scalar(NN)};
-          Out[Idx++] = acousticUF()->evaluate(Args).F;
-        }
-    return Out;
+      return UF.evaluate(Args).F;
+    });
   };
   return B;
 }

@@ -66,7 +66,10 @@ struct Benchmark {
   std::function<BenchmarkInstance()> Build;
 
   /// Independent reference implementation: plain loop nests over flat
-  /// row-major grids. Returns the expected output.
+  /// row-major grids, run row-parallel on ThreadPool::shared(). Each
+  /// point is computed by one thread in a fixed order, so the output is
+  /// bit-identical at any worker count (and inline inside a pool task).
+  /// Returns the expected output.
   std::function<std::vector<float>(const std::vector<std::vector<float>> &,
                                    const Extents &)>
       Golden;

@@ -8,8 +8,9 @@
 /// \file
 /// A work-stealing thread-pool executor shared by every
 /// evaluation-heavy path in the repo: the parallel NDRange simulator
-/// shards independent work-groups across workers, and the auto-tuner
-/// lowers/compiles/simulates candidates concurrently.
+/// shards independent work-groups across workers, the auto-tuner
+/// lowers/compiles/simulates candidates concurrently, and the
+/// benchmarks' golden references compute their grids row by row.
 ///
 /// Design:
 ///  * parallelFor(N, Body) runs Body(I) for every I in [0, N). The
@@ -23,13 +24,15 @@
 ///  * Nested parallelFor calls from inside a pool task run inline
 ///    (sequentially) on the calling worker: the outer loop already owns
 ///    the pool's parallelism, and the simulator/tuner composition
-///    (parallel tuner -> per-candidate simulation) relies on this to
-///    avoid oversubscription and deadlock.
+///    (parallel tuner -> per-candidate simulation, or a golden called
+///    from a pool task) relies on this to avoid oversubscription and
+///    deadlock.
 ///  * Scheduling is non-deterministic; DETERMINISM IS THE CALLER'S
 ///    CONTRACT: parallelFor imposes no ordering, so callers must make
 ///    their merge steps order-independent (the simulator merges
 ///    per-shard counters by summation and replays cache traces in
-///    shard-index order; the tuner reduces argmin by candidate index).
+///    shard-index order; the tuner reduces argmin by candidate index;
+///    a golden computes each point on one thread).
 ///  * The first exception thrown by a task is captured and rethrown on
 ///    the calling thread after the loop drains (fatalError paths abort
 ///    the process directly, as in sequential execution).

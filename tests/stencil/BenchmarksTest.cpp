@@ -7,6 +7,7 @@
 //     loop-nest implementation;
 //  2. the lowered (mapGlb) program, compiled and executed on the
 //     NDRange simulator, must match the golden too.
+// The goldens themselves are pinned bit for bit by recorded hashes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +15,9 @@
 #include "interp/Interpreter.h"
 #include "rewrite/Lowering.h"
 #include "stencil/Benchmarks.h"
+#include "support/ThreadPool.h"
 
+#include <cstring>
 #include <gtest/gtest.h>
 
 using namespace lift;
@@ -141,6 +144,67 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<const char *> &Info) {
       return std::string(Info.param);
     });
+
+/// FNV-1a over the bytes of a float grid.
+std::uint64_t fnv1a(const std::vector<float> &V) {
+  std::uint64_t H = 0xcbf29ce484222325ULL;
+  for (float F : V) {
+    unsigned char Bytes[sizeof(float)];
+    std::memcpy(Bytes, &F, sizeof(float));
+    for (unsigned char C : Bytes) {
+      H ^= C;
+      H *= 0x100000001b3ULL;
+    }
+  }
+  return H;
+}
+
+// The goldens run row-parallel on the shared pool. Their bits must not
+// depend on the worker count: these hashes were recorded from the
+// sequential loop nests, on ragged grids with more rows than workers,
+// and a golden called from inside a pool task (where its loop runs
+// inline on one thread) must give the same bits as one called at top
+// level.
+TEST(GoldenBits, MatchRecordedHashesAtAnyWorkerCount) {
+  struct Case {
+    const char *Name;
+    Extents E;
+    std::uint64_t Hash;
+  };
+  const Case Cases[] = {
+      {"Stencil2D", {37, 53}, 0x0005a21787b6487bULL},
+      {"SRAD1", {37, 53}, 0x3c26350376f22f57ULL},
+      {"SRAD2", {37, 53}, 0x2460078bbc007014ULL},
+      {"Hotspot2D", {37, 53}, 0x696cf789f4e25063ULL},
+      {"Hotspot3D", {5, 19, 23}, 0x11d82b68a0da0edeULL},
+      {"Acoustic", {5, 19, 23}, 0xb8195a27c89968fbULL},
+      {"Gaussian", {37, 53}, 0x6ccd733561c05202ULL},
+      {"Gaussian", {512, 512}, 0xc457c74fd4c00640ULL},
+      {"Gradient", {37, 53}, 0xd0fd690954f6780fULL},
+      {"Jacobi2D5pt", {37, 53}, 0x1e03eadb6d735725ULL},
+      {"Jacobi2D9pt", {37, 53}, 0x63bb32ca9b4c6345ULL},
+      {"Jacobi3D7pt", {5, 19, 23}, 0x447d40430d0bb6fcULL},
+      {"Jacobi3D13pt", {5, 19, 23}, 0xa1368be000ffeeccULL},
+      {"Poisson", {5, 19, 23}, 0xa034422428d5d263ULL},
+      {"Heat", {5, 19, 23}, 0xa7b97c283df5f921ULL},
+  };
+  for (const Case &C : Cases) {
+    const Benchmark &B = findBenchmark(C.Name);
+    std::vector<std::vector<float>> Inputs = makeBenchmarkInputs(B, C.E);
+    std::vector<float> Top = B.Golden(Inputs, C.E);
+    std::vector<float> Inline;
+    ThreadPool::shared().parallelFor(
+        1, [&](std::size_t) { Inline = B.Golden(Inputs, C.E); });
+    ASSERT_EQ(Top.size(), std::size_t(totalElems(C.E))) << C.Name;
+    EXPECT_EQ(fnv1a(Top), C.Hash)
+        << C.Name << " 0x" << std::hex << fnv1a(Top);
+    ASSERT_EQ(Inline.size(), Top.size()) << C.Name;
+    EXPECT_EQ(std::memcmp(Inline.data(), Top.data(),
+                          Top.size() * sizeof(float)),
+              0)
+        << C.Name << ": golden inside a pool task differs";
+  }
+}
 
 TEST(Benchmarks, Table1Characteristics) {
   // The metadata reproduced in Table 1.

@@ -37,6 +37,7 @@
 #include "tuner/Tuner.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -292,11 +293,13 @@ bool resolveExtents(const Args &A, const Benchmark &B, Extents &E) {
 }
 
 /// Max |err| of \p Out against the benchmark's independent golden
-/// implementation.
+/// implementation; infinity when the sizes differ.
 double maxErrVsGolden(const Benchmark &B,
                       const std::vector<std::vector<float>> &Inputs,
                       const Extents &E, const std::vector<float> &Out) {
   std::vector<float> Want = B.Golden(Inputs, E);
+  if (Out.size() != Want.size())
+    return INFINITY;
   double MaxErr = 0;
   for (std::size_t X = 0; X != Want.size(); ++X)
     MaxErr = std::max(MaxErr, double(std::abs(Out[X] - Want[X])));
