@@ -226,6 +226,13 @@ bool clampFree(const std::vector<StmtPtr> &Body, unsigned Id) {
 // The splitter
 //===----------------------------------------------------------------------===//
 
+/// \p Loop marked as an edge slab (ocl::Stmt::EdgeSlab).
+StmtPtr edgeSlab(const StmtPtr &Loop) {
+  auto S = std::make_shared<Stmt>(*Loop);
+  S->EdgeSlab = true;
+  return S;
+}
+
 struct Splitter {
   ocl::Kernel &K;
   SpecStats &Stats;
@@ -238,7 +245,8 @@ struct Splitter {
     std::vector<StmtPtr> Out;
     Out.reserve(Body.size());
     for (const StmtPtr &S : Body) {
-      if (S->K == Stmt::Kind::Loop) {
+      // Edge slabs of an earlier split keep their general path.
+      if (S->K == Stmt::Kind::Loop && !S->EdgeSlab) {
         if (S->LK == ocl::LoopKind::Glb) {
           trySplit(S, F, Out);
           continue;
@@ -283,7 +291,10 @@ struct Splitter {
                                Loop->Unroll));
     };
 
-    if (!splittable(K, Loop->Body)) {
+    unsigned VId = Loop->LoopVar->getVarId();
+    // A body without boundary operations on this loop (an interior of
+    // an earlier split, or a dimension without padding) gains nothing.
+    if (clampFree(Loop->Body, VId) || !splittable(K, Loop->Body)) {
       Keep();
       return;
     }
@@ -299,7 +310,6 @@ struct Splitter {
       }
     }
 
-    unsigned VId = Loop->LoopVar->getVarId();
     const std::string &VName = Loop->LoopVar->getVarName();
 
     for (int H = 1; H <= MaxHalo; ++H) {
@@ -325,9 +335,9 @@ struct Splitter {
       // Commit. Left edge [0, min(H, count)) keeps the original body
       // and registers.
       AExpr LeftCount = amin(cst(H), Loop->Count);
-      Out.push_back(ocl::sLoop(Loop->LK, Loop->Dim, Loop->LoopVar,
-                               std::move(LeftCount), Loop->Body,
-                               Loop->Unroll));
+      Out.push_back(edgeSlab(ocl::sLoop(Loop->LK, Loop->Dim, Loop->LoopVar,
+                                        std::move(LeftCount), Loop->Body,
+                                        Loop->Unroll)));
 
       // Interior [H, count - H): fresh registers, simplified body,
       // then recurse so nested grid loops split too.
@@ -356,9 +366,10 @@ struct Splitter {
       for (const StmtPtr &S : Loop->Body)
         RightBody.push_back(cloneStmt(S, CR, Facts()));
       AExpr RightCount = amax(cst(0), sub(Loop->Count, RightStart));
-      Out.push_back(ocl::sLoop(Loop->LK, Loop->Dim, VRight,
-                               std::move(RightCount), std::move(RightBody),
-                               Loop->Unroll));
+      Out.push_back(edgeSlab(ocl::sLoop(Loop->LK, Loop->Dim, VRight,
+                                        std::move(RightCount),
+                                        std::move(RightBody),
+                                        Loop->Unroll)));
 
       ++Stats.LoopsSplit;
       return;

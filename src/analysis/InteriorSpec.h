@@ -32,12 +32,21 @@
 /// The rewrite is semantics-preserving by construction — the three
 /// ranges partition [0, count) exactly, each clone computes the same
 /// function on its subrange — and is additionally enforced end to end
-/// by the differential fuzzer (liftfuzz --native --specialize compares
-/// specialized native output bit-for-bit against the interpreter).
+/// by the differential fuzzer (liftfuzz --native compares native
+/// output, which is always specialized, bit-for-bit against the
+/// interpreter).
 ///
-/// Only the native C backend runs specialized kernels; the NDRange
-/// simulator keeps the unsplit form. `liftc emit --specialize` prints
-/// the split kernel in either dialect of the kernel printer.
+/// The pass is idempotent: the edge loops it creates are marked
+/// (ocl::Stmt::EdgeSlab) and never split or entered again, and a loop
+/// whose body has no boundary operation on its variable — an interior
+/// loop, or a dimension without padding — is not split. A second pass
+/// over a specialized kernel therefore returns it unchanged.
+///
+/// The native C backend compiles every kernel in this form
+/// (native::emitNative); the OpenCL text and the NDRange simulator
+/// keep the unsplit form unless asked: `liftc emit --specialize`
+/// prints the split kernel in the OpenCL dialect too, and `liftc run
+/// --specialize` simulates it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,7 +69,8 @@ struct SpecStats {
 /// into left-edge / clamp-free-interior / right-edge loops (see file
 /// comment). Kernels with local-memory staging, barriers, or
 /// non-provable bodies are returned unchanged — the result is always a
-/// valid kernel computing the same function.
+/// valid kernel computing the same function — and so are kernels this
+/// function returned before.
 ocl::Kernel specializeInterior(const ocl::Kernel &K,
                                SpecStats *Stats = nullptr);
 

@@ -6,7 +6,6 @@
 
 #include "fuzz/Fuzzer.h"
 
-#include "analysis/InteriorSpec.h"
 #include "analysis/RangeAnalysis.h"
 #include "codegen/Runner.h"
 #include "ir/StructuralHash.h"
@@ -207,36 +206,31 @@ DiffResult mismatch(std::string Report) {
 /// Oracle (f): compiles the lowered kernel to C with the host
 /// compiler (through the shared KernelCache, so a campaign compiles
 /// each distinct lowering once) and requires the native output to be
-/// bit-identical to the interpreter's. Mismatch and compile-failure
-/// reports embed the emitted C source so shrunk artifacts are
-/// self-contained. Returns nullopt when the oracle agrees.
-std::optional<DiffResult> checkNative(const Program &Low, const Compiled &C,
+/// bit-identical to the interpreter's. The backend compiles the
+/// interior-specialized kernel (native::emitNative), so this checks the
+/// interior/edge split on every generated program too. Mismatch and
+/// compile-failure reports embed the emitted C source so shrunk
+/// artifacts are self-contained. Returns nullopt when the oracle
+/// agrees.
+std::optional<DiffResult> checkNative(const Compiled &C,
                                       const std::string &Label,
                                       const std::vector<float> &RefFlat,
-                                      const BuiltProgram &B,
-                                      const DiffOptions &O) {
-  const std::string L =
-      O.Specialize ? Label + " [interior-specialized]" : Label;
+                                      const BuiltProgram &B) {
   try {
-    // The interior/edge-specialized kernel shares the generic form's
-    // cache bucket; its different C source keeps the binaries apart.
-    Compiled NC = C;
-    if (O.Specialize)
-      NC.K = analysis::specializeInterior(C.K);
-    native::NativeKernelPtr Kern = native::KernelCache::global().getOrCompile(
-        ir::structuralHash(Low), NC.K);
+    native::NativeKernelPtr Kern =
+        native::KernelCache::global().getOrCompile(C.K);
     native::NativeRunResult NR =
-        native::runNative(NC, *Kern, B.Flat, B.Sizes, NativeOracleThreads);
+        native::runNative(C, *Kern, B.Flat, B.Sizes, NativeOracleThreads);
     if (firstDivergence(RefFlat, NR.Output) != -1)
-      return mismatch(mismatchReport(L, RefFlat, NR.Output) +
+      return mismatch(mismatchReport(Label, RefFlat, NR.Output) +
                       "emitted C source:\n" + Kern->source());
   } catch (const native::CompileFailedError &Ex) {
     // The emitter produced C the host compiler rejects: an emitter
     // bug, reported (and shrunk) like any other oracle failure.
-    return mismatch("oracle mismatch: " + L + "\nnative compile failed: " +
+    return mismatch("oracle mismatch: " + Label + "\nnative compile failed: " +
                     Ex.what() + "\nemitted C source:\n" + Ex.Source);
   } catch (const native::NativeError &Ex) {
-    return mismatch("oracle mismatch: " + L +
+    return mismatch("oracle mismatch: " + Label +
                     "\nnative backend failed: " + Ex.what());
   }
   return std::nullopt;
@@ -248,7 +242,7 @@ std::optional<DiffResult> checkNative(const Program &Low, const Compiled &C,
 /// and the native executor when enabled. \p Name labels the lowering
 /// in reports. Returns nullopt when every oracle agrees.
 std::optional<DiffResult> checkLowering(const std::string &Name,
-                                        const Program &Low, const Compiled &C,
+                                        const Compiled &C,
                                         const std::vector<float> &RefFlat,
                                         const BuiltProgram &B,
                                         const DiffOptions &O) {
@@ -271,8 +265,8 @@ std::optional<DiffResult> checkLowering(const std::string &Name,
                     Diff);
 
   if (O.Native)
-    return checkNative(Low, C, Name + ": native executor vs interpreter",
-                       RefFlat, B, O);
+    return checkNative(C, Name + ": native executor vs interpreter",
+                       RefFlat, B);
   return std::nullopt;
 }
 
@@ -393,7 +387,7 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
     obs::Registry::global().counter("fuzz.bounds.unproven").inc(V.size());
   }
   if (std::optional<DiffResult> R =
-          checkLowering("untiled lowering", Low, C, RefFlat, *B, O))
+          checkLowering("untiled lowering", C, RefFlat, *B, O))
     return Finish(*R);
 
   // (e) Tiled lowering, whenever a tile fits (at window step 1 exact
@@ -425,8 +419,8 @@ DiffResult lift::fuzz::runDifferential(const ProgramSpec &S,
           obs::Registry::global().counter("fuzz.tiled.strided").inc();
         Compiled TC = compileProgram(TLow, "fuzz_tiled");
         if (std::optional<DiffResult> R = checkLowering(
-                "tiled lowering (v=" + std::to_string(V) + ")", TLow, TC,
-                RefFlat, *B, O))
+                "tiled lowering (v=" + std::to_string(V) + ")", TC, RefFlat,
+                *B, O))
           return Finish(*R);
       }
     }

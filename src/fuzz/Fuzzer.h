@@ -139,14 +139,11 @@ struct DiffOptions {
   /// Oracle (f): compile every lowered kernel to C with the host
   /// compiler (native/NativeRunner.h) and require its output to be
   /// bit-identical to the interpreter. Mismatch reports embed the
-  /// emitted C source. Callers should gate on probeToolchain().
+  /// emitted C source. The backend compiles every kernel interior-
+  /// specialized (analysis/InteriorSpec.h), so this also exercises the
+  /// boundary-elimination transform on every generated program.
+  /// Callers should gate on probeToolchain().
   bool Native = false;
-  /// Native oracle variant: run every native kernel through the
-  /// interior/edge specializer (analysis/InteriorSpec.h) first; the
-  /// specialized kernel must still be bit-identical to the
-  /// interpreter. Exercises the boundary-elimination transform on
-  /// every generated program.
-  bool Specialize = false;
   /// Statically bounds-check every lowered kernel against the spec's
   /// concrete sizes (analysis/RangeAnalysis.h). Accesses the prover
   /// cannot discharge are *counted* (fuzz.bounds.unproven), not

@@ -6,6 +6,7 @@
 
 #include "native/NativeRunner.h"
 
+#include "analysis/InteriorSpec.h"
 #include "obs/Clock.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -189,8 +190,17 @@ std::string lift::native::findCompiler(const NativeOptions &O) {
       "$CC, cc, gcc, clang); set LIFT_NATIVE_CC or install one");
 }
 
-NativeKernel::NativeKernel(void *Handle, void *Sym, std::string Source)
-    : Handle(Handle), Sym(Sym), Source(std::move(Source)) {}
+NativeSource lift::native::emitNative(const ocl::Kernel &K,
+                                     const CEmitOptions &O) {
+  NativeSource NS{analysis::specializeInterior(K), {}};
+  NS.Source = emitC(NS.K, O);
+  return NS;
+}
+
+NativeKernel::NativeKernel(void *Handle, void *Sym, std::string Source,
+                           std::shared_ptr<const ocl::Kernel> Emitted)
+    : Handle(Handle), Sym(Sym), Source(std::move(Source)),
+      Emitted(std::move(Emitted)) {}
 
 NativeKernel::~NativeKernel() {
   if (Handle)
@@ -204,9 +214,13 @@ NativeKernel::EntryFn NativeKernel::entry() const {
   return F;
 }
 
-NativeKernelPtr lift::native::compileCSource(const std::string &Source,
-                                             const std::string &EntryName,
-                                             const NativeOptions &O) {
+namespace {
+
+/// compileCSource, recording the kernel AST \p Source was printed from.
+NativeKernelPtr compileSource(const std::string &Source,
+                              const std::string &EntryName,
+                              const NativeOptions &O,
+                              std::shared_ptr<const ocl::Kernel> Emitted) {
   obs::Span CompSpan("native.compile", "native");
   CompSpan.arg("entry", EntryName);
   std::string Compiler = findCompiler(O);
@@ -259,13 +273,28 @@ NativeKernelPtr lift::native::compileCSource(const std::string &Source,
   }
   obs::Registry::global().counter("native.compiles").inc();
   // TempDir now removes source and object; the mapping stays valid.
-  return std::make_shared<NativeKernel>(Handle, Sym, Source);
+  return std::make_shared<NativeKernel>(Handle, Sym, Source,
+                                        std::move(Emitted));
+}
+
+/// Compiles \p NS under \p O, keeping its kernel AST.
+NativeKernelPtr compileNative(NativeSource NS, const NativeOptions &O) {
+  std::string Entry = entryNameFromSource(NS.Source);
+  return compileSource(NS.Source, Entry, O,
+                       std::make_shared<const ocl::Kernel>(std::move(NS.K)));
+}
+
+} // namespace
+
+NativeKernelPtr lift::native::compileCSource(const std::string &Source,
+                                             const std::string &EntryName,
+                                             const NativeOptions &O) {
+  return compileSource(Source, EntryName, O, nullptr);
 }
 
 NativeKernelPtr lift::native::compileKernel(const ocl::Kernel &K,
                                             const NativeOptions &O) {
-  std::string Source = emitC(K, CEmitOptions{O.Profile});
-  return compileCSource(Source, entryNameFromSource(Source), O);
+  return compileNative(emitNative(K, CEmitOptions{O.Profile}), O);
 }
 
 //===----------------------------------------------------------------------===//
@@ -276,7 +305,6 @@ struct KernelCache::Entry {
   std::mutex M;
   std::condition_variable CV;
   bool Ready = false;
-  std::string Source; ///< the kernel's identity within its bucket
   NativeKernelPtr Kernel;
   std::string Error; ///< non-empty: cached compile failure
 
@@ -291,30 +319,28 @@ KernelCache &KernelCache::global() {
   return *C;
 }
 
-NativeKernelPtr KernelCache::getOrCompile(std::uint64_t LoweredHash,
-                                          const ocl::Kernel &K,
+NativeKernelPtr KernelCache::getOrCompile(const ocl::Kernel &K,
                                           const NativeOptions &O) {
-  std::string Source = emitC(K, CEmitOptions{O.Profile});
+  NativeSource NS = emitNative(K, CEmitOptions{O.Profile});
+  // Everything the binary depends on: a -O0 build never serves -O2.
+  NativeOptions CO = O;
+  CO.CompilerPath = findCompiler(O);
+  std::string Key = CO.CompilerPath + '\0' + std::to_string(O.OptLevel) +
+                    '\0' + NS.Source;
 
   std::shared_ptr<Entry> E;
   bool Owner = false;
   {
     std::lock_guard<std::mutex> Lock(M);
-    auto Range = Map.equal_range(LoweredHash);
-    for (auto It = Range.first; It != Range.second; ++It)
-      if (It->second->Source == Source) {
-        E = It->second;
-        break;
-      }
-    if (E) {
+    std::shared_ptr<Entry> &Slot = Map[std::move(Key)];
+    if (Slot) {
       ++Hits;
     } else {
       ++Misses;
       Owner = true;
-      E = std::make_shared<Entry>();
-      E->Source = Source;
-      Map.emplace(LoweredHash, E);
+      Slot = std::make_shared<Entry>();
     }
+    E = Slot;
   }
   obs::Registry::global()
       .counter(Owner ? "native.cache.misses" : "native.cache.hits")
@@ -324,7 +350,7 @@ NativeKernelPtr KernelCache::getOrCompile(std::uint64_t LoweredHash,
     NativeKernelPtr Kern;
     std::string Err;
     try {
-      Kern = compileCSource(Source, entryNameFromSource(Source), O);
+      Kern = compileNative(std::move(NS), CO);
     } catch (const NativeError &Ex) {
       Err = Ex.what();
     }
@@ -497,9 +523,11 @@ NativeRunResult lift::native::runNative(
   NativeKernel::EntryFn Entry = Kern.entry();
 
   NativeRunResult R;
-  // One accumulator slot per profile region; profile-mode kernels add
-  // into them, the others never touch them.
-  std::size_t NumRegions = profileRegions(C.K).size();
+  // One accumulator slot per profile region of the kernel that was
+  // emitted; profile-mode kernels add into them, the others never
+  // touch them.
+  const ocl::Kernel &Emitted = Kern.emitted() ? *Kern.emitted() : C.K;
+  std::size_t NumRegions = profileRegions(Emitted).size();
   std::vector<double> Prof(NumRegions ? NumRegions : 1, 0.0);
   {
     std::lock_guard<std::mutex> Lock(measureMutex());

@@ -6,11 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The native execution backend: takes a compiled kernel AST, emits C
-/// (native/CEmitter.h), invokes the host C compiler on it in a private
-/// temp directory, dlopen()s the resulting shared object and runs the
-/// entry point with the same buffer/size conventions as the simulator
-/// runner (codegen/Runner.h). This is the "real hardware" leg the
+/// The native execution backend: takes a compiled kernel AST, splits
+/// its grid loops into edge and clamp-free interior loops
+/// (analysis/InteriorSpec.h), emits C (native/CEmitter.h), invokes the
+/// host C compiler on it in a private temp directory, dlopen()s the
+/// resulting shared object and runs the entry point with the same
+/// buffer/size conventions as the simulator runner
+/// (codegen/Runner.h). This is the "real hardware" leg the
 /// paper measured on GPUs, reproduced on the host CPU: the simulator
 /// stays the bit-exact correctness oracle while wall-clock time comes
 /// from actual execution.
@@ -105,6 +107,25 @@ std::string findCompiler(const NativeOptions &O = {});
 void probeToolchain(const NativeOptions &O = {});
 
 //===----------------------------------------------------------------------===//
+// What the backend compiles
+//===----------------------------------------------------------------------===//
+
+/// The kernel the native backend compiles for a kernel AST, and its C.
+struct NativeSource {
+  /// The interior-specialized form (analysis::specializeInterior);
+  /// kernels the splitter does not apply to, such as tiled ones, come
+  /// back unchanged, and so does a kernel that is specialized already.
+  ocl::Kernel K;
+  std::string Source; ///< emitC(K, options)
+};
+
+/// The one place that decides what native code \p K becomes: its
+/// interior-specialized form, printed by emitC under \p O.
+/// compileKernel, KernelCache::getOrCompile and `liftc emit --backend
+/// native` all go through it.
+NativeSource emitNative(const ocl::Kernel &K, const CEmitOptions &O = {});
+
+//===----------------------------------------------------------------------===//
 // Loaded kernels
 //===----------------------------------------------------------------------===//
 
@@ -121,7 +142,8 @@ public:
   using EntryFn = void (*)(void **Bufs, const long long *Sizes,
                            int Threads, double *Prof);
 
-  NativeKernel(void *Handle, void *Sym, std::string Source);
+  NativeKernel(void *Handle, void *Sym, std::string Source,
+               std::shared_ptr<const ocl::Kernel> Emitted = nullptr);
   ~NativeKernel();
   NativeKernel(const NativeKernel &) = delete;
   NativeKernel &operator=(const NativeKernel &) = delete;
@@ -129,11 +151,17 @@ public:
   EntryFn entry() const;
   /// The emitted C source (kept for mismatch artifacts / debugging).
   const std::string &source() const { return Source; }
+  /// The kernel AST the source was printed from, whose profile regions
+  /// index the entry's `lift_prof`; null for C given to compileCSource.
+  /// A cached kernel serves alpha-equivalent lowerings too, so its
+  /// variables may not be the caller's: its SizeArgs bind by position.
+  const ocl::Kernel *emitted() const { return Emitted.get(); }
 
 private:
   void *Handle = nullptr;
   void *Sym = nullptr;
   std::string Source;
+  std::shared_ptr<const ocl::Kernel> Emitted;
 };
 
 using NativeKernelPtr = std::shared_ptr<const NativeKernel>;
@@ -151,8 +179,8 @@ NativeKernelPtr compileCSource(const std::string &Source,
                                const std::string &EntryName,
                                const NativeOptions &O = {});
 
-/// Emits C for \p K and compiles it. The entry name is the kernel name
-/// (sanitized by the emitter).
+/// Compiles emitNative(\p K) and keeps its kernel AST on the result.
+/// The entry name is the kernel name (sanitized by the emitter).
 NativeKernelPtr compileKernel(const ocl::Kernel &K,
                               const NativeOptions &O = {});
 
@@ -160,15 +188,13 @@ NativeKernelPtr compileKernel(const ocl::Kernel &K,
 // Compiled-kernel cache
 //===----------------------------------------------------------------------===//
 
-/// Process-wide cache of compiled kernels. A kernel's identity is its
-/// emitted C source: the lowered program's structural hash
-/// (ir/StructuralHash.h) only picks the bucket that is searched for
-/// an equal source. So a lowering, its interior-specialized form and
-/// its profile-mode build share a bucket but never a binary, and
-/// alpha-equivalent lowerings (same source, positional ABI) share one
-/// binary — the property the tuner exploits to compile each distinct
-/// lowering once per sweep. A hash collision costs a longer bucket,
-/// never a wrong binary.
+/// Process-wide cache of compiled kernels, keyed by what is compiled:
+/// the emitNative source, the resolved compiler and the optimization
+/// level. So a kernel and its interior-specialized form (one source)
+/// share a binary, its profile-mode build (timers in the source) does
+/// not, and alpha-equivalent lowerings (same source, positional ABI)
+/// share one binary — the property the tuner exploits to compile each
+/// distinct lowering once per sweep.
 ///
 /// Thread-safe with in-flight deduplication (first caller compiles,
 /// concurrent callers wait). Compile failures are cached and rethrown
@@ -178,13 +204,20 @@ class KernelCache {
 public:
   static KernelCache &global();
 
-  /// Returns the cached kernel whose source equals the emission of
-  /// \p K (under \p O), searching the \p LoweredHash bucket and
-  /// compiling on first use. Throws NativeError on (possibly cached)
-  /// compile failure.
+  /// Returns the cached kernel compiled from emitNative(\p K) under
+  /// \p O, compiling on first use. Throws NativeError on (possibly
+  /// cached) compile failure, and CompilerNotFoundError, uncached, when
+  /// \p O names no usable compiler.
+  NativeKernelPtr getOrCompile(const ocl::Kernel &K,
+                               const NativeOptions &O = {});
+  /// The same; a lowered program's hash is no part of a kernel's
+  /// identity, so \p LoweredHash is ignored.
   NativeKernelPtr getOrCompile(std::uint64_t LoweredHash,
                                const ocl::Kernel &K,
-                               const NativeOptions &O = {});
+                               const NativeOptions &O = {}) {
+    (void)LoweredHash;
+    return getOrCompile(K, O);
+  }
 
   std::uint64_t hits() const;
   std::uint64_t misses() const;
@@ -193,7 +226,8 @@ public:
 private:
   struct Entry;
   mutable std::mutex M;
-  std::unordered_multimap<std::uint64_t, std::shared_ptr<Entry>> Map;
+  /// Keyed by compiler, opt level and source (see getOrCompile).
+  std::unordered_map<std::string, std::shared_ptr<Entry>> Map;
   std::uint64_t Hits = 0;
   std::uint64_t Misses = 0;
 };
@@ -204,8 +238,8 @@ private:
 
 /// One native execution's results: the output buffer, the best
 /// (minimum over repeats) wall-clock time of a single kernel call and
-/// that call's per-region seconds (profileRegions() order; zeros
-/// unless the kernel was emitted in profile mode).
+/// that call's per-region seconds (profileRegions() order of the
+/// emitted kernel; zeros unless it was emitted in profile mode).
 struct NativeRunResult {
   std::vector<float> Output;
   double Seconds = 0;
@@ -222,7 +256,9 @@ struct NativeRunResult {
 /// serialized process-wide so concurrent measurements cannot
 /// contaminate each other. Throws NativeError when \p Inputs or
 /// \p Sizes do not fit the kernel, including a size outside the values
-/// the kernel was lowered for (ocl::SizeArg::Valid).
+/// the kernel was lowered for (ocl::SizeArg::Valid). The profile
+/// regions are those of \p Kern's emitted kernel, or of \p C.K for C
+/// compiled directly with compileCSource.
 NativeRunResult runNative(const codegen::Compiled &C,
                           const NativeKernel &Kern,
                           const std::vector<std::vector<float>> &Inputs,

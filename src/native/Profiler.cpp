@@ -12,14 +12,13 @@ using namespace lift;
 using namespace lift::native;
 
 ProfiledKernelRun lift::native::profileKernel(
-    const codegen::Compiled &C, std::uint64_t LoweredHash,
+    const codegen::Compiled &C,
     const std::vector<std::vector<float>> &Inputs, const ocl::SizeEnv &Sizes,
     unsigned Warmup, unsigned Repeats, const NativeOptions &O,
     const MachinePeaks *Peaks) {
   NativeOptions PO = O;
   PO.Profile = true;
-  NativeKernelPtr Kern =
-      KernelCache::global().getOrCompile(LoweredHash, C.K, PO);
+  NativeKernelPtr Kern = KernelCache::global().getOrCompile(C.K, PO);
   NativeRunResult Run =
       runNative(C, *Kern, Inputs, Sizes, /*Threads=*/1, Warmup, Repeats);
 
@@ -31,10 +30,19 @@ ProfiledKernelRun lift::native::profileKernel(
     Out.P.PeakGBPerSec = Peaks->GBPerSec;
     Out.P.PeakGFlopsPerSec = Peaks->GFlopsPerSec;
   }
-  std::vector<KernelRegion> Regions = profileRegions(C.K);
+  // The regions and their work are those of the kernel that ran, the
+  // interior-specialized form of C.K. A cache hit may hand back the
+  // kernel of an alpha-equivalent lowering, whose size variables are
+  // its own: bind them by position, as the entry point does.
+  const ocl::Kernel &Emitted = *Kern->emitted();
+  ocl::SizeEnv EmittedSizes;
+  for (std::size_t I = 0; I != C.K.SizeArgs.size(); ++I)
+    EmittedSizes[Emitted.SizeArgs[I].VarId] =
+        Sizes.at(C.K.SizeArgs[I].VarId);
+  std::vector<KernelRegion> Regions = profileRegions(Emitted);
   for (std::size_t I = 0; I != Regions.size(); ++I) {
     codegen::RegionWork W =
-        codegen::staticRegionWork(C.K, *Regions[I].Loop, Sizes);
+        codegen::staticRegionWork(Emitted, *Regions[I].Loop, EmittedSizes);
     obs::ProfileRegion R;
     R.Name = Regions[I].Name;
     R.Kind = Regions[I].Kind;

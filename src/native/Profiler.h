@@ -11,7 +11,9 @@
 /// keeps it apart from the unprofiled binary), executes it with
 /// runNative on one thread, joins the measured per-region seconds
 /// with the statically derived work counts (codegen/AccessAnalysis)
-/// and returns an obs::Profile ready for reporting. The kernel's computation is
+/// of the kernel that ran — the interior-specialized form, so an
+/// untiled kernel reports its edge and interior loops as regions of
+/// their own — and returns an obs::Profile ready for reporting. The kernel's computation is
 /// untouched by instrumentation, so the returned output is bit-
 /// identical to an unprofiled run — the differential test's contract.
 ///
@@ -34,12 +36,11 @@ struct ProfiledKernelRun {
 
 /// Profiles one execution of \p C on \p Inputs/\p Sizes: \p Warmup
 /// untimed passes, \p Repeats timed passes, region times of the
-/// fastest pass. \p LoweredHash picks the kernel-cache bucket.
-/// \p Peaks, when non-null, is copied into the record for the
+/// fastest pass. \p Peaks, when non-null, is copied into the record for the
 /// roofline columns. Throws NativeError subclasses like the rest of
 /// the backend.
 ProfiledKernelRun
-profileKernel(const codegen::Compiled &C, std::uint64_t LoweredHash,
+profileKernel(const codegen::Compiled &C,
               const std::vector<std::vector<float>> &Inputs,
               const ocl::SizeEnv &Sizes, unsigned Warmup, unsigned Repeats,
               const NativeOptions &O = {},

@@ -135,6 +135,11 @@ public:
   AExpr LoopVar;          ///< the ArithExpr Var bound per iteration
   AExpr Count;            ///< iteration count (loop runs 0..Count-1)
   bool Unroll = false;    ///< unrolled by the emitter (reduceSeqUnroll)
+  /// An edge slab of an interior/edge split (analysis/InteriorSpec.h):
+  /// the general path over a loop's first or last halo iterations. The
+  /// splitter leaves such a loop and its body as they are, so a second
+  /// pass over a specialized kernel changes nothing. Printers ignore it.
+  bool EdgeSlab = false;
   std::vector<StmtPtr> Body;
 };
 

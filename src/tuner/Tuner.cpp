@@ -357,14 +357,14 @@ Evaluated evalImpl(const TuningProblem &P, const DeviceSpec &Dev,
   R.GElemsPerSec = double(totalElems(P.Target)) / R.T.Total / 1e9;
 
   // Measured objective: also execute the candidate for real through
-  // the native backend. The KernelCache (keyed on LowHash) compiles
-  // each distinct lowering once per process, so work-group-size
+  // the native backend. The KernelCache (keyed by emitted source)
+  // compiles each distinct kernel once per process, so work-group-size
   // variants of one lowering share a binary; every candidate is still
   // *measured* individually — wall clock is noisy, never memoized.
   if (Opts.Obj == Objective::Measured) {
     try {
       native::NativeKernelPtr Kern =
-          native::KernelCache::global().getOrCompile(LowHash, Compiled().K);
+          native::KernelCache::global().getOrCompile(Compiled().K);
       native::NativeRunResult NR = native::runNative(
           Compiled(), *Kern, P.Inputs, MeasureEnv, Opts.MeasureThreads,
           Opts.MeasureWarmup, Opts.MeasureRepeats);

@@ -8,6 +8,7 @@
 
 #include "analysis/RangeAnalysis.h"
 #include "codegen/Runner.h"
+#include "native/CEmitter.h"
 #include "rewrite/Lowering.h"
 #include "stencil/Benchmarks.h"
 
@@ -111,6 +112,35 @@ TEST(InteriorSpec, InteriorBodyIsClampFree) {
     ocl::Kernel K = specializeInterior(L.C.K);
     auto V = checkKernelBounds(K);
     EXPECT_TRUE(V.empty()) << Name << ":\n" << describeViolations(V);
+  }
+}
+
+TEST(InteriorSpec, SecondPassChangesNothing) {
+  // The native backend specializes whatever kernel it is given, also
+  // one that is specialized already: a second pass must split nothing
+  // and print the same C, global and tiled, bound to a grid or not.
+  for (const stencil::Benchmark &B : stencil::allBenchmarks()) {
+    for (bool Tiled : {false, true}) {
+      for (bool Bound : {false, true}) {
+        rewrite::LoweringOptions O;
+        O.Tile = Tiled;
+        O.TileOutputs = 16;
+        O.UseLocalMem = Tiled;
+        if (Bound)
+          O.OutputExtents.assign(B.SmallExtents.begin(),
+                                 B.SmallExtents.end());
+        Lowered L = lower(B, O);
+        SpecStats First, Second;
+        ocl::Kernel K1 = specializeInterior(L.C.K, &First);
+        ocl::Kernel K2 = specializeInterior(K1, &Second);
+        std::string What = B.Name + (Tiled ? " tiled16-local" : " global") +
+                           (Bound ? " bound" : " symbolic");
+        EXPECT_EQ(First.LoopsSplit == 0, Tiled) << What;
+        EXPECT_EQ(Second.LoopsSplit, 0u) << What;
+        EXPECT_EQ(Second.SelectsResolved, 0u) << What;
+        EXPECT_EQ(native::emitC(K2), native::emitC(K1)) << What;
+      }
+    }
   }
 }
 

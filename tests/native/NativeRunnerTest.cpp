@@ -184,27 +184,86 @@ TEST(NativeRunner, CacheReturnsIdenticalKernelOnHit) {
   Built B = buildBench("Stencil2D", /*Tiled=*/false);
   KernelCache &C = KernelCache::global();
   C.clear();
-  NativeKernelPtr K1 = C.getOrCompile(B.LowHash, B.C.K);
-  NativeKernelPtr K2 = C.getOrCompile(B.LowHash, B.C.K);
+  NativeKernelPtr K1 = C.getOrCompile(B.C.K);
+  NativeKernelPtr K2 = C.getOrCompile(B.C.K);
   EXPECT_EQ(K1.get(), K2.get()) << "cache hit must share the mapping";
   EXPECT_EQ(C.misses(), 1u);
   EXPECT_EQ(C.hits(), 1u);
 
-  // Collision resolution is by emitted source, not by trusting the
-  // hash: an independently built instance of the same benchmark emits
-  // byte-identical C (deterministic emission), so under the same
-  // bucket key it shares the compiled kernel rather than recompiling.
+  // The identity is the emitted source: an independently built
+  // instance of the same benchmark emits byte-identical C
+  // (deterministic emission), so it shares the compiled kernel rather
+  // than recompiling.
   Built B2 = buildBench("Stencil2D", /*Tiled=*/false);
-  NativeKernelPtr K3 = C.getOrCompile(B.LowHash, B2.C.K);
+  NativeKernelPtr K3 = C.getOrCompile(B2.C.K);
   EXPECT_EQ(K3.get(), K1.get());
   EXPECT_EQ(C.hits(), 2u);
   C.clear();
 }
 
+TEST(NativeRunner, CacheKeysByOptLevel) {
+  // A -O0 build must never be served for a -O2 request.
+  REQUIRE_TOOLCHAIN();
+  Built B = buildBench("Stencil2D", /*Tiled=*/false);
+  KernelCache &C = KernelCache::global();
+  C.clear();
+  NativeOptions O0, O2;
+  O0.OptLevel = 0;
+  O2.OptLevel = 2;
+  NativeKernelPtr K0 = C.getOrCompile(B.C.K, O0);
+  NativeKernelPtr K2 = C.getOrCompile(B.C.K, O2);
+  EXPECT_NE(K0.get(), K2.get());
+  EXPECT_EQ(C.misses(), 2u);
+  EXPECT_EQ(C.getOrCompile(B.C.K, O0).get(), K0.get());
+  EXPECT_EQ(C.getOrCompile(B.C.K, O2).get(), K2.get());
+  EXPECT_EQ(C.hits(), 2u);
+  C.clear();
+}
+
+TEST(NativeRunner, CacheKeysByResolvedCompiler) {
+  // The compiler is part of the key as the path it resolves to, so
+  // naming the default compiler explicitly reuses its binary.
+  REQUIRE_TOOLCHAIN();
+  Built B = buildBench("Stencil2D", /*Tiled=*/false);
+  KernelCache &C = KernelCache::global();
+  C.clear();
+  NativeOptions Named;
+  Named.CompilerPath = findCompiler();
+  NativeKernelPtr K1 = C.getOrCompile(B.C.K);
+  EXPECT_EQ(C.getOrCompile(B.C.K, Named).get(), K1.get());
+  EXPECT_EQ(C.misses(), 1u);
+  NativeOptions Missing;
+  Missing.CompilerPath = "/nonexistent/lift-test-cc";
+  EXPECT_THROW(C.getOrCompile(B.C.K, Missing), CompilerNotFoundError);
+  C.clear();
+}
+
+TEST(NativeRunner, GenericAndSpecializedKernelShareOneBinary) {
+  // The backend compiles the interior-specialized form of whatever it
+  // is given, and the lowered hash is no part of the key: the generic
+  // kernel under one hash and its specialized form under another are
+  // one compile.
+  REQUIRE_TOOLCHAIN();
+  Built B = buildBench("Jacobi2D5pt", /*Tiled=*/false);
+  codegen::Compiled Spec = B.C;
+  Spec.K = analysis::specializeInterior(B.C.K);
+  KernelCache &C = KernelCache::global();
+  C.clear();
+  NativeKernelPtr Generic = C.getOrCompile(B.LowHash, B.C.K);
+  NativeKernelPtr Specialized = C.getOrCompile(~B.LowHash, Spec.K);
+  EXPECT_EQ(Generic.get(), Specialized.get());
+  EXPECT_EQ(C.misses(), 1u);
+  EXPECT_EQ(C.hits(), 1u);
+  ASSERT_NE(Generic->emitted(), nullptr);
+  EXPECT_EQ(Generic->source(), emitC(*Generic->emitted()));
+  EXPECT_EQ(Generic->source(), emitC(Spec.K));
+  C.clear();
+}
+
 TEST(NativeRunner, CacheKeepsSourceVariantsApartUnderOneHash) {
-  // Every kernel built from one lowering is cached under that
-  // lowering's hash; only the emitted source tells its plain,
-  // interior-specialized and profile-mode builds apart.
+  // A kernel and its interior-specialized form emit one source and so
+  // are one binary; only the profile-mode build, whose source carries
+  // timers, is another.
   REQUIRE_TOOLCHAIN();
   Built B = buildBench("Jacobi2D5pt", /*Tiled=*/false);
   std::vector<float> Want =
@@ -218,19 +277,20 @@ TEST(NativeRunner, CacheKeepsSourceVariantsApartUnderOneHash) {
 
   KernelCache &C = KernelCache::global();
   C.clear();
-  NativeKernelPtr Plain = C.getOrCompile(B.LowHash, B.C.K);
-  NativeKernelPtr Specialized = C.getOrCompile(B.LowHash, Spec.K);
-  NativeKernelPtr Profiled = C.getOrCompile(B.LowHash, B.C.K, ProfileMode);
-  EXPECT_NE(Plain.get(), Specialized.get());
+  NativeKernelPtr Plain = C.getOrCompile(B.C.K);
+  NativeKernelPtr Specialized = C.getOrCompile(Spec.K);
+  NativeKernelPtr Profiled = C.getOrCompile(B.C.K, ProfileMode);
+  EXPECT_EQ(Plain.get(), Specialized.get());
   EXPECT_NE(Plain.get(), Profiled.get());
-  EXPECT_NE(Specialized.get(), Profiled.get());
-  EXPECT_EQ(C.misses(), 3u);
-  EXPECT_EQ(C.getOrCompile(B.LowHash, Spec.K).get(), Specialized.get());
-  EXPECT_EQ(C.getOrCompile(B.LowHash, B.C.K, ProfileMode).get(),
-            Profiled.get());
-  EXPECT_EQ(C.hits(), 2u);
+  EXPECT_EQ(C.misses(), 2u);
+  EXPECT_EQ(C.getOrCompile(Spec.K).get(), Specialized.get());
+  EXPECT_EQ(C.getOrCompile(B.C.K, ProfileMode).get(), Profiled.get());
+  EXPECT_EQ(C.hits(), 3u);
 
-  std::size_t NumRegions = profileRegions(B.C.K).size();
+  // The region slots are those of the specialized kernel that runs,
+  // also when the caller passes the generic one.
+  std::size_t NumRegions = profileRegions(Spec.K).size();
+  EXPECT_GT(NumRegions, profileRegions(B.C.K).size());
   NativeRunResult PlainR =
       runNative(B.C, *Plain, B.Inputs, B.Sizes, /*Threads=*/3);
   NativeRunResult SpecR =

@@ -15,16 +15,17 @@
 //    never touch per-iteration computation.
 //  * runNative/profileKernel: region seconds come back
 //    non-negative and sum to roughly the total; the joined
-//    obs::Profile carries the static counts.
+//    obs::Profile carries the static counts of the kernel that ran,
+//    the interior-specialized one, whatever kernel the caller holds.
 //
 //===----------------------------------------------------------------------===//
 
 #include "native/Profiler.h"
 
+#include "analysis/InteriorSpec.h"
 #include "codegen/AccessAnalysis.h"
 #include "codegen/CodeGen.h"
 #include "codegen/Runner.h"
-#include "ir/StructuralHash.h"
 #include "native/CEmitter.h"
 #include "rewrite/Lowering.h"
 #include "stencil/Benchmarks.h"
@@ -226,11 +227,10 @@ TEST(ProfiledRun, OutputBitIdenticalToUnprofiledRun) {
   for (std::size_t X = 0; X != Inputs[0].size(); ++X)
     Inputs[0][X] = 0.25f * float(X) - 17.0f;
 
-  const std::uint64_t Hash = 0x1234567ULL;
-  NativeKernelPtr Plain = KernelCache::global().getOrCompile(Hash, C.K);
+  NativeKernelPtr Plain = KernelCache::global().getOrCompile(C.K);
   NativeRunResult R = runNative(C, *Plain, Inputs, Sizes);
 
-  ProfiledKernelRun P = profileKernel(C, Hash, Inputs, Sizes,
+  ProfiledKernelRun P = profileKernel(C, Inputs, Sizes,
                                       /*Warmup=*/0, /*Repeats=*/1);
   ASSERT_EQ(P.Output.size(), R.Output.size());
   EXPECT_EQ(std::memcmp(P.Output.data(), R.Output.data(),
@@ -257,11 +257,10 @@ TEST(ProfiledRun, BenchmarkKernelsBitIdenticalProfiledVsUnprofiled) {
     Extents E = {64, 64};
     SizeEnv Sizes = makeSizeEnv(I, E);
     std::vector<std::vector<float>> Inputs = makeBenchmarkInputs(B, E);
-    std::uint64_t Hash = ir::structuralHash(Low);
-    NativeKernelPtr Plain = KernelCache::global().getOrCompile(Hash, C.K);
+    NativeKernelPtr Plain = KernelCache::global().getOrCompile(C.K);
     NativeRunResult R = runNative(C, *Plain, Inputs, Sizes);
     ProfiledKernelRun P =
-        profileKernel(C, Hash, Inputs, Sizes, /*Warmup=*/0, /*Repeats=*/1);
+        profileKernel(C, Inputs, Sizes, /*Warmup=*/0, /*Repeats=*/1);
     ASSERT_EQ(P.Output.size(), R.Output.size());
     EXPECT_EQ(std::memcmp(P.Output.data(), R.Output.data(),
                           R.Output.size() * sizeof(float)),
@@ -283,20 +282,68 @@ TEST(ProfiledRun, RegionSecondsAreSaneAndJoinedWithStaticCounts) {
   MachinePeaks Peaks;
   Peaks.GBPerSec = 10.0;
   Peaks.GFlopsPerSec = 5.0;
-  ProfiledKernelRun P =
-      profileKernel(C, /*LoweredHash=*/0xfeedULL, Inputs, Sizes,
-                    /*Warmup=*/1, /*Repeats=*/3, {}, &Peaks);
-  ASSERT_EQ(P.P.Regions.size(), 1u);
-  const obs::ProfileRegion &R = P.P.Regions[0];
-  EXPECT_GE(R.Seconds, 0.0);
-  // The single region accounts for (almost) the entire kernel.
-  EXPECT_LE(R.Seconds, P.P.TotalSeconds + 1e-9);
-  EXPECT_EQ(R.BytesRead, std::uint64_t(3 * 4 * Elems));
-  EXPECT_EQ(R.BytesWritten, std::uint64_t(4 * Elems));
+  ProfiledKernelRun P = profileKernel(C, Inputs, Sizes, /*Warmup=*/1,
+                                      /*Repeats=*/3, {}, &Peaks);
+  // The clamped loop ran split into left edge, interior and right
+  // edge; together they account for (almost) the entire kernel and
+  // for all of its traffic.
+  ASSERT_EQ(P.P.Regions.size(), 3u);
+  double Seconds = 0;
+  std::uint64_t Iterations = 0, BytesRead = 0, BytesWritten = 0;
+  for (const obs::ProfileRegion &R : P.P.Regions) {
+    EXPECT_GE(R.Seconds, 0.0);
+    Seconds += R.Seconds;
+    Iterations += R.Iterations;
+    BytesRead += R.BytesRead;
+    BytesWritten += R.BytesWritten;
+  }
+  EXPECT_LE(Seconds, P.P.TotalSeconds + 1e-9);
+  EXPECT_EQ(Iterations, std::uint64_t(Elems));
+  EXPECT_EQ(BytesRead, std::uint64_t(3 * 4 * Elems));
+  EXPECT_EQ(BytesWritten, std::uint64_t(4 * Elems));
   EXPECT_EQ(P.P.PeakGBPerSec, 10.0);
   EXPECT_EQ(P.P.PeakGFlopsPerSec, 5.0);
   // Output is still the right stencil: interior point = 3.0.
   EXPECT_EQ(P.Output[std::size_t(Elems / 2)], 3.0f);
+}
+
+TEST(ProfiledRun, GenericKernelReportsTheSpecializedRegions) {
+  // The caller holds the generic kernel (one region); the backend
+  // compiles its interior-specialized form: the row edges, and the
+  // interior rows' column edges and interior (five). The region slots
+  // runNative sizes and the report profileKernel joins must both be
+  // those of the kernel that ran, or its timers would write past them.
+  REQUIRE_TOOLCHAIN();
+  const Benchmark &B = findBenchmark("Jacobi2D5pt");
+  BenchmarkInstance I = B.Build();
+  ir::Program Low = rewrite::lowerStencil(I.P, {});
+  ASSERT_TRUE(bool(Low));
+  codegen::Compiled C = codegen::compileProgram(Low, B.Name);
+  ASSERT_EQ(profileRegions(C.K).size(), 1u);
+  std::vector<KernelRegion> Spec =
+      profileRegions(analysis::specializeInterior(C.K));
+  ASSERT_EQ(Spec.size(), 5u);
+
+  Extents E = {64, 64};
+  SizeEnv Sizes = makeSizeEnv(I, E);
+  std::vector<std::vector<float>> Inputs = makeBenchmarkInputs(B, E);
+  NativeOptions PO;
+  PO.Profile = true;
+  NativeKernelPtr Prof = KernelCache::global().getOrCompile(C.K, PO);
+  NativeRunResult R = runNative(C, *Prof, Inputs, Sizes);
+  EXPECT_EQ(R.RegionSeconds.size(), Spec.size());
+
+  ProfiledKernelRun P =
+      profileKernel(C, Inputs, Sizes, /*Warmup=*/0, /*Repeats=*/1);
+  ASSERT_EQ(P.P.Regions.size(), Spec.size());
+  std::uint64_t BytesWritten = 0;
+  for (std::size_t X = 0; X != Spec.size(); ++X) {
+    EXPECT_EQ(P.P.Regions[X].Name, Spec[X].Name);
+    BytesWritten += P.P.Regions[X].BytesWritten;
+  }
+  // The regions partition the grid: every output written once.
+  EXPECT_EQ(BytesWritten, std::uint64_t(4 * 64 * 64));
+  EXPECT_EQ(P.Output, codegen::runCompiled(C, Inputs, Sizes).Output);
 }
 
 TEST(ProfiledRun, EmittedSourceTimesEveryRegionOnce) {

@@ -24,7 +24,6 @@
 #include "analysis/RangeAnalysis.h"
 #include "codegen/AccessAnalysis.h"
 #include "codegen/Runner.h"
-#include "ir/StructuralHash.h"
 #include "ir/TypeInference.h"
 #include "native/NativeRunner.h"
 #include "native/Peaks.h"
@@ -77,13 +76,16 @@ int usage() {
       "  --repeats R timed executions, fastest wins; --jobs = OpenMP\n"
       "  threads), and 'tune' ranks candidates by measured seconds\n"
       "  instead of the device model. Native C lowered for a grid (run,\n"
-      "  tune, profile; emit with --extents) has it as constants\n"
+      "  tune, profile; emit with --extents) has it as constants. The\n"
+      "  native backend always splits each grid loop into left-edge /\n"
+      "  clamp-free-interior / right-edge loops\n"
       "analysis (emit/run/analyze/profile; tune --profile): --specialize\n"
-      "  splits each grid loop into left-edge / clamp-free-interior /\n"
-      "  right-edge loops before emitting or running; --check-bounds\n"
-      "  statically proves every buffer access in bounds (prints a\n"
-      "  violation report and exits 1 otherwise; a grid makes the check\n"
-      "  concrete, plain 'emit' is symbolic)\n"
+      "  applies that split to the OpenCL text and the simulator too (a\n"
+      "  no-op for native C); --check-bounds statically proves every\n"
+      "  buffer access of the kernel that runs in bounds (the split one\n"
+      "  for native commands; prints a violation report and exits 1\n"
+      "  otherwise; a grid makes the check concrete, plain 'emit' is\n"
+      "  symbolic)\n"
       "profiling: 'profile' (or --profile on run/tune with the native\n"
       "  backend) recompiles the kernel with per-region monotonic timers\n"
       "  and reports seconds, bytes, FLOPs, GB/s, GFLOP/s and arithmetic\n"
@@ -250,7 +252,9 @@ ir::Program lowerOrDie(const Benchmark &B, const BenchmarkInstance &I,
 }
 
 /// Applies --specialize and --check-bounds to a compiled kernel, in
-/// that order (the check sees what will actually run). Returns false —
+/// that order (the check sees what will actually run: a native command
+/// compiles the interior-specialized kernel, native::emitNative, with
+/// or without --specialize). Returns false —
 /// with the violation report already printed — when the bounds check
 /// cannot discharge every access; \p Sizes null means a fully symbolic
 /// check.
@@ -266,8 +270,9 @@ bool applyAnalysis(const Args &A, Compiled &C,
                  S.SelectsResolved, S.SelectsResolved == 1 ? "" : "s");
   }
   if (A.CheckBounds) {
-    std::vector<analysis::BoundsViolation> V =
-        analysis::checkKernelBounds(C.K, Sizes);
+    bool Native = A.Backend == "native" || A.Command == "profile";
+    std::vector<analysis::BoundsViolation> V = analysis::checkKernelBounds(
+        Native ? analysis::specializeInterior(C.K) : C.K, Sizes);
     if (!V.empty()) {
       std::fprintf(stderr, "%s", analysis::describeViolations(V).c_str());
       std::fprintf(stderr,
@@ -315,7 +320,6 @@ std::string extentsString(const Extents &E) {
 
 /// A benchmark variant lowered and compiled for one grid.
 struct GridKernel {
-  ir::Program Low;
   Compiled C;
   ocl::SizeEnv Env; ///< the grid's size bindings; empty when symbolic
 };
@@ -333,7 +337,7 @@ std::optional<GridKernel> lowerForGrid(const Args &A, const Benchmark &B,
   LoweringOptions LO = O;
   LO.OutputExtents.assign(E.begin(), E.end());
   ir::Program Low = lowerOrDie(B, I, LO);
-  GridKernel G{Low, compileProgram(Low, B.Name), {}};
+  GridKernel G{compileProgram(Low, B.Name), {}};
   if (!E.empty())
     G.Env = makeSizeEnv(I, E);
   if (!applyAnalysis(A, G.C, E.empty() ? nullptr : &G.Env))
@@ -359,8 +363,8 @@ int profileCompiled(const Args &A, const Benchmark &B, const GridKernel &G,
       Peaks = native::probeMachinePeaks();
       PeaksPtr = &Peaks;
     }
-    Run = native::profileKernel(G.C, ir::structuralHash(G.Low), Inputs,
-                                G.Env, A.Warmup, A.Repeats, {}, PeaksPtr);
+    Run = native::profileKernel(G.C, Inputs, G.Env, A.Warmup, A.Repeats, {},
+                                PeaksPtr);
   } catch (const native::NativeError &Ex) {
     std::fprintf(stderr, "error: profiling failed: %s\n", Ex.what());
     return 1;
@@ -407,8 +411,8 @@ int cmdRunNative(const Args &A, const Benchmark &B, const GridKernel &G,
                  const std::vector<std::vector<float>> &Inputs) {
   native::NativeRunResult R;
   try {
-    native::NativeKernelPtr Kern = native::KernelCache::global().getOrCompile(
-        ir::structuralHash(G.Low), G.C.K);
+    native::NativeKernelPtr Kern =
+        native::KernelCache::global().getOrCompile(G.C.K);
     R = native::runNative(G.C, *Kern, Inputs, G.Env, A.Jobs, A.Warmup,
                           A.Repeats);
   } catch (const native::NativeError &Ex) {
@@ -606,7 +610,7 @@ int main(int Argc, char **Argv) {
     if (!G)
       return Done(1);
     if (A.Backend == "native")
-      std::printf("%s", native::emitC(G->C.K).c_str());
+      std::printf("%s", native::emitNative(G->C.K).Source.c_str());
     else
       std::printf("%s", ocl::emitOpenCL(G->C.K).c_str());
     return Done(0);
